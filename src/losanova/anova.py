@@ -16,13 +16,12 @@ corrected-model SS; no such additivity is assumed anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .distributions import f_sf
 from .errors import ValidationError
-from .linmod import Term, build_design, full_factorial_terms, ols_fit
+from .linmod import build_design, full_factorial_terms, ols_fit
 from .model import Dataset, FrequencyTable, frequency_table
 
 
@@ -68,83 +67,61 @@ class AnovaTable:
         return self.row("Error").df
 
 
-def _check_occupancy(d: Dataset, terms: Sequence[Term]) -> None:
-    """Every marginal cell spanned by a model term must be occupied."""
-    freq = frequency_table(d)
-    for term in terms:
-        marg = freq.marginal(*term.factor_indices)
-        for names, count in marg.items():
-            if count == 0:
-                factors = [d.layout.names[i] for i in term.factor_indices]
-                cell = ", ".join(f"{f}={lv}" for f, lv in zip(factors, names))
-                raise ValidationError(f"empty cell in the span of a model term: {cell}")
-
-
 def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     """Between-subjects table with Type III SS for all effects up to
-    ``max_order`` (defaults to the full factorial)."""
-    layout = d.layout
-    terms = full_factorial_terms(layout, max_order)
-    _check_occupancy(d, terms)
+    ``max_order`` (defaults to the full factorial).
 
+    Estimability and every df come from ``df_check`` on the cell counts.
+    """
+    layout = d.layout
+    df = dict(df_check(frequency_table(d), max_order))
+    terms = full_factorial_terms(layout, max_order)
     full = build_design(d, terms, coding="deviation")
-    n, p = full.values.shape
-    if n - p < 1:
-        raise ValidationError(
-            f"{n} observations cannot estimate {p} model columns with error df >= 1"
-        )
     y = d.responses
-    fit_full = ols_fit(full, y)
-    sse_full = fit_full.sse
-    df_error = fit_full.df_error
-    mse = fit_full.mse
+    sse_full = ols_fit(full, y).sse
+    df_error = df["Error"]
+    mse = sse_full / df_error
 
     grand_mean = float(y.mean())
     total_ss = float(y @ y)
     corrected_total_ss = float(((y - grand_mean) ** 2).sum())
     corrected_model_ss = corrected_total_ss - sse_full
-    corrected_model_df = p - 1
 
-    def f_and_p(ss: float, df: int) -> tuple[float, float, float]:
-        ms = ss / df
+    def row(source: str, ss: float) -> AnovaRow:
+        ms = ss / df[source]
         f = ms / mse
-        return ms, f, f_sf(f, df, df_error)
+        return AnovaRow(source, ss, df[source], ms, f, f_sf(f, df[source], df_error))
 
-    rows = []
-    ms, f, p_val = f_and_p(corrected_model_ss, corrected_model_df)
-    rows.append(AnovaRow("Corrected Model", corrected_model_ss, corrected_model_df, ms, f, p_val))
-
-    intercept_ss = ols_fit(full.drop_term(None), y).sse - sse_full
-    ms, f, p_val = f_and_p(intercept_ss, 1)
-    rows.append(AnovaRow("Intercept", intercept_ss, 1, ms, f, p_val))
-
+    rows = [
+        row("Corrected Model", corrected_model_ss),
+        row("Intercept", ols_fit(full.drop_term(None), y).sse - sse_full),
+    ]
     for term in terms:
-        reduced = full.drop_term(term)
-        ss = ols_fit(reduced, y).sse - sse_full
-        df = len(full.column_indices(term))
-        ms, f, p_val = f_and_p(ss, df)
         label = " * ".join(layout.names[i] for i in term.factor_indices)
-        rows.append(AnovaRow(label, ss, df, ms, f, p_val))
+        rows.append(row(label, ols_fit(full.drop_term(term), y).sse - sse_full))
 
     rows.append(AnovaRow("Error", sse_full, df_error, mse))
-    rows.append(AnovaRow("Total", total_ss, n))
-    rows.append(AnovaRow("Corrected Total", corrected_total_ss, n - 1))
+    rows.append(AnovaRow("Total", total_ss, df["Total"]))
+    rows.append(AnovaRow("Corrected Total", corrected_total_ss, df["Corrected Total"]))
     return AnovaTable(tuple(rows), response_name=d.response_name)
 
 
 def df_check(freq: FrequencyTable, max_order: int | None = None) -> list[tuple[str, int]]:
     """Degrees-of-freedom column computed from cell counts alone.
 
-    Valid when every cell spanned by a model term is occupied (checked);
-    rows appear in the same order as ``type3_anova`` output.
+    Valid when every cell spanned by a model term is occupied and at least
+    one error df remains (both checked); rows appear in the same order as
+    ``type3_anova`` output.
     """
     layout = freq.layout
     terms = full_factorial_terms(layout, max_order)
     for term in terms:
         for names, count in freq.marginal(*term.factor_indices).items():
             if count == 0:
+                factors = [layout.names[i] for i in term.factor_indices]
+                cell = ", ".join(f"{f}={lv}" for f, lv in zip(factors, names))
                 raise ValidationError(
-                    f"df formulas need all term cells occupied; empty: {names}"
+                    f"every cell spanned by a model term must be occupied; empty: {cell}"
                 )
     n = freq.total
     effect_dfs = [

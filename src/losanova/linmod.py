@@ -49,6 +49,12 @@ class Term:
     def order(self) -> int:
         return len(self.factor_indices)
 
+    @property
+    def kind(self) -> str:
+        if self.order == 1:
+            return "main"
+        return f"{self.order}-way interaction"
+
 
 def full_factorial_terms(layout: FactorLayout, max_order: int | None = None) -> list[Term]:
     """All main effects and interactions up to ``max_order``, hierarchical by
@@ -96,31 +102,42 @@ class DesignColumn:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Coded model matrix plus the metadata needed to recode new observations."""
+    """Coded model matrix plus the metadata needed to recode new observations.
+
+    Every column is a function of the cell, so the matrix is stored as one
+    coded row per layout cell (``cell_values``, in layout cell order) and each
+    observation's flat cell index (``codes``).
+    """
 
     layout: FactorLayout
     coding: Coding
     terms: tuple[Term, ...]
     columns: tuple[DesignColumn, ...]
-    values: np.ndarray
+    cell_values: np.ndarray
+    codes: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(self.columns):
+        cell_values = np.asarray(self.cell_values, dtype=float)
+        if cell_values.shape != (self.layout.n_cells, len(self.columns)):
             raise ValidationError("design values do not match the declared columns")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        codes = np.asarray(self.codes, dtype=np.intp)
+        cell_values.setflags(write=False)
+        codes.setflags(write=False)
+        object.__setattr__(self, "cell_values", cell_values)
+        object.__setattr__(self, "codes", codes)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (n_rows, n_columns) model matrix, one row per observation."""
+        return self.cell_values[self.codes]
 
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return self.codes.shape[0]
 
     @property
     def n_columns(self) -> int:
-        return self.values.shape[1]
-
-    def column_indices(self, term: Term | None) -> list[int]:
-        return [i for i, col in enumerate(self.columns) if col.term == term]
+        return self.cell_values.shape[1]
 
     def drop_term(self, term: Term | None) -> "DesignMatrix":
         """A copy without the given term's columns (None drops the intercept)."""
@@ -133,7 +150,8 @@ class DesignMatrix:
             coding=self.coding,
             terms=terms,
             columns=tuple(self.columns[i] for i in keep),
-            values=self.values[:, keep],
+            cell_values=self.cell_values[:, keep],
+            codes=self.codes,
         )
 
 
@@ -151,13 +169,12 @@ def _term_columns(
     return out
 
 
-def encode_matrix(
-    layout: FactorLayout,
-    level_matrix: np.ndarray,
-    terms: Sequence[Term],
-    coding: Coding,
+def encode_cells(
+    layout: FactorLayout, terms: Sequence[Term], coding: Coding
 ) -> tuple[np.ndarray, list[DesignColumn]]:
-    """Code a (n, n_factors) level-index matrix into model-matrix columns."""
+    """Model-matrix columns for every layout cell, one row per cell in layout
+    cell order."""
+    level_matrix = np.indices(layout.shape).reshape(layout.n_factors, -1).T
     n = level_matrix.shape[0]
     factor_codes = {}
     for term in terms:
@@ -185,9 +202,10 @@ def build_design(d: Dataset, terms: Sequence[Term], coding: Coding = "reference"
     detected here; it surfaces at fit time.
     """
     terms = tuple(terms)
-    values, columns = encode_matrix(d.layout, d.level_matrix, terms, coding)
+    cell_values, columns = encode_cells(d.layout, terms, coding)
     return DesignMatrix(
-        layout=d.layout, coding=coding, terms=terms, columns=tuple(columns), values=values
+        layout=d.layout, coding=coding, terms=terms, columns=tuple(columns),
+        cell_values=cell_values, codes=d.cell_codes(),
     )
 
 
@@ -199,8 +217,8 @@ def encode_row(
 ) -> np.ndarray:
     """Coded row for a single observation given by level names."""
     cell = layout.resolve_cell(level_names)
-    matrix, _ = encode_matrix(layout, np.array([cell], dtype=np.intp), terms, coding)
-    return matrix[0]
+    matrix, _ = encode_cells(layout, terms, coding)
+    return matrix[np.ravel_multi_index(cell, layout.shape)]
 
 
 @dataclass(frozen=True)
@@ -263,12 +281,10 @@ class FitResult:
         Labels absent from ``values`` get a zero coefficient; unknown labels
         are rejected. Inference fields are NaN.
         """
-        matrix, columns = encode_matrix(
-            layout, np.zeros((0, layout.n_factors), dtype=np.intp), tuple(terms), coding
-        )
+        cell_values, columns = encode_cells(layout, tuple(terms), coding)
         design = DesignMatrix(
             layout=layout, coding=coding, terms=tuple(terms),
-            columns=tuple(columns), values=matrix,
+            columns=tuple(columns), cell_values=cell_values, codes=np.zeros(0),
         )
         known = {c.label for c in columns}
         unknown = set(values) - known
@@ -290,6 +306,12 @@ class FitResult:
 def ols_fit(X: DesignMatrix, y: np.ndarray, alpha: float = 0.05) -> FitResult:
     """Least-squares fit of y on the design, solved by pivoted QR.
 
+    The fit depends on y only through the per-cell counts and means, so the
+    QR runs on the occupied cell rows scaled by the square root of their
+    counts: that matrix has the same cross-product and column norms as the
+    observation-level matrix, hence the same R, pivots, rank decision and
+    estimates.
+
     Raises ``RankDeficiencyError`` naming the dependent columns when the
     design is not full rank. Standard errors come from the unscaled
     covariance diagonal times the mean squared error; with zero error df the
@@ -298,23 +320,26 @@ def ols_fit(X: DesignMatrix, y: np.ndarray, alpha: float = 0.05) -> FitResult:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.shape[0] != X.n_rows:
         raise ValidationError(f"y has length {y.shape[0]}, design has {X.n_rows} rows")
-    n, p = X.values.shape
-    if n < p:
-        raise RankDeficiencyError([c.label for c in X.columns[n:]])
-
-    q, r, piv = linalg.qr(X.values, mode="economic", pivoting=True)
+    n, p = X.n_rows, X.n_columns
+    counts = np.bincount(X.codes, minlength=X.layout.n_cells)
+    sums = np.bincount(X.codes, weights=y, minlength=X.layout.n_cells)
+    occupied = counts > 0
+    root = np.sqrt(counts[occupied])
+    q, r, piv = linalg.qr(
+        X.cell_values[occupied] * root[:, None], mode="economic", pivoting=True
+    )
     diag = np.abs(np.diag(r))
     rank = int((diag > _RANK_RTOL * diag[0]).sum()) if diag.size else 0
     if rank < p:
         dependent = [X.columns[piv[i]].label for i in range(rank, p)]
         raise RankDeficiencyError(dependent)
 
-    qty = q.T @ y
+    qty = q.T @ (sums[occupied] / root)
     b_piv = linalg.solve_triangular(r, qty)
     estimates = np.empty(p)
     estimates[piv] = b_piv
 
-    fitted = X.values @ estimates
+    fitted = (X.cell_values @ estimates)[X.codes]
     residuals = y - fitted
     sse = float(residuals @ residuals)
     df_error = n - p

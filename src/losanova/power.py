@@ -15,52 +15,19 @@ of being read off a printed curve.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .distributions import f_quantile, noncentral_f_cdf
 from .errors import ReplicationSearchError, ValidationError
+from .linmod import Term, full_factorial_terms
 from .model import FactorLayout
 
 
-@dataclass(frozen=True)
-class EffectId:
-    """A main effect or interaction, identified by the factors involved."""
-
-    factor_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(self.factor_indices)
-        if not idx:
-            raise ValidationError("an effect involves at least one factor")
-        if len(set(idx)) != len(idx):
-            raise ValidationError("effect factor indices must be distinct")
-        object.__setattr__(self, "factor_indices", tuple(sorted(idx)))
-
-    @property
-    def order(self) -> int:
-        return len(self.factor_indices)
-
-    @property
-    def kind(self) -> str:
-        if self.order == 1:
-            return "main"
-        return f"{self.order}-way interaction"
-
-
-def all_effects(layout: FactorLayout, max_order: int | None = None) -> list[EffectId]:
-    """Every main effect and interaction up to ``max_order``, in layout order."""
-    k = layout.n_factors
-    max_order = k if max_order is None else max_order
-    if not 1 <= max_order <= k:
-        raise ValidationError(f"max_order must be in [1, {k}]")
-    out = []
-    for order in range(1, max_order + 1):
-        for combo in itertools.combinations(range(k), order):
-            out.append(EffectId(combo))
-    return out
+# a main effect or interaction is a model term; the planning names stay public
+EffectId = Term
+all_effects = full_factorial_terms
 
 
 def effect_label(layout: FactorLayout, effect: EffectId) -> str:

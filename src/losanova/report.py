@@ -333,19 +333,26 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
     return out
 
 
-def _bundle_sections(bundle: ReportBundle) -> list[tuple[str, list[str], list[list[str]]]]:
+def _bundle_sections(bundle: ReportBundle) -> list[tuple[str, list[str], list[list[str]], object]]:
+    """Each table of the bundle: name, headers, rendered rows, full-precision JSON."""
     sections = [
-        ("frequency", *frequency_rows(bundle.frequency)),
-        ("anova", *anova_rows(bundle.anova)),
-        ("coefficients", *coefficient_rows(bundle.coefficients)),
+        ("frequency", *frequency_rows(bundle.frequency), _frequency_json(bundle.frequency)),
+        ("anova", *anova_rows(bundle.anova), _anova_json(bundle.anova)),
+        ("coefficients", *coefficient_rows(bundle.coefficients),
+         _coefficients_json(bundle.coefficients, bundle.equation)),
     ]
     for factor, comparisons in bundle.scheffe.items():
-        sections.append((f"scheffe_{factor}", *scheffe_rows(comparisons)))
+        sections.append(
+            (f"scheffe_{factor}", *scheffe_rows(comparisons), _scheffe_json(comparisons))
+        )
     for factor, subsets in bundle.subsets.items():
         counts = bundle.marginal_counts.get(factor, {})
-        sections.append((f"subsets_{factor}", *subset_rows(subsets, counts)))
+        sections.append(
+            (f"subsets_{factor}", *subset_rows(subsets, counts), _subsets_json(subsets))
+        )
     if bundle.transform_rec is not None:
-        sections.append(("transform", *transform_rows(bundle.transform_rec)))
+        rec = bundle.transform_rec
+        sections.append(("transform", *transform_rows(rec), _transform_json(rec)))
     return sections
 
 
@@ -356,7 +363,7 @@ def render_report(bundle: ReportBundle, format: str = "text") -> bytes:
     if format not in ("text", "csv"):
         raise ValidationError(f"unknown report format {format!r} (text/csv/json)")
     parts = []
-    for name, headers, rows in _bundle_sections(bundle):
+    for name, headers, rows, _ in _bundle_sections(bundle):
         if format == "text":
             parts.append(f"== {name} ==\n{_table_text(headers, rows)}")
         else:
@@ -380,29 +387,13 @@ def write_report_dir(bundle: ReportBundle, outdir: str | Path) -> list[str]:
     plots_dir.mkdir(parents=True, exist_ok=True)
 
     artifacts: list[str] = []
-
-    def emit(name: str, headers, rows, json_obj) -> None:
+    for name, headers, rows, json_obj in _bundle_sections(bundle):
         (tables / f"{name}.txt").write_text(_table_text(headers, rows), encoding="utf-8")
         (tables / f"{name}.csv").write_text(_table_csv(headers, rows), encoding="utf-8")
         (tables / f"{name}.json").write_text(
             json.dumps(json_obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         artifacts.extend([f"tables/{name}.txt", f"tables/{name}.csv", f"tables/{name}.json"])
-
-    emit("frequency", *frequency_rows(bundle.frequency), _frequency_json(bundle.frequency))
-    emit("anova", *anova_rows(bundle.anova), _anova_json(bundle.anova))
-    emit(
-        "coefficients",
-        *coefficient_rows(bundle.coefficients),
-        _coefficients_json(bundle.coefficients, bundle.equation),
-    )
-    for factor, comparisons in bundle.scheffe.items():
-        emit(f"scheffe_{factor}", *scheffe_rows(comparisons), _scheffe_json(comparisons))
-    for factor, subsets in bundle.subsets.items():
-        counts = bundle.marginal_counts.get(factor, {})
-        emit(f"subsets_{factor}", *subset_rows(subsets, counts), _subsets_json(subsets))
-    if bundle.transform_rec is not None:
-        emit("transform", *transform_rows(bundle.transform_rec), _transform_json(bundle.transform_rec))
 
     response = bundle.anova.response_name
     for name, series in bundle.diagnostics.items():

@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,16 @@ def test_power_all_effects(capsys):
     assert code == 0
     assert "overall replications required" in out
     assert "season * gender * age_group" in out
+
+
+def test_power_large_noncentrality(capsys):
+    # lam ~ 1300 at n = 2450: the noncentral series must not fail spuriously
+    code = cli_main([
+        "power", "--levels", "4,2,5", "--min-diff", "1", "--sigma2", "9.41",
+        "--alpha", "0.01", "--effect", "season", "--n", "2450",
+    ])
+    assert code == 0
+    assert re.search(r"^2450\s", capsys.readouterr().out, re.M)
 
 
 def test_synth_then_anova(cohort_csv, capsys):
@@ -200,3 +214,20 @@ def test_numerical_failure_exits_2(cohort_csv, capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out.lower() or True
+
+
+@pytest.mark.parametrize("module", ["losanova", "losanova.cli"])
+def test_python_dash_m_runs_cli(module, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "m.csv"
+    run = subprocess.run(
+        [sys.executable, "-m", module, "synth", "--n", "100", "--seed", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert out.read_text().count("\n") == 101
+    bad = subprocess.run([sys.executable, "-m", module, "synth", "--bogus"],
+                         env=env, capture_output=True, text=True)
+    assert bad.returncode == 1

@@ -217,6 +217,24 @@ def test_ncf_large_lambda_stable():
     assert 0.0 <= v <= 1.0
 
 
+def test_ncf_large_lambda_matches_scipy():
+    # lam 940-1400 used to raise on a rounding-only weight-sum check
+    from scipy.special import ncfdtr
+
+    rng = np.random.default_rng(20261018)
+    n = 400
+    nu1 = rng.integers(1, 40, n).astype(float)
+    nu2 = np.exp(rng.uniform(math.log(3.0), math.log(1e5), n))
+    lam = rng.uniform(940.0, 1400.0, n)
+    mean = nu2 * (nu1 + lam) / (nu1 * (nu2 - 2.0))
+    x = mean * np.exp(rng.normal(0.0, 0.05, n))
+    ref = ncfdtr(nu1, nu2, lam, x)
+    finite = np.isfinite(ref)
+    assert finite.sum() >= n // 2
+    for xi, a, b, l, r in zip(x[finite], nu1[finite], nu2[finite], lam[finite], ref[finite]):
+        assert abs(noncentral_f_cdf(xi, a, b, l) - r) <= 1e-9, (xi, a, b, l)
+
+
 def test_ncf_domain():
     with pytest.raises(ValidationError):
         noncentral_f_cdf(1.0, 3.0, 10.0, -0.5)

@@ -1,5 +1,6 @@
 """Design coding, QR least squares, inference, prediction, significance filter."""
 
+import itertools
 import math
 
 import numpy as np
@@ -149,11 +150,51 @@ def test_rank_deficiency_names_columns():
         (("a1", "b2"), 3.0), (("a1", "b2"), 2.5),
         (("a2", "b1"), 4.0), (("a2", "b1"), 5.0),
     ]
-    d = build_dataset(layout, rows)
-    X = build_design(d, full_factorial_terms(layout), "reference")
-    with pytest.raises(RankDeficiencyError) as exc_info:
-        ols_fit(X, d.responses)
-    assert len(exc_info.value.dependent_columns) >= 1
+    # fewer observations (2) than columns (4)
+    too_few = [(("a1", "b1"), 1.0), (("a2", "b2"), 2.0)]
+    for data in (rows, too_few):
+        d = build_dataset(layout, data)
+        X = build_design(d, full_factorial_terms(layout), "reference")
+        with pytest.raises(RankDeficiencyError) as exc_info:
+            ols_fit(X, d.responses)
+        assert len(exc_info.value.dependent_columns) >= 1
+
+
+def _row_level_design(layout, levels, order, coding):
+    """Observation-level model matrix from level indices, in build_design's
+    column order, coded independently of the library."""
+    n = levels.shape[0]
+    codes = []
+    for f, k in enumerate(layout.shape):
+        basis = np.vstack([np.eye(k - 1), -np.ones(k - 1) if coding == "deviation"
+                           else np.zeros(k - 1)])
+        codes.append(basis[levels[:, f]])
+    cols = [np.ones(n)]
+    for size in range(1, order + 1):
+        for term in itertools.combinations(range(layout.n_factors), size):
+            for combo in itertools.product(*(range(layout.shape[f] - 1) for f in term)):
+                cols.append(np.prod([codes[f][:, c] for f, c in zip(term, combo)], axis=0))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("coding", ["reference", "deviation"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
+    # unbalanced, with many singleton cells (70 observations over 40 cells)
+    d = random_dataset(cohort_layout, 70, seed=100 + order, min_per_cell=1)
+    fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, order), coding),
+                  d.responses)
+    X = _row_level_design(cohort_layout, d.level_matrix, order, coding)
+    y = d.responses
+    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    fitted = X @ beta
+    sse = float((y - fitted) @ (y - fitted))
+    se = np.sqrt(sse / (d.n - X.shape[1]) * np.diag(np.linalg.inv(X.T @ X)))
+    assert fit.df_error == d.n - X.shape[1]
+    np.testing.assert_allclose(fit.estimates, beta, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose([r.se for r in fit.coefficients.rows], se, rtol=1e-9)
+    np.testing.assert_allclose(fit.fitted, fitted, rtol=1e-9)
+    assert fit.sse == pytest.approx(sse, rel=1e-9)
 
 
 def test_ci_matches_t_quantile(cohort_layout):
