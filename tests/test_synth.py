@@ -1,12 +1,13 @@
 """Synthetic cohort generator: determinism, structure, and calibration."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from losanova import ValidationError, cell_stats, frequency_table, generate
+from losanova import ValidationError, cell_stats, frequency_table, generate, write_csv
 from losanova.synth import (
     REFERENCE_CELL_COUNTS,
     REFERENCE_TOTAL,
@@ -37,6 +38,17 @@ def test_cell_mean_reference_values():
     assert cell_mean(spec, male_age3) == pytest.approx(0.573 + 0.091 + 0.133)
     summer_age2 = layout.resolve_cell(("female", "summer", "2"))
     assert cell_mean(spec, summer_age2) == pytest.approx(0.573 + 0.161 - 0.032 - 0.056)
+
+
+# sha256 of the seed-0, N = 8,000 reference cohort as written by write_csv,
+# pinned before the generator was vectorised; a seed must keep its meaning
+REFERENCE_8000_SEED_0_SHA256 = "f2bd737e14d03541282c083b6137e3701961df11cde69736eaaa7a842dbeb9ca"
+
+
+def test_seeded_stream_digest_pinned(tmp_path):
+    path = tmp_path / "cohort.csv"
+    write_csv(generate(reference_cohort_spec(n=8000, seed=0)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REFERENCE_8000_SEED_0_SHA256
 
 
 def test_same_seed_bit_identical():
