@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import normal_cdf
 from .errors import ValidationError
 from .linmod import FitResult
-from .model import CellStats, Dataset, Observation
+from .model import CellStats, Dataset
 
 TRANSFORMS = ("none", "square_root", "logarithmic", "reciprocal_square_root", "reciprocal")
 
@@ -139,8 +139,8 @@ def residual_vs_fitted(e: np.ndarray, fitted: np.ndarray) -> ResidualSpread:
             if sd_low > 0:
                 funnel = sd_high / sd_low
     return ResidualSpread(
-        fitted=tuple(float(v) for v in fitted[order]),
-        residuals=tuple(float(v) for v in e[order]),
+        fitted=tuple(fitted[order].tolist()),
+        residuals=tuple(e[order].tolist()),
         funnel_ratio=funnel,
     )
 
@@ -162,13 +162,9 @@ def pp_plot(e: np.ndarray) -> PPPlotData:
     z = np.sort((e - e.mean()) / sd)
     n = e.size
     empirical = (np.arange(1, n + 1) - 0.5) / n
-    theoretical = np.array([normal_cdf(v) for v in z])
+    theoretical = normal_cdf(z)
     max_dev = float(np.max(np.abs(empirical - theoretical)))
-    return PPPlotData(
-        tuple(float(v) for v in empirical),
-        tuple(float(v) for v in theoretical),
-        max_dev,
-    )
+    return PPPlotData(tuple(empirical.tolist()), tuple(theoretical.tolist()), max_dev)
 
 
 def sd_mean_regression(cells: list[CellStats]) -> TransformRecommendation:
@@ -239,12 +235,10 @@ def apply_transform(d: Dataset, transform: str) -> Dataset:
         new = 1.0 / np.sqrt(y)
     else:
         new = 1.0 / y
-    observations = tuple(
-        Observation(obs.level_indices, float(v)) for obs, v in zip(d.observations, new)
-    )
     return Dataset(
         layout=d.layout,
-        observations=observations,
+        codes=d.codes,
+        responses=new,
         response_name=_transformed_name(d.response_name, transform),
         transform=transform,
     )

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NumericalError, ValidationError
 
 _POISSON_TAIL = 1e-12
@@ -238,11 +240,28 @@ def t_quantile(p: float, nu: float) -> float:
     return math.sqrt(f_quantile(2.0 * p - 1.0, 1.0, nu))
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    if math.isnan(z):
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """``f`` from ``math`` applied element by element. Array results then
+    equal scalar calls bit for bit; numpy's ``log1p`` and scipy's ``erfc``
+    differ from ``math`` in the last place on some inputs, which would change
+    what a ``synth`` seed draws."""
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+
+
+def normal_cdf(z):
+    """Standard normal CDF via the complementary error function.
+
+    ``z`` is a float or a 1-D array; an array gives an array.
+    """
+    x = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.isnan(x).any():
         raise ValidationError("normal_cdf: z is NaN")
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    out = 0.5 * _each(math.erfc, -x / _SQRT_2)
+    return out if np.ndim(z) else float(out[0])
 
 
 # Acklam's rational approximation to the standard normal quantile,
@@ -263,37 +282,47 @@ _ACKLAM_D = (
     7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
     3.754408661907416e+00,
 )
+_ACKLAM_P_LOW = 0.02425
 
 
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile; round-trips with ``normal_cdf`` within 1e-9."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"normal_quantile requires p in (0, 1), got {p!r}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
+def _acklam_tail(q: np.ndarray) -> np.ndarray:
+    c, d = _ACKLAM_C, _ACKLAM_D
+    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+        (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+    )
+
+
+def normal_quantile(p):
+    """Standard normal quantile; round-trips with ``normal_cdf`` within 1e-9.
+
+    ``p`` is a float or a 1-D array; an array gives an array, equal element
+    by element to the scalar results.
+    """
+    u = np.atleast_1d(np.asarray(p, dtype=float))
+    bad = ~((0.0 < u) & (u < 1.0))
+    if bad.any():
+        shown = p if not np.ndim(p) else float(u[np.argmax(bad)])
+        raise ValidationError(f"normal_quantile requires p in (0, 1), got {shown!r}")
+    a, b = _ACKLAM_A, _ACKLAM_B
+    x = np.empty_like(u)
+    low = u < _ACKLAM_P_LOW
+    high = u > 1.0 - _ACKLAM_P_LOW
+    mid = ~(low | high)
+    x[low] = _acklam_tail(np.sqrt(-2.0 * _each(math.log, u[low])))
+    q = u[mid] - 0.5
+    r = q * q
+    x[mid] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
+        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+    )
+    x[high] = -_acklam_tail(np.sqrt(-2.0 * _each(math.log1p, -u[high])))
     # one Halley refinement step; skipped in the far tails where the density
     # underflows (the rational approximation alone is accurate there)
-    if abs(x) < 37.0:
-        e = normal_cdf(x) - p
-        u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-        x -= u / (1.0 + x * u / 2.0)
-    return x
+    step = np.abs(x) < 37.0
+    xs = x[step]
+    e = normal_cdf(xs) - u[step]
+    h = e * _SQRT_2PI * _each(math.exp, xs * xs / 2.0)
+    x[step] = xs - h / (1.0 + xs * h / 2.0)
+    return x if np.ndim(p) else float(x[0])
 
 
 def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:

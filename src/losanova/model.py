@@ -1,5 +1,10 @@
-"""Domain model shared by every analysis: factors, observations, datasets,
-per-cell statistics, and frequency tables with marginal totals.
+"""Domain model shared by every analysis: factors, datasets, per-cell
+statistics, and frequency tables with marginal totals.
+
+A dataset is columnar: one flat cell-code array and one response array, both
+read-only numpy vectors. Analyses, ingest, transforms and the synthetic
+generator work on those columns; ``Observation`` objects exist only as the
+elements of the on-demand ``Dataset.observations`` view.
 
 All types are immutable after construction and all operations are pure, so
 they can be shared freely across threads or processes.
@@ -106,55 +111,61 @@ class FactorLayout:
 
 @dataclass(frozen=True)
 class Observation:
-    """One measured response at a particular factor-level combination."""
+    """One measured response at a particular factor-level combination; the
+    element type of ``Dataset.observations``."""
 
     level_indices: tuple[int, ...]
     response: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable table of observations; the unit every analysis consumes.
+    """Immutable cohort; the unit every analysis consumes.
+
+    A dataset is two read-only columns in observation order: ``codes``, the
+    flat cell index of each observation (layout cell order), and
+    ``responses``. The constructor copies both.
 
     ``transform`` records the scale of the responses ("none" for raw data);
     it is set by ``diagnostics.apply_transform`` so results can be mapped back.
     """
 
     layout: FactorLayout
-    observations: tuple[Observation, ...]
+    codes: np.ndarray
+    responses: np.ndarray
     response_name: str = "response"
     transform: str = "none"
 
     def __post_init__(self):
-        shape = self.layout.shape
-        for i, obs in enumerate(self.observations):
-            if len(obs.level_indices) != len(shape):
-                raise ValidationError(f"observation {i}: wrong number of level indices")
-            for fi, li in enumerate(obs.level_indices):
-                if not 0 <= li < shape[fi]:
-                    raise ValidationError(
-                        f"observation {i}: level index {li} out of range for "
-                        f"factor {self.layout.names[fi]!r}"
-                    )
-            if not math.isfinite(obs.response):
-                raise ValidationError(f"observation {i}: response is not finite")
-        levels = np.array(
-            [obs.level_indices for obs in self.observations], dtype=np.intp
-        ).reshape(len(self.observations), len(shape))
-        responses = np.array([obs.response for obs in self.observations], dtype=float)
-        levels.setflags(write=False)
-        responses.setflags(write=False)
+        codes = np.array(self.codes, dtype=np.intp)
+        responses = np.array(self.responses, dtype=float)
+        if codes.ndim != 1 or codes.shape != responses.shape:
+            raise ValidationError(
+                f"codes and responses must be equal-length vectors, "
+                f"got shapes {codes.shape} and {responses.shape}"
+            )
+        out_of_range = (codes < 0) | (codes >= self.layout.n_cells)
+        if out_of_range.any():
+            i = int(np.argmax(out_of_range))
+            raise ValidationError(
+                f"observation {i}: cell code {codes[i]} out of range for "
+                f"{self.layout.n_cells} cells"
+            )
+        not_finite = ~np.isfinite(responses)
+        if not_finite.any():
+            raise ValidationError(
+                f"observation {int(np.argmax(not_finite))}: response is not finite"
+            )
+        levels = np.stack(np.unravel_index(codes, self.layout.shape), axis=1)
+        for array in (codes, responses, levels):
+            array.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "responses", responses)
         object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "_responses", responses)
 
     @property
     def n(self) -> int:
-        return len(self.observations)
-
-    @property
-    def responses(self) -> np.ndarray:
-        """Responses in observation order (read-only view)."""
-        return self._responses
+        return len(self.codes)
 
     @property
     def level_matrix(self) -> np.ndarray:
@@ -163,7 +174,15 @@ class Dataset:
 
     def cell_codes(self) -> np.ndarray:
         """Flat cell index per observation, matching layout cell order."""
-        return np.ravel_multi_index(self._levels.T, self.layout.shape)
+        return self.codes
+
+    @property
+    def observations(self) -> tuple[Observation, ...]:
+        """One ``Observation`` per row, built on each access; the analyses
+        read the columns instead."""
+        return tuple(
+            map(Observation, map(tuple, self._levels.tolist()), self.responses.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -242,18 +261,23 @@ def build_dataset(
     ``raw_scale`` marks the responses as raw measurements, which must be
     strictly positive (a later log transform would otherwise be undefined).
     """
-    observations = []
+    code_of = {layout.cell_names(cell): flat for flat, cell in enumerate(layout.cells())}
+    codes = []
+    responses = []
     for i, (level_names, response) in enumerate(rows):
-        cell = layout.resolve_cell(level_names)
+        code = code_of.get(tuple(level_names))
+        if code is None:
+            code = int(np.ravel_multi_index(layout.resolve_cell(level_names), layout.shape))
         y = float(response)
         if not math.isfinite(y):
             raise ValidationError(f"row {i}: response {response!r} is not finite")
         if raw_scale and y <= 0:
             raise ValidationError(f"row {i}: raw-scale response must be > 0, got {y!r}")
-        observations.append(Observation(cell, y))
-    if not observations:
+        codes.append(code)
+        responses.append(y)
+    if not codes:
         raise ValidationError("empty input: no observations")
-    return Dataset(layout, tuple(observations), response_name=response_name)
+    return Dataset(layout, codes, responses, response_name=response_name)
 
 
 def cell_stats(d: Dataset) -> list[CellStats]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import normal_quantile
 from .errors import ValidationError
-from .model import Dataset, FactorLayout, Observation
+from .model import Dataset, FactorLayout
 
 #: Cell counts of the 82,718-patient reference cohort, keyed by
 #: (gender, season, age_group). Marginals: male 46510, female 36208;
@@ -183,13 +183,9 @@ def generate(spec: CohortSpec) -> Dataset:
 
     codes = np.searchsorted(cum, u_cell, side="right")
     codes = np.minimum(codes, len(cells) - 1)
-    z = np.array([normal_quantile(u) for u in np.clip(u_noise, 2.0**-55, None)])
+    z = normal_quantile(np.clip(u_noise, 2.0**-55, None))
     log_response = eta[codes] + spec.error_sd * z
     los = 10.0**log_response
     if spec.round_days:
         los = np.maximum(np.rint(los), 1.0)
-
-    observations = tuple(
-        Observation(cells[c], float(v)) for c, v in zip(codes, los)
-    )
-    return Dataset(layout, observations, response_name="los")
+    return Dataset(layout, codes, los, response_name="los")

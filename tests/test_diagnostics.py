@@ -262,3 +262,10 @@ def test_log_requires_positive():
         apply_transform(d, "logarithmic")
     with pytest.raises(ValidationError, match="unknown transform"):
         apply_transform(d, "boxcox")
+
+
+def test_transform_keeps_each_observations_cell(two_by_two):
+    d = random_dataset(two_by_two, 40, seed=9)
+    t = apply_transform(d, "square_root")
+    assert t.codes.tolist() == d.codes.tolist()
+    assert np.array_equal(t.responses, np.sqrt(d.responses))

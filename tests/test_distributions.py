@@ -297,6 +297,83 @@ def test_normal_quantile_domain():
             normal_quantile(bad)
 
 
+# the scalar normal quantile and CDF as they stood before the array forms, kept
+# as the reference: the array forms must reproduce them bit for bit, since
+# synth's seeded stream runs through normal_quantile
+
+def _scalar_normal_cdf(z):
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _scalar_normal_quantile(p):
+    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+         6.680131188771972e+01, -1.328068155288572e+01)
+    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+         3.754408661907416e+00)
+    if p < 0.02425:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    elif p <= 1.0 - 0.02425:
+        q = p - 0.5
+        r = q * q
+        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
+            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    else:
+        q = math.sqrt(-2.0 * math.log1p(-p))
+        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    if abs(x) < 37.0:
+        e = _scalar_normal_cdf(x) - p
+        u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
+        x -= u / (1.0 + x * u / 2.0)
+    return x
+
+
+def _normal_edge_points():
+    edges = [2.0**-55, 0.02425, 1.0 - 0.02425]
+    near = [float(np.nextafter(e, t)) for e in edges for t in (0.0, 1.0)]
+    return np.array(edges + near + [0.5, 1.0 - 2.0**-53])
+
+
+def test_normal_arrays_match_scalar_reference_bitwise():
+    for seed in (0, 1, 2):
+        u = np.random.Generator(np.random.PCG64(seed)).random(20_000)
+        p = np.concatenate([np.clip(u, 2.0**-55, None), _normal_edge_points()])
+        expected = np.array([_scalar_normal_quantile(v) for v in p.tolist()])
+        got = normal_quantile(p)
+        assert isinstance(got, np.ndarray) and got.shape == p.shape
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+        z = np.concatenate([np.random.default_rng(seed).normal(0.0, 3.0, 20_000),
+                            [0.0, -0.0, 40.0, -40.0, math.inf, -math.inf]])
+        expected = np.array([_scalar_normal_cdf(v) for v in z.tolist()])
+        assert np.array_equal(normal_cdf(z).view(np.int64), expected.view(np.int64))
+    for v in _normal_edge_points().tolist():
+        assert type(normal_quantile(v)) is float
+        assert normal_quantile(v) == _scalar_normal_quantile(v)
+        assert normal_cdf(v) == _scalar_normal_cdf(v)
+
+
+def test_normal_validation_messages():
+    for bad in (0.0, 1.0, -0.5, math.nan, 2):
+        with pytest.raises(ValidationError) as info:
+            normal_quantile(bad)
+        assert str(info.value) == f"normal_quantile requires p in (0, 1), got {bad!r}"
+    with pytest.raises(ValidationError) as info:
+        normal_quantile(np.array([0.25, 1.5, 0.0]))
+    assert str(info.value) == "normal_quantile requires p in (0, 1), got 1.5"
+    for z in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(ValidationError) as info:
+            normal_cdf(z)
+        assert str(info.value) == "normal_cdf: z is NaN"
+    assert normal_quantile(np.array([])).shape == (0,)
+
+
 # --- FDist wrapper ---------------------------------------------------------------
 
 def test_fdist_delegates():

@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from losanova import (
+    Dataset,
     FactorLayout,
     FrequencyTable,
+    Observation,
     ValidationError,
     build_dataset,
     cell_stats,
@@ -157,3 +160,37 @@ def test_dataset_arrays_read_only(two_by_two):
         d.responses[0] = 9.0
     with pytest.raises(ValueError):
         d.level_matrix[0, 0] = 1
+
+
+def test_dataset_columns_validated(two_by_two):
+    with pytest.raises(ValidationError, match="equal-length"):
+        Dataset(two_by_two, [0, 1], [1.0])
+    with pytest.raises(ValidationError, match="equal-length"):
+        Dataset(two_by_two, [[0, 1]], [[1.0, 2.0]])
+    with pytest.raises(ValidationError, match=r"^observation 2: cell code 4 out of range"):
+        Dataset(two_by_two, [0, 3, 4, -1], [1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValidationError, match=r"^observation 1: cell code -1"):
+        Dataset(two_by_two, [0, -1], [1.0, 1.0])
+    with pytest.raises(ValidationError, match=r"^observation 1: response is not finite"):
+        Dataset(two_by_two, [0, 1, 2], [1.0, math.inf, math.nan])
+
+
+def test_dataset_is_two_read_only_columns(two_by_two):
+    codes = np.array([3, 0, 2])
+    responses = np.array([5.0, -1.0, 2.5])
+    d = Dataset(two_by_two, codes, responses, response_name="y")
+    codes[0] = 1
+    responses[0] = 9.0  # the dataset holds its own copies
+    assert d.codes.dtype == np.intp and d.codes.tolist() == [3, 0, 2]
+    assert d.responses.tolist() == [5.0, -1.0, 2.5]
+    assert d.cell_codes() is d.codes
+    assert d.level_matrix.tolist() == [[1, 1], [0, 0], [1, 0]]
+    with pytest.raises(ValueError):
+        d.codes[0] = 0
+    assert d.observations == (
+        Observation((1, 1), 5.0), Observation((0, 0), -1.0), Observation((1, 0), 2.5)
+    )
+    assert build_dataset(
+        two_by_two, [(("a2", "b2"), 5.0), (("a1", "b1"), -1.0), (("a2", "b1"), 2.5)],
+        raw_scale=False,
+    ).codes.tolist() == [3, 0, 2]
