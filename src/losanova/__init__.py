@@ -61,7 +61,6 @@ from .model import (
     Observation,
     build_dataset,
     cell_stats,
-    check_error_df,
     frequency_table,
 )
 from .posthoc import (

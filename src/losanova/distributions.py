@@ -2,16 +2,13 @@
 log-gamma, regularized incomplete beta, normal, Student t, central F, and
 noncentral F.
 
-The incomplete beta uses the continued-fraction form with the standard
-symmetry switch at x = (a+1)/(a+b+2), which keeps accuracy uniform across
-both tails. Quantiles invert the CDFs by bracketed bisection refined with
-derivative-free secant steps. The noncentral F CDF is a Poisson-weighted
-series of central incomplete-beta terms, truncated only once the remaining
-Poisson tail mass drops below 1e-12; a failure to converge raises
-``NumericalError`` rather than returning a partial sum.
-
-Everything here is a pure, stateless function, safe for unrestricted
-concurrent use.
+The central F and t and the incomplete beta are thin wrappers over
+``scipy.special``: domain errors raise ``ValidationError``, and a NaN from
+scipy raises ``NumericalError``. The noncentral F stays in-house, as a
+Poisson mixture of ``betainc`` terms, because ``scipy.special.ncfdtr``
+returns NaN for noncentralities from about 1,400. The normal CDF and
+quantile apply ``math`` per element, because ``synth``'s seeded stream runs
+through them. Everything here is pure and stateless, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -20,12 +17,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import NumericalError, ValidationError
 
-_POISSON_TAIL = 1e-12
-# refresh the incomplete-beta recurrence with a direct evaluation this often
-_REFRESH_EVERY = 64
+# bound on the Poisson mass the noncentral series leaves out on each side
+_TAIL_BOUND = 5e-13
+# most noncentral-series terms held in memory at once
+_BLOCK = 1 << 16
+# past this lam, rounding moves each log-space Poisson weight (terms of size
+# h log h, h = lam/2) by over 1e-5, and a walk needs over 10^6 terms
+_MAX_LAM = 1e10
+
+
+def _defined(value, name: str, *args) -> float:
+    """A scipy result as a float; NaN raises ``NumericalError``."""
+    if math.isnan(out := float(value)):
+        raise NumericalError(f"{name} is undefined at {', '.join(map(repr, args))}")
+    return out
 
 
 def log_gamma(x: float) -> float:
@@ -35,72 +44,13 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 10000) -> float:
-    """Continued fraction for the incomplete beta, evaluated by modified Lentz.
-
-    Only called with x < (a+1)/(a+b+2), where convergence is rapid.
-    """
-    tiny = 1e-300
-    eps = 1e-16
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise NumericalError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
-    )
-
-
 def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Satisfies I_x(a, b) = 1 - I_{1-x}(b, a); absolute error <= 1e-10.
-    """
+    """Regularized incomplete beta function I_x(a, b)."""
     if not (a > 0 and b > 0):
         raise ValidationError(f"reg_inc_beta requires a, b > 0, got a={a!r}, b={b!r}")
     if math.isnan(x) or x < 0.0 or x > 1.0:
         raise ValidationError(f"reg_inc_beta requires x in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+    return _defined(special.betainc(a, b, x), "reg_inc_beta", x, a, b)
 
 
 @dataclass(frozen=True)
@@ -144,9 +94,7 @@ def f_cdf(x: float, nu1: float, nu2: float) -> float:
         raise ValidationError("f_cdf: x is NaN")
     if x <= 0.0:
         return 0.0
-    if math.isinf(x):
-        return 1.0
-    return reg_inc_beta(nu1 * x / (nu1 * x + nu2), nu1 / 2.0, nu2 / 2.0)
+    return _defined(special.fdtr(nu1, nu2, x), "f_cdf", x, nu1, nu2)
 
 
 def f_sf(x: float, nu1: float, nu2: float) -> float:
@@ -157,60 +105,16 @@ def f_sf(x: float, nu1: float, nu2: float) -> float:
         raise ValidationError("f_sf: x is NaN")
     if x <= 0.0:
         return 1.0
-    if math.isinf(x):
-        return 0.0
-    return reg_inc_beta(nu2 / (nu1 * x + nu2), nu2 / 2.0, nu1 / 2.0)
-
-
-def _invert_monotone(cdf, p: float, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Invert a nondecreasing CDF on a bracket by bisection plus secant steps.
-
-    A secant step is only trusted while the bracket keeps shrinking; otherwise
-    the next step falls back to plain bisection, so progress is guaranteed.
-    """
-    flo = cdf(lo) - p
-    fhi = cdf(hi) - p
-    if flo > 0 or fhi < 0:
-        raise NumericalError("quantile bracket does not contain the target probability")
-    x_prev, f_prev = lo, flo
-    x_cur, f_cur = hi, fhi
-    use_secant = True
-    for _ in range(200):
-        width = hi - lo
-        x_new = None
-        if use_secant and f_cur != f_prev:
-            cand = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-            if lo < cand < hi:
-                x_new = cand
-        if x_new is None:
-            x_new = 0.5 * (lo + hi)
-        f_new = cdf(x_new) - p
-        if f_new == 0.0:
-            return x_new
-        if f_new < 0:
-            lo = x_new
-        else:
-            hi = x_new
-        if hi - lo < tol * max(1.0, abs(x_new)):
-            return x_new
-        use_secant = (hi - lo) < 0.75 * width
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = x_new, f_new
-    return 0.5 * (lo + hi)
+    return _defined(special.fdtrc(nu1, nu2, x), "f_sf", x, nu1, nu2)
 
 
 def f_quantile(p: float, nu1: float, nu2: float) -> float:
-    """Quantile of the central F distribution, exact inverse of ``f_cdf``."""
+    """Quantile of the central F distribution, the inverse of ``f_cdf``."""
     if not (nu1 > 0 and nu2 > 0):
         raise ValidationError("f_quantile requires nu1 > 0 and nu2 > 0")
     if not 0.0 < p < 1.0:
         raise ValidationError(f"f_quantile requires p in (0, 1), got {p!r}")
-    hi = 1.0
-    while f_cdf(hi, nu1, nu2) < p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise NumericalError("f_quantile: failed to bracket the quantile")
-    return _invert_monotone(lambda x: f_cdf(x, nu1, nu2), p, 0.0, hi)
+    return _defined(special.fdtri(nu1, nu2, p), "f_quantile", p, nu1, nu2)
 
 
 def t_cdf(t: float, nu: float) -> float:
@@ -219,12 +123,7 @@ def t_cdf(t: float, nu: float) -> float:
         raise ValidationError("t_cdf requires nu > 0")
     if math.isnan(t):
         raise ValidationError("t_cdf: t is NaN")
-    if t == 0.0:
-        return 0.5
-    if math.isinf(t):
-        return 0.0 if t < 0 else 1.0
-    tail = 0.5 * reg_inc_beta(nu / (nu + t * t), nu / 2.0, 0.5)
-    return tail if t < 0 else 1.0 - tail
+    return _defined(special.stdtr(nu, t), "t_cdf", t, nu)
 
 
 def t_quantile(p: float, nu: float) -> float:
@@ -233,11 +132,7 @@ def t_quantile(p: float, nu: float) -> float:
         raise ValidationError("t_quantile requires nu > 0")
     if not 0.0 < p < 1.0:
         raise ValidationError(f"t_quantile requires p in (0, 1), got {p!r}")
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -t_quantile(1.0 - p, nu)
-    return math.sqrt(f_quantile(2.0 * p - 1.0, 1.0, nu))
+    return _defined(special.stdtrit(nu, p), "t_quantile", p, nu)
 
 
 _SQRT_2 = math.sqrt(2.0)
@@ -325,18 +220,23 @@ def normal_quantile(p):
     return x if np.ndim(p) else float(x[0])
 
 
+def _poisson(j, half: float):
+    """Poisson(half) probabilities at the integer-valued float (array) j."""
+    return np.exp(special.xlogy(j, half) - half - special.gammaln(j + 1.0))
+
+
 def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
     """CDF of the noncentral F distribution with noncentrality lam.
 
-    Evaluated as a Poisson(lam/2) mixture of central incomplete-beta terms,
-    summed outward from the Poisson mode so extreme noncentralities stay in
-    floating-point range. Nonincreasing in lam for fixed x; reduces exactly
-    to ``f_cdf`` at lam = 0.
+    The Poisson(lam/2) mixture of I_y(nu1/2 + j, nu2/2), y = nu1 x/(nu1 x + nu2),
+    walked outward from the Poisson mode in blocks of at most ``_BLOCK``
+    terms, one ``betainc`` call each, with weights computed in log space so
+    extreme noncentralities stay in range. Nonincreasing in lam for fixed x;
+    reduces exactly to ``f_cdf`` at lam = 0.
 
-    Truncation is bounded by the two stopping rules alone: each sweep stops
-    once a bound on the Poisson weight beyond it is under half of
-    ``_POISSON_TAIL``, and the upward sweep raises ``NumericalError`` if that
-    takes too many steps.
+    Each walk stops at the first j where a bound on the Poisson mass beyond j
+    is under ``_TAIL_BOUND``. An upward walk over 10 sqrt(lam/2) + 500 terms,
+    or a lam over ``_MAX_LAM``, raises ``NumericalError``.
     """
     if not (nu1 > 0 and nu2 > 0):
         raise ValidationError("noncentral_f_cdf requires nu1 > 0 and nu2 > 0")
@@ -351,76 +251,46 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
     if math.isinf(x):
         return 1.0
 
+    if not lam <= _MAX_LAM:
+        raise NumericalError(f"noncentral F series cannot resolve its weights at lam = {lam}")
+
     half = lam / 2.0
-    a = nu1 / 2.0
-    b = nu2 / 2.0
-    y = nu1 * x / (nu1 * x + nu2)
-    log_y = math.log(y)
-    log_1my = math.log1p(-y)
-
-    def beta_term(j: int) -> float:
-        return reg_inc_beta(y, a + j, b)
-
-    def log_t(j: int) -> float:
-        # T_j = y^(a+j) (1-y)^b / ((a+j) B(a+j, b)): the decrement taking
-        # I_y(a+j, b) to I_y(a+j+1, b)
-        aj = a + j
-        return aj * log_y + b * log_1my - math.log(aj) - _log_beta(aj, b)
-
     j0 = int(half)
-    log_w0 = -half + (j0 * math.log(half) if j0 > 0 else 0.0) - math.lgamma(j0 + 1)
-    w0 = math.exp(log_w0)
-    if w0 == 0.0:
-        raise NumericalError(f"noncentral F series underflow at lam = {lam}")
+    a, b = nu1 / 2.0, nu2 / 2.0
+    y = nu1 * x / (nu1 * x + nu2)
 
-    max_steps = int(10.0 * math.sqrt(half) + 500.0)
+    def terms(j, w) -> float:
+        return float(w @ special.betainc(a + j, b, y))
+
+    # a walk ends within about 8.6 sqrt(h) terms of the mode: one block, usually
+    width = min(int(9.0 * math.sqrt(half)) + 16, _BLOCK)
     total = 0.0
-    ib0 = beta_term(j0)
 
-    # upward sweep from the Poisson mode: stop once the geometric bound on
-    # the weight mass above j falls under half the tail budget
-    w, j, ib = w0, j0, ib0
-    t = math.exp(log_t(j0))
-    steps = 0
-    while True:
-        total += w * ib
-        if j + 2.0 > half:
-            mass_above = w * (half / (j + 1.0)) / (1.0 - half / (j + 2.0))
-            if mass_above < 0.5 * _POISSON_TAIL:
-                break
-        steps += 1
-        if steps > max_steps:
-            raise NumericalError(
-                f"noncentral F series did not converge (lam={lam}, nu1={nu1}, nu2={nu2})"
-            )
-        ib = max(ib - t, 0.0)
-        aj = a + j
-        t *= y * (aj + b) / (aj + 1.0)
-        j += 1
-        w *= half / j
-        if steps % _REFRESH_EVERY == 0:
-            ib = beta_term(j)
-            t = math.exp(log_t(j))
+    # upward: stop where the geometric bound on the mass above j, w_j (h/(j+1))
+    # / (1 - h/(j+2)), is under budget; multiplied out, it needs j + 2 > h
+    top = j0 + int(10.0 * math.sqrt(half) + 500.0)
+    for start in range(j0, top + 1, width):
+        j = np.arange(start, min(start + width, top + 1), dtype=float)
+        w = _poisson(j, half)
+        done = w * half * (j + 2.0) < _TAIL_BOUND * (j + 1.0) * (j + 2.0 - half)
+        k = int(done.argmax())
+        if done[k]:
+            total += terms(j[: k + 1], w[: k + 1])
+            break
+        total += terms(j, w)
+    else:
+        raise NumericalError(
+            f"noncentral F series did not converge (lam={lam}, nu1={nu1}, nu2={nu2})"
+        )
 
-    # downward sweep below the mode; weights decrease toward j = 0, so at
-    # most j terms of size < w remain when we stop
-    if j0 > 0:
-        j = j0 - 1
-        w = w0 * (j0 / half)
-        t = math.exp(log_t(j))
-        ib = min(ib0 + t, 1.0)
-        steps = 0
-        while True:
-            total += w * ib
-            if j == 0 or w * j < 0.5 * _POISSON_TAIL:
-                break
-            steps += 1
-            aj = a + j
-            t *= aj / (y * (aj - 1.0 + b))
-            ib = min(ib + t, 1.0)
-            w *= j / half
-            j -= 1
-            if steps % _REFRESH_EVERY == 0:
-                ib = beta_term(j)
-                t = math.exp(log_t(j))
+    # downward: weights fall toward j = 0, so w_j * j bounds the mass below j
+    for stop in range(j0, 0, -width):
+        j = np.arange(max(stop - width, 0), stop, dtype=float)
+        w = _poisson(j, half)
+        done = w * j < _TAIL_BOUND
+        k = len(j) - 1 - int(done[::-1].argmax())
+        if done[k]:
+            total += terms(j[k:], w[k:])
+            break
+        total += terms(j, w)
     return min(total, 1.0)

@@ -181,9 +181,20 @@ def ingest_csv(path: str | Path, use_date_season: bool = False) -> Dataset:
     los. Blank rows are skipped.
 
     Records are coded column-wise in blocks of ``_BLOCK_ROWS``, so memory
-    for the raw text stays bounded whatever the file's length.
+    for the raw text stays bounded whatever the file's length. A file that is
+    not UTF-8 text fails with a ``ValidationError`` naming its path.
     """
     path = Path(path)
+    try:
+        return _read_cohort(path, use_date_season)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not valid UTF-8 text (undecodable byte "
+            f"0x{exc.object[exc.start]:02x}); save it as UTF-8"
+        ) from None
+
+
+def _read_cohort(path: Path, use_date_season: bool) -> Dataset:
     layout = default_layout()
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)

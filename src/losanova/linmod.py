@@ -357,7 +357,7 @@ def ols_fit(X: DesignMatrix, y: np.ndarray, alpha: float = 0.05) -> FitResult:
         t_crit = t_quantile(1.0 - alpha / 2.0, df_error)
         for col, b, s in zip(X.columns, estimates, se):
             t = b / s if s > 0 else nan
-            p_val = 2.0 * (1.0 - t_cdf(abs(t), df_error)) if math.isfinite(t) else nan
+            p_val = 2.0 * t_cdf(-abs(t), df_error) if math.isfinite(t) else nan
             rows.append(
                 CoefficientRow(col.label, float(b), float(s), float(t), float(p_val),
                                float(b - t_crit * s), float(b + t_crit * s))

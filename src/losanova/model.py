@@ -246,9 +246,6 @@ class FrequencyTable:
             out[key] = int(summed[idx])
         return out
 
-    def nonempty_cells(self) -> int:
-        return int((self.counts > 0).sum())
-
 
 def build_dataset(
     layout: FactorLayout,
@@ -308,12 +305,3 @@ def frequency_table(d: Dataset) -> FrequencyTable:
     """Cell occupancy counts of a dataset, with marginals available on demand."""
     counts = np.bincount(d.cell_codes(), minlength=d.layout.n_cells)
     return FrequencyTable(d.layout, counts.reshape(d.layout.shape))
-
-
-def check_error_df(d: Dataset) -> None:
-    """Reject datasets whose saturated model leaves no error degrees of freedom."""
-    nonempty = frequency_table(d).nonempty_cells()
-    if d.n < nonempty + 1:
-        raise ValidationError(
-            f"{d.n} observations across {nonempty} occupied cells leave no error df"
-        )

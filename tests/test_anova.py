@@ -272,6 +272,20 @@ def test_df_check_rejects_empty_cell():
         df_check(freq)
 
 
+def test_df_check_rejects_zero_error_df():
+    layout = FactorLayout([("f", ("x", "y")), ("g", ("u", "v"))])
+    one_each = FrequencyTable.from_cell_counts(
+        layout, {(f, g): 1 for f in ("x", "y") for g in ("u", "v")}
+    )
+    with pytest.raises(ValidationError, match=r"^N = 4 leaves error df 0 < 1$"):
+        df_check(one_each)
+    # main effects only: 4 - 2 - 1 leaves one error df
+    assert df_check(one_each, max_order=1)[-3] == ("Error", 1)
+    two = FrequencyTable.from_cell_counts(layout, {("x", "u"): 1, ("y", "v"): 1})
+    with pytest.raises(ValidationError, match=r"^N = 2 leaves error df -1 < 1$"):
+        df_check(two, max_order=1)
+
+
 # --- narrative significance summary --------------------------------------------------
 
 def _published_anova_table():

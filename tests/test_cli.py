@@ -67,6 +67,16 @@ def test_power_large_noncentrality(capsys):
     assert re.search(r"^2450\s", capsys.readouterr().out, re.M)
 
 
+def test_power_unresolvable_noncentrality_exits_2(capsys):
+    # lam ~ 2.5e28 is past what the series can resolve: fail fast, not hang
+    code = cli_main([
+        "power", "--levels", "4,2,5", "--min-diff", "1e12", "--sigma2", "1e-3",
+        "--effect", "season", "--n", "5",
+    ])
+    assert code == 2
+    assert "cannot resolve its weights" in capsys.readouterr().err
+
+
 def test_synth_then_anova(cohort_csv, capsys):
     code = cli_main(["anova", "--input", str(cohort_csv), "--transform", "auto",
                      "--alpha", "0.01"])
@@ -155,6 +165,16 @@ def test_bad_row_exits_1(tmp_path, capsys):
     code = cli_main(["anova", "--input", str(path)])
     assert code == 1
     assert ":2:" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"gender,season,age_group,los\nm\xe4le,winter,1,3\n")
+    code = cli_main(["anova", "--input", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid UTF-8 text")
+    assert "0xe4" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand_and_flag(capsys):

@@ -1,15 +1,20 @@
-"""Distribution layer: identities, derived oracles, and frozen Monte Carlo
-cross-checks.
+"""Distribution layer: identities, derived oracles, frozen Monte Carlo
+cross-checks, and sweeps against a 50-digit mpmath oracle.
 
 The Monte Carlo expectations below were computed once from seeded numpy
 oracles (10^7 variates for the F family, 10^8 for the normal) and frozen;
 each test asserts agreement within three standard errors of that estimate.
+The central distributions are scipy's, so the sweeps take their oracle from
+mpmath, never from scipy.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from losanova import (
@@ -389,3 +394,165 @@ def test_fdist_delegates():
         FDist(0.0, 1.0)
     with pytest.raises(ValidationError):
         FDist(1.0, 1.0, lam=-1.0)
+
+
+def test_scipy_nan_raises_numerical_error(monkeypatch):
+    from types import SimpleNamespace
+
+    from losanova import NumericalError, distributions
+
+    def undefined(*args):
+        return math.nan
+
+    names = ("fdtr", "fdtrc", "fdtri", "stdtr", "stdtrit", "betainc")
+    monkeypatch.setattr(distributions, "special",
+                        SimpleNamespace(**dict.fromkeys(names, undefined)))
+    with pytest.raises(NumericalError, match=r"^f_quantile is undefined at 0\.5, 3\.0, 10\.0$"):
+        f_quantile(0.5, 3.0, 10.0)
+    for call in (lambda: f_cdf(1.0, 3.0, 10.0), lambda: f_sf(1.0, 3.0, 10.0),
+                 lambda: t_cdf(1.0, 5.0), lambda: t_quantile(0.3, 5.0),
+                 lambda: reg_inc_beta(0.5, 2.0, 3.0)):
+        with pytest.raises(NumericalError):
+            call()
+
+
+# --- 50-digit mpmath oracle over the CLI's parameter range ------------------------
+
+def _mp_betainc(x, a, b):
+    """I_x(a, b), summing whichever of mpmath's two hypergeometric series
+    (for I_x(a, b) or for 1 - I_{1-x}(b, a)) is the shorter."""
+    x, a, b = mpmath.mpf(x), mpmath.mpf(a), mpmath.mpf(b)
+    if x in (0, 1):
+        return x
+    if b * x + 1 / (1 - x) <= a * (1 - x) + 1 / x:
+        return mpmath.betainc(a, b, 0, x, regularized=True)
+    return 1 - mpmath.betainc(b, a, 0, 1 - x, regularized=True)
+
+
+def _mp_f(x, nu1, nu2):
+    """(CDF, survival, density) of the central F at x."""
+    x, a, b = mpmath.mpf(x), mpmath.mpf(nu1) / 2, mpmath.mpf(nu2) / 2
+    y = nu1 * x / (nu1 * x + nu2)
+    cdf = _mp_betainc(y, a, b)
+    pdf = mpmath.exp(a * mpmath.log(y) + b * mpmath.log(1 - y) - mpmath.log(x)
+                     - mpmath.log(mpmath.beta(a, b)))
+    return cdf, 1 - cdf, pdf
+
+
+def _mp_t(t, nu):
+    """(CDF, density) of Student's t at t."""
+    t, nu = mpmath.mpf(t), mpmath.mpf(nu)
+    tail = _mp_betainc(nu / (nu + t * t), nu / 2, mpmath.mpf(1) / 2) / 2
+    pdf = (1 + t * t / nu) ** (-(nu + 1) / 2) / (mpmath.sqrt(nu) * mpmath.beta(nu / 2, 0.5))
+    return (tail if t < 0 else 1 - tail), pdf
+
+
+def _mp_noncentral_f_cdf(x, nu1, nu2, lam):
+    """Poisson(lam/2) mixture from j = 0 up, by the exact downward recurrence
+    I_y(a+j+1, b) = I_y(a+j, b) - y^(a+j) (1-y)^b / ((a+j) B(a+j, b)), until
+    the Poisson mass left is under 1e-40."""
+    x, a, b, h = (mpmath.mpf(v) for v in (x, nu1 / 2, nu2 / 2, lam / 2))
+    y = nu1 * x / (nu1 * x + nu2)
+    ib = _mp_betainc(y, a, b)
+    step = y**a * (1 - y) ** b / (a * mpmath.beta(a, b))
+    w = mpmath.exp(-h)
+    total = mass = mpmath.mpf(0)
+    j = 0
+    while j <= h or 1 - mass > mpmath.mpf(10) ** -40:
+        total += w * ib
+        mass += w
+        ib -= step
+        step *= y * (a + j + b) / (a + j + 1)
+        j += 1
+        w *= h / j
+    return total
+
+
+_SWEEP = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+_NU1 = st.integers(1, 60)
+_NU2 = st.floats(math.log(2.0), math.log(4e6)).map(math.exp)
+_P = st.floats(1e-6, 1.0 - 1e-6)
+
+
+def _near(value, exact, rel):
+    return value == pytest.approx(float(exact), rel=rel, abs=0.0)
+
+
+@_SWEEP
+@given(p=_P, nu1=_NU1, nu2=_NU2)
+def test_central_f_matches_mpmath(p, nu1, nu2):
+    q = f_quantile(p, nu1, nu2)
+    with mpmath.workdps(50):
+        cdf, sf, pdf = _mp_f(q, nu1, nu2)
+        exact_q = q - (cdf - p) / pdf  # one Newton step from q onto the quantile
+        assert _near(q, exact_q, 1e-11)
+        assert _near(f_cdf(q, nu1, nu2), cdf, 1e-11)
+        assert _near(f_sf(q, nu1, nu2), sf, 1e-11)
+
+
+@_SWEEP
+@given(p=_P, nu=st.floats(0.0, math.log(4e6)).map(math.exp))
+def test_t_matches_mpmath(p, nu):
+    t = t_quantile(p, nu)
+    with mpmath.workdps(50):
+        cdf, pdf = _mp_t(t, nu)
+        exact_t = t - (cdf - p) / pdf
+        assert _near(t, exact_t, 1e-11)
+        assert _near(t_cdf(t, nu), cdf, 1e-11)
+
+
+@_SWEEP
+@given(x=st.floats(0.01, 0.99), a=st.floats(math.log(0.5), math.log(200.0)).map(math.exp),
+       b=st.floats(math.log(0.5), math.log(200.0)).map(math.exp))
+def test_reg_inc_beta_matches_mpmath(x, a, b):
+    with mpmath.workdps(50):
+        assert abs(reg_inc_beta(x, a, b) - _mp_betainc(x, a, b)) <= 1e-13
+
+
+@_SWEEP
+@given(nu1=_NU1, nu2=_NU2, lam=st.floats(0.0, 200.0), z=st.floats(-1.0, 1.0))
+def test_noncentral_f_matches_mpmath(nu1, nu2, lam, z):
+    x = (nu1 + lam) / nu1 * math.exp(z)  # around the noncentral mean
+    with mpmath.workdps(50):
+        exact = _mp_noncentral_f_cdf(x, nu1, nu2, lam)
+        assert abs(noncentral_f_cdf(x, nu1, nu2, lam) - exact) <= 2e-12
+
+
+def test_f_quantile_large_nu2_regression():
+    # large nu2: a Lentz continued fraction in double precision is 1.3e-9 off here
+    exact = 1.77012863334924184
+    assert _near(f_quantile(0.8166330955480088, 1.0, 407783.4727049919), exact, 1e-12)
+
+
+def test_noncentral_f_large_nu2_regression():
+    # large nu2: a Lentz continued fraction in double precision is 5.9e-10 off here
+    exact = 0.576429442493365231
+    got = noncentral_f_cdf(1.0268784147016312, 39.0, 734675.163628477, 0.0024326733817151783)
+    assert abs(got - exact) <= 1e-12
+    with mpmath.workdps(50):
+        oracle = _mp_noncentral_f_cdf(
+            1.0268784147016312, 39.0, 734675.163628477, 0.0024326733817151783)
+        assert abs(oracle - mpmath.mpf("0.576429442493365231")) < 1e-17
+
+
+def test_noncentral_f_blocks_agree(monkeypatch):
+    # walking the window in blocks of 3 terms sums the same terms
+    from losanova import distributions
+
+    points = [(2.0, 5.0, 40.0, 0.7), (11.0, 3.0, 360.0, 30.0), (130.0, 7.0, 900.0, 900.0),
+              (5000.0, 1.0, 5e4, 5000.0)]
+    whole = [noncentral_f_cdf(*pt) for pt in points]
+    monkeypatch.setattr(distributions, "_BLOCK", 3)
+    for pt, expected in zip(points, whole):
+        assert abs(noncentral_f_cdf(*pt) - expected) <= 1e-14
+
+
+def test_noncentral_f_huge_lambda_in_range():
+    # about 350,000 terms around the mode, walked in bounded blocks
+    lam = 1e9
+    assert 0.0 <= noncentral_f_cdf((3.0 + lam) / 3.0, 3.0, 10.0, lam) <= 1.0
+    from losanova import NumericalError
+
+    for lam in (1.0000001e10, 1e28, math.inf):
+        with pytest.raises(NumericalError, match="cannot resolve its weights"):
+            noncentral_f_cdf(1.0, 3.0, 10.0, lam)

@@ -212,6 +212,28 @@ def test_ci_matches_t_quantile(cohort_layout):
         )
 
 
+def test_large_t_p_value_matches_mpmath():
+    # two groups of 21, means 1 apart: t = -13.7 on 40 df and p = 1.05e-16,
+    # which 2 * (1 - F(|t|)) loses to cancellation (it gives 0)
+    import mpmath
+
+    layout = FactorLayout([("g", ("g1", "g2"))])
+    noise = [2.0 + math.sin(1.7 * k) / 3.0 for k in range(21)]
+    rows = [(("g1",), v) for v in noise] + [(("g2",), 1.0 + v) for v in noise]
+    d = build_dataset(layout, rows)
+    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.responses)
+    row = fit.coefficients.row("g(1)")
+    with mpmath.workdps(50):
+        groups = [[mpmath.mpf(v) for v in noise], [mpmath.mpf(1.0 + v) for v in noise]]
+        means = [sum(g) / 21 for g in groups]
+        sse = sum((v - m) ** 2 for g, m in zip(groups, means) for v in g)
+        t = (means[0] - means[1]) / mpmath.sqrt(sse / 40 * (mpmath.mpf(2) / 21))
+        p = mpmath.betainc(20, 0.5, 0, 40 / (40 + t * t), regularized=True)
+        assert row.t == pytest.approx(float(t), rel=1e-10, abs=0.0)
+        assert 1e-17 < p < 1e-12
+        assert row.p == pytest.approx(float(p), rel=1e-10, abs=0.0)
+
+
 # --- prediction with published coefficients ------------------------------------
 
 PUBLISHED_TERMS = [Term((2,)), Term((1,)), Term((1, 2)), Term((0, 2))]

@@ -15,7 +15,6 @@ from losanova import (
     cell_stats,
     frequency_table,
 )
-from losanova.model import check_error_df
 from losanova.synth import default_layout
 
 from conftest import random_dataset
@@ -141,17 +140,6 @@ def test_marginal_consistency_property(cohort_layout):
     one_way = ft.marginal("gender")
     for g in ("male", "female"):
         assert sum(v for (gg, _), v in two_way.items() if gg == g) == one_way[(g,)]
-
-
-def test_error_df_guard(two_by_two):
-    d = build_dataset(
-        two_by_two,
-        [(("a1", "b1"), 1.0), (("a2", "b1"), 2.0), (("a1", "b2"), 3.0)],
-    )
-    with pytest.raises(ValidationError, match="error df"):
-        check_error_df(d)
-    ok = build_dataset(two_by_two, [(("a1", "b1"), 1.0), (("a1", "b1"), 2.0)])
-    check_error_df(ok)
 
 
 def test_dataset_arrays_read_only(two_by_two):
