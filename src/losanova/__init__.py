@@ -21,7 +21,6 @@ from .diagnostics import (
     sd_mean_regression,
 )
 from .distributions import (
-    FDist,
     f_cdf,
     f_quantile,
     f_sf,
@@ -55,6 +54,7 @@ from .linmod import (
 )
 from .model import (
     CellStats,
+    CellTable,
     Dataset,
     FactorLayout,
     FrequencyTable,

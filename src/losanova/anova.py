@@ -71,20 +71,23 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     """Between-subjects table with Type III SS for all effects up to
     ``max_order`` (defaults to the full factorial).
 
-    Estimability and every df come from ``df_check`` on the cell counts.
+    Estimability and every df come from ``df_check`` on the cell counts;
+    every sum of squares comes from the dataset's cell table.
     """
     layout = d.layout
+    cells = d.cells
     df = dict(df_check(frequency_table(d), max_order))
     terms = full_factorial_terms(layout, max_order)
     full = build_design(d, terms, coding="deviation")
-    y = d.responses
-    sse_full = ols_fit(full, y).sse
+    sse_full = ols_fit(full, cells).sse
     df_error = df["Error"]
     mse = sse_full / df_error
 
-    grand_mean = float(y.mean())
-    total_ss = float(y @ y)
-    corrected_total_ss = float(((y - grand_mean) ** 2).sum())
+    counts, means = cells.counts, cells.means
+    within_ss = float(cells.m2.sum())
+    grand_mean = float((counts * means).sum()) / cells.n
+    total_ss = within_ss + float((counts * means * means).sum())
+    corrected_total_ss = within_ss + float((counts * (means - grand_mean) ** 2).sum())
     corrected_model_ss = corrected_total_ss - sse_full
 
     def row(source: str, ss: float) -> AnovaRow:
@@ -94,11 +97,11 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
 
     rows = [
         row("Corrected Model", corrected_model_ss),
-        row("Intercept", ols_fit(full.drop_term(None), y).sse - sse_full),
+        row("Intercept", ols_fit(full.drop_term(None), cells).sse - sse_full),
     ]
     for term in terms:
         label = " * ".join(layout.names[i] for i in term.factor_indices)
-        rows.append(row(label, ols_fit(full.drop_term(term), y).sse - sse_full))
+        rows.append(row(label, ols_fit(full.drop_term(term), cells).sse - sse_full))
 
     rows.append(AnovaRow("Error", sse_full, df_error, mse))
     rows.append(AnovaRow("Total", total_ss, df["Total"]))

@@ -22,6 +22,7 @@ from .diagnostics import (
     pp_plot,
     residual_histogram,
     residual_vs_fitted,
+    residuals,
     sd_mean_regression,
 )
 from .errors import LosanovaError, NumericalError, ValidationError
@@ -181,55 +182,59 @@ def _cmd_posthoc(args) -> int:
 
 def _fit_reference_model(analysis, alpha):
     design = build_design(analysis, full_factorial_terms(analysis.layout), "reference")
-    return ols_fit(design, analysis.responses, alpha=alpha)
+    return ols_fit(design, analysis.cells, alpha=alpha)
+
+
+def _residual_spread(d, fit):
+    """A fit's residuals, one per observation, and its residual-vs-fitted series."""
+    e = residuals(d, fit)
+    return e, residual_vs_fitted(e, fit.cell_fitted[d.codes])
+
+
+def _funnel_text(spread) -> str:
+    return "undefined" if spread.funnel_ratio is None else f"{spread.funnel_ratio:.3f}"
 
 
 def _cmd_diagnose(args) -> int:
     raw, analysis, rec, chosen = _load_analysis(args)
-    fit_raw = _fit_reference_model(raw, 0.05)
-    spread_raw = residual_vs_fitted(fit_raw.residuals, fit_raw.fitted)
-    hist_raw = residual_histogram(fit_raw.residuals)
-    print(f"raw-scale model: funnel ratio "
-          f"{spread_raw.funnel_ratio:.3f}" if spread_raw.funnel_ratio is not None
-          else "raw-scale model: funnel ratio undefined")
+    e_raw, spread_raw = _residual_spread(raw, _fit_reference_model(raw, 0.05))
+    hist_raw = residual_histogram(e_raw)
+    print(f"raw-scale model: funnel ratio {_funnel_text(spread_raw)}")
     print(f"raw residual histogram: {len(hist_raw.counts)} bins, N={hist_raw.n}")
-    if rec is None:
-        rec = sd_mean_regression(cell_stats(raw))
+    rec = rec or sd_mean_regression(cell_stats(raw))
     print(_table_text(*transform_rows(rec)), end="")
     if chosen != "none":
-        fit_t = _fit_reference_model(analysis, 0.05)
-        spread_t = residual_vs_fitted(fit_t.residuals, fit_t.fitted)
-        pp = pp_plot(fit_t.residuals)
-        funnel = (
-            f"{spread_t.funnel_ratio:.3f}" if spread_t.funnel_ratio is not None else "undefined"
-        )
-        print(f"\ntransformed model ({analysis.response_name}): funnel ratio {funnel}, "
+        e_t, spread_t = _residual_spread(analysis, _fit_reference_model(analysis, 0.05))
+        pp = pp_plot(e_t)
+        print(f"\ntransformed model ({analysis.response_name}): funnel ratio "
+              f"{_funnel_text(spread_t)}, "
               f"P-P max deviation {pp.max_abs_deviation:.4f}")
     return 0
 
 
 def _build_bundle(args) -> ReportBundle:
     raw, analysis, rec, chosen = _load_analysis(args)
-    if rec is None:
-        rec = sd_mean_regression(cell_stats(raw))
-
+    rec = rec or sd_mean_regression(cell_stats(raw))
     freq = frequency_table(analysis)
     table = type3_anova(analysis)
     fit = _fit_reference_model(analysis, args.alpha)
     model = significant_model(fit, args.alpha, analysis.response_name)
 
-    fit_raw = _fit_reference_model(raw, args.alpha) if chosen != "none" else fit
+    e, spread = _residual_spread(analysis, fit)
+    if chosen != "none":
+        e_raw, spread_raw = _residual_spread(raw, _fit_reference_model(raw, args.alpha))
+    else:
+        e_raw, spread_raw = e, spread
     diagnostics = {
-        "raw_residual_histogram": residual_histogram(fit_raw.residuals),
-        "raw_residual_vs_fitted": residual_vs_fitted(fit_raw.residuals, fit_raw.fitted),
-        "residual_histogram": residual_histogram(fit.residuals),
-        "residual_vs_fitted": residual_vs_fitted(fit.residuals, fit.fitted),
-        "pp_plot": pp_plot(fit.residuals),
+        "raw_residual_histogram": residual_histogram(e_raw),
+        "raw_residual_vs_fitted": spread_raw,
+        "residual_histogram": residual_histogram(e),
+        "residual_vs_fitted": spread,
+        "pp_plot": pp_plot(e),
     }
 
     scheffe = {}
     subsets = {}
-    marginal_counts = {}
     for name in analysis.layout.names:
         if analysis.layout.n_levels(name) < 3:
             continue
@@ -239,7 +244,6 @@ def _build_bundle(args) -> ReportBundle:
         stats = marginal_means(analysis, name)
         scheffe[name] = comparisons
         subsets[name] = homogeneous_subsets(comparisons, stats, args.alpha)
-        marginal_counts[name] = {s.level: s.n for s in stats}
 
     parameters = {
         "input": str(args.input),
@@ -259,7 +263,6 @@ def _build_bundle(args) -> ReportBundle:
         equation=model.equation,
         scheffe=scheffe,
         subsets=subsets,
-        marginal_counts=marginal_counts,
         diagnostics=diagnostics,
         transform_rec=rec,
     )

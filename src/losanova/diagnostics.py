@@ -21,7 +21,15 @@ from .errors import ValidationError
 from .linmod import FitResult
 from .model import CellStats, Dataset
 
-TRANSFORMS = ("none", "square_root", "logarithmic", "reciprocal_square_root", "reciprocal")
+# forward map, inverse map and response-name pattern of each transform
+_MAPS = {
+    "none": (lambda y: y, lambda v: v, "{}"),
+    "square_root": (np.sqrt, lambda v: v**2, "sqrt({})"),
+    "logarithmic": (np.log10, lambda v: 10.0**v, "log10({})"),
+    "reciprocal_square_root": (lambda y: 1.0 / np.sqrt(y), lambda v: 1.0 / v**2, "1/sqrt({})"),
+    "reciprocal": (lambda y: 1.0 / y, lambda v: 1.0 / v, "1/({})"),
+}
+TRANSFORMS = tuple(_MAPS)
 
 _EXPONENT_TO_TRANSFORM = {
     0.0: "none",
@@ -47,26 +55,42 @@ class HistogramData:
         return int(sum(self.counts))
 
 
-@dataclass(frozen=True)
-class PPPlotData:
-    """Empirical vs theoretical normal probabilities of sorted residuals."""
+def _freeze_series(obj, *names: str) -> None:
+    """Store the named fields of a frozen series as read-only float64 arrays."""
+    for name in names:
+        array = np.array(getattr(obj, name), dtype=float)
+        array.setflags(write=False)
+        object.__setattr__(obj, name, array)
 
-    empirical: tuple[float, ...]
-    theoretical: tuple[float, ...]
+
+@dataclass(frozen=True, eq=False)
+class PPPlotData:
+    """Empirical vs theoretical normal probabilities of sorted residuals, as
+    read-only float64 arrays."""
+
+    empirical: np.ndarray
+    theoretical: np.ndarray
     max_abs_deviation: float
 
+    def __post_init__(self):
+        _freeze_series(self, "empirical", "theoretical")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ResidualSpread:
     """Residuals paired with fitted values, plus a variance-funnel summary.
 
-    ``funnel_ratio`` is the residual sd in the top fitted-value quartile over
-    the bottom quartile; None when either group is degenerate.
+    ``fitted`` and ``residuals`` are read-only float64 arrays ordered by
+    fitted value. ``funnel_ratio`` is the residual sd in the top fitted-value
+    quartile over the bottom quartile; None when either group is degenerate.
     """
 
-    fitted: tuple[float, ...]
-    residuals: tuple[float, ...]
+    fitted: np.ndarray
+    residuals: np.ndarray
     funnel_ratio: float | None
+
+    def __post_init__(self):
+        _freeze_series(self, "fitted", "residuals")
 
 
 @dataclass(frozen=True)
@@ -83,12 +107,16 @@ class TransformRecommendation:
 
 
 def residuals(d: Dataset, fit: FitResult) -> np.ndarray:
-    """Observed minus fitted responses, in observation order."""
-    if len(fit.fitted) != d.n:
+    """Observed minus fitted responses, in observation order.
+
+    The one place a fit is expanded to one value per observation: each
+    observation's fitted value is its cell's entry of ``fit.cell_fitted``.
+    """
+    if fit.design.layout != d.layout or fit.design.n_rows != d.n:
         raise ValidationError(
-            f"fit has {len(fit.fitted)} fitted values, dataset has {d.n} observations"
+            f"fit has {fit.design.n_rows} observations, dataset has {d.n}"
         )
-    return d.responses - fit.fitted
+    return d.responses - fit.cell_fitted[d.codes]
 
 
 def residual_histogram(e: np.ndarray, bins: int | None = None) -> HistogramData:
@@ -138,11 +166,7 @@ def residual_vs_fitted(e: np.ndarray, fitted: np.ndarray) -> ResidualSpread:
             sd_high = float(high.std(ddof=1))
             if sd_low > 0:
                 funnel = sd_high / sd_low
-    return ResidualSpread(
-        fitted=tuple(fitted[order].tolist()),
-        residuals=tuple(e[order].tolist()),
-        funnel_ratio=funnel,
-    )
+    return ResidualSpread(fitted=fitted[order], residuals=e[order], funnel_ratio=funnel)
 
 
 def pp_plot(e: np.ndarray) -> PPPlotData:
@@ -164,7 +188,7 @@ def pp_plot(e: np.ndarray) -> PPPlotData:
     empirical = (np.arange(1, n + 1) - 0.5) / n
     theoretical = normal_cdf(z)
     max_dev = float(np.max(np.abs(empirical - theoretical)))
-    return PPPlotData(tuple(empirical.tolist()), tuple(theoretical.tolist()), max_dev)
+    return PPPlotData(empirical, theoretical, max_dev)
 
 
 def sd_mean_regression(cells: list[CellStats]) -> TransformRecommendation:
@@ -207,16 +231,6 @@ def sd_mean_regression(cells: list[CellStats]) -> TransformRecommendation:
     )
 
 
-def _transformed_name(name: str, transform: str) -> str:
-    return {
-        "none": name,
-        "square_root": f"sqrt({name})",
-        "logarithmic": f"log10({name})",
-        "reciprocal_square_root": f"1/sqrt({name})",
-        "reciprocal": f"1/({name})",
-    }[transform]
-
-
 def apply_transform(d: Dataset, transform: str) -> Dataset:
     """A new dataset with transformed responses; the transform is recorded on
     the dataset so results can be mapped back to the original scale."""
@@ -227,36 +241,19 @@ def apply_transform(d: Dataset, transform: str) -> Dataset:
     y = d.responses
     if (y <= 0).any():
         raise ValidationError(f"transform {transform!r} requires strictly positive responses")
-    if transform == "square_root":
-        new = np.sqrt(y)
-    elif transform == "logarithmic":
-        new = np.log10(y)
-    elif transform == "reciprocal_square_root":
-        new = 1.0 / np.sqrt(y)
-    else:
-        new = 1.0 / y
+    forward, _, name = _MAPS[transform]
     return Dataset(
         layout=d.layout,
         codes=d.codes,
-        responses=new,
-        response_name=_transformed_name(d.response_name, transform),
+        responses=forward(y),
+        response_name=name.format(d.response_name),
         transform=transform,
     )
 
 
 def back_transform(values, transform: str):
     """Map transformed-scale values back to the raw response scale."""
-    v = np.asarray(values, dtype=float)
-    if transform == "none":
-        out = v
-    elif transform == "square_root":
-        out = v**2
-    elif transform == "logarithmic":
-        out = 10.0**v
-    elif transform == "reciprocal_square_root":
-        out = 1.0 / v**2
-    elif transform == "reciprocal":
-        out = 1.0 / v
-    else:
+    if transform not in _MAPS:
         raise ValidationError(f"unknown transform {transform!r}")
+    out = _MAPS[transform][1](np.asarray(values, dtype=float))
     return float(out) if np.isscalar(values) else out

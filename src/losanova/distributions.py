@@ -14,7 +14,6 @@ through them. Everything here is pure and stateless, safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -51,39 +50,6 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     if math.isnan(x) or x < 0.0 or x > 1.0:
         raise ValidationError(f"reg_inc_beta requires x in [0, 1], got {x!r}")
     return _defined(special.betainc(a, b, x), "reg_inc_beta", x, a, b)
-
-
-@dataclass(frozen=True)
-class FDist:
-    """An F distribution with nu1, nu2 degrees of freedom and noncentrality lam.
-
-    lam = 0 gives the central distribution.
-    """
-
-    nu1: float
-    nu2: float
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if not (self.nu1 > 0 and self.nu2 > 0):
-            raise ValidationError("FDist requires nu1 > 0 and nu2 > 0")
-        if not self.lam >= 0:
-            raise ValidationError("FDist requires lam >= 0")
-
-    def cdf(self, x: float) -> float:
-        if self.lam == 0.0:
-            return f_cdf(x, self.nu1, self.nu2)
-        return noncentral_f_cdf(x, self.nu1, self.nu2, self.lam)
-
-    def sf(self, x: float) -> float:
-        if self.lam == 0.0:
-            return f_sf(x, self.nu1, self.nu2)
-        return 1.0 - self.cdf(x)
-
-    def quantile(self, p: float) -> float:
-        if self.lam != 0.0:
-            raise ValidationError("quantile is implemented for the central F only")
-        return f_quantile(p, self.nu1, self.nu2)
 
 
 def f_cdf(x: float, nu1: float, nu2: float) -> float:

@@ -23,7 +23,7 @@ from scipy import linalg
 
 from .distributions import t_cdf, t_quantile
 from .errors import RankDeficiencyError, ValidationError
-from .model import Dataset, FactorLayout
+from .model import CellTable, Dataset, FactorLayout
 
 Coding = Literal["reference", "deviation"]
 
@@ -105,8 +105,8 @@ class DesignMatrix:
     """Coded model matrix plus the metadata needed to recode new observations.
 
     Every column is a function of the cell, so the matrix is stored as one
-    coded row per layout cell (``cell_values``, in layout cell order) and each
-    observation's flat cell index (``codes``).
+    coded row per layout cell (``cell_values``, in layout cell order);
+    ``n_rows`` is the number of observations it stands for.
     """
 
     layout: FactorLayout
@@ -114,26 +114,14 @@ class DesignMatrix:
     terms: tuple[Term, ...]
     columns: tuple[DesignColumn, ...]
     cell_values: np.ndarray
-    codes: np.ndarray
+    n_rows: int
 
     def __post_init__(self):
         cell_values = np.asarray(self.cell_values, dtype=float)
         if cell_values.shape != (self.layout.n_cells, len(self.columns)):
             raise ValidationError("design values do not match the declared columns")
-        codes = np.asarray(self.codes, dtype=np.intp)
         cell_values.setflags(write=False)
-        codes.setflags(write=False)
         object.__setattr__(self, "cell_values", cell_values)
-        object.__setattr__(self, "codes", codes)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The (n_rows, n_columns) model matrix, one row per observation."""
-        return self.cell_values[self.codes]
-
-    @property
-    def n_rows(self) -> int:
-        return self.codes.shape[0]
 
     @property
     def n_columns(self) -> int:
@@ -151,7 +139,7 @@ class DesignMatrix:
             terms=terms,
             columns=tuple(self.columns[i] for i in keep),
             cell_values=self.cell_values[:, keep],
-            codes=self.codes,
+            n_rows=self.n_rows,
         )
 
 
@@ -205,7 +193,7 @@ def build_design(d: Dataset, terms: Sequence[Term], coding: Coding = "reference"
     cell_values, columns = encode_cells(d.layout, terms, coding)
     return DesignMatrix(
         layout=d.layout, coding=coding, terms=terms, columns=tuple(columns),
-        cell_values=cell_values, codes=d.cell_codes(),
+        cell_values=cell_values, n_rows=d.n,
     )
 
 
@@ -252,17 +240,19 @@ class CoefficientTable:
 
 @dataclass(frozen=True)
 class FitResult:
-    """An OLS fit: coefficients, fitted values, residuals, and error moments.
+    """An OLS fit: coefficients, one fitted value per cell, and error moments.
 
-    The design (and with it the coding scheme) travels with the fit, so
-    ``predict`` can never be called with mismatched coding.
+    Every observation's fitted value is its cell's entry of ``cell_fitted``
+    (layout cell order); ``diagnostics.residuals`` expands a fit to one
+    residual per observation. The design (and with it the coding scheme)
+    travels with the fit, so ``predict`` can never be called with mismatched
+    coding.
     """
 
     design: DesignMatrix
     coefficients: CoefficientTable
     estimates: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
+    cell_fitted: np.ndarray
     sse: float
     df_error: int
     mse: float
@@ -284,7 +274,7 @@ class FitResult:
         cell_values, columns = encode_cells(layout, tuple(terms), coding)
         design = DesignMatrix(
             layout=layout, coding=coding, terms=tuple(terms),
-            columns=tuple(columns), cell_values=cell_values, codes=np.zeros(0),
+            columns=tuple(columns), cell_values=cell_values, n_rows=0,
         )
         known = {c.label for c in columns}
         unknown = set(values) - known
@@ -299,32 +289,34 @@ class FitResult:
             ),
             alpha=alpha,
         )
-        empty = np.zeros(0)
-        return cls(design, table, estimates, empty, empty, nan, 0, nan)
+        return cls(design, table, estimates, cell_values @ estimates, nan, 0, nan)
 
 
-def ols_fit(X: DesignMatrix, y: np.ndarray, alpha: float = 0.05) -> FitResult:
-    """Least-squares fit of y on the design, solved by pivoted QR.
+def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult:
+    """Least-squares fit of the responses summarised by ``cells`` on the
+    design, solved by pivoted QR.
 
-    The fit depends on y only through the per-cell counts and means, so the
-    QR runs on the occupied cell rows scaled by the square root of their
-    counts: that matrix has the same cross-product and column norms as the
-    observation-level matrix, hence the same R, pivots, rank decision and
-    estimates.
+    The estimates depend on the responses only through the per-cell counts
+    and means, so the QR runs on the occupied cell rows scaled by the square
+    root of their counts: that matrix has the same cross-product and column
+    norms as the observation-level matrix, hence the same R, pivots, rank
+    decision and estimates. The SSE is the within-cell part plus the
+    count-weighted gaps: sum(m2) + sum(n_c (mean_c - fitted_c)^2).
 
     Raises ``RankDeficiencyError`` naming the dependent columns when the
     design is not full rank. Standard errors come from the unscaled
     covariance diagonal times the mean squared error; with zero error df the
     inference fields are NaN.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != X.n_rows:
-        raise ValidationError(f"y has length {y.shape[0]}, design has {X.n_rows} rows")
-    n, p = X.n_rows, X.n_columns
-    counts = np.bincount(X.codes, minlength=X.layout.n_cells)
-    sums = np.bincount(X.codes, weights=y, minlength=X.layout.n_cells)
-    occupied = counts > 0
-    root = np.sqrt(counts[occupied])
+    n, p = cells.n, X.n_columns
+    if cells.layout != X.layout or n != X.n_rows:
+        raise ValidationError(
+            f"cell table holds {n} observations, design has {X.n_rows} rows"
+        )
+    occupied = cells.counts > 0
+    counts = cells.counts[occupied]
+    means = cells.means[occupied]
+    root = np.sqrt(counts)
     q, r, piv = linalg.qr(
         X.cell_values[occupied] * root[:, None], mode="economic", pivoting=True
     )
@@ -334,14 +326,15 @@ def ols_fit(X: DesignMatrix, y: np.ndarray, alpha: float = 0.05) -> FitResult:
         dependent = [X.columns[piv[i]].label for i in range(rank, p)]
         raise RankDeficiencyError(dependent)
 
-    qty = q.T @ (sums[occupied] / root)
+    qty = q.T @ (means * root)
     b_piv = linalg.solve_triangular(r, qty)
     estimates = np.empty(p)
     estimates[piv] = b_piv
 
-    fitted = (X.cell_values @ estimates)[X.codes]
-    residuals = y - fitted
-    sse = float(residuals @ residuals)
+    cell_fitted = X.cell_values @ estimates
+    cell_fitted.setflags(write=False)
+    gap = means - cell_fitted[occupied]
+    sse = float(cells.m2.sum() + (counts * gap * gap).sum())
     df_error = n - p
     mse = sse / df_error if df_error > 0 else float("nan")
 
@@ -370,8 +363,7 @@ def ols_fit(X: DesignMatrix, y: np.ndarray, alpha: float = 0.05) -> FitResult:
         design=X,
         coefficients=CoefficientTable(tuple(rows), alpha=alpha),
         estimates=estimates,
-        fitted=fitted,
-        residuals=residuals,
+        cell_fitted=cell_fitted,
         sse=sse,
         df_error=df_error,
         mse=mse,

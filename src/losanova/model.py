@@ -2,9 +2,10 @@
 statistics, and frequency tables with marginal totals.
 
 A dataset is columnar: one flat cell-code array and one response array, both
-read-only numpy vectors. Analyses, ingest, transforms and the synthetic
-generator work on those columns; ``Observation`` objects exist only as the
-elements of the on-demand ``Dataset.observations`` view.
+read-only numpy vectors, plus its ``CellTable`` of per-cell moments. Every
+analysis reads the cell table; only the residual diagnostics go back to the
+columns. ``Observation`` objects exist only as the elements of the on-demand
+``Dataset.observations`` view.
 
 All types are immutable after construction and all operations are pure, so
 they can be shared freely across threads or processes.
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -96,11 +98,6 @@ class FactorLayout:
     def cell_names(self, cell: Sequence[int]) -> tuple[str, ...]:
         return tuple(self.levels(i)[li] for i, li in enumerate(cell))
 
-    def cell_label(self, cell: Sequence[int]) -> str:
-        return ", ".join(
-            f"{name}={self.levels(i)[li]}" for i, (name, li) in enumerate(zip(self.names, cell))
-        )
-
     def resolve_cell(self, level_names: Sequence[str]) -> tuple[int, ...]:
         if len(level_names) != self.n_factors:
             raise ValidationError(
@@ -119,12 +116,52 @@ class Observation:
 
 
 @dataclass(frozen=True, eq=False)
+class CellTable:
+    """Per-cell moments of a dataset, as read-only arrays in layout cell order:
+    the cell sizes, the cell means, and the within-cell sums of squared
+    deviations from the mean. An empty cell has mean and ``m2`` 0, so count-
+    weighted sums need no mask.
+    """
+
+    layout: FactorLayout
+    counts: np.ndarray
+    means: np.ndarray
+    m2: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("counts", np.int64), ("means", float), ("m2", float)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            if array.shape != (self.layout.n_cells,):
+                raise ValidationError(f"cell {name} has shape {array.shape}, not one per cell")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def from_columns(
+        cls, layout: FactorLayout, codes: np.ndarray, responses: np.ndarray
+    ) -> "CellTable":
+        """Cell moments of coded responses, computed two-pass: the means
+        first, then the squared deviations from them."""
+        n_cells = layout.n_cells
+        counts = np.bincount(codes, minlength=n_cells)
+        sums = np.bincount(codes, weights=responses, minlength=n_cells)
+        means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
+        m2 = np.bincount(codes, weights=(responses - means[codes]) ** 2, minlength=n_cells)
+        return cls(layout, counts, means, m2)
+
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable cohort; the unit every analysis consumes.
 
     A dataset is two read-only columns in observation order: ``codes``, the
     flat cell index of each observation (layout cell order), and
-    ``responses``. The constructor copies both.
+    ``responses``. The constructor copies both and builds ``cells``, the
+    dataset's ``CellTable``.
 
     ``transform`` records the scale of the responses ("none" for raw data);
     it is set by ``diagnostics.apply_transform`` so results can be mapped back.
@@ -135,6 +172,7 @@ class Dataset:
     responses: np.ndarray
     response_name: str = "response"
     transform: str = "none"
+    cells: CellTable = field(init=False, repr=False)
 
     def __post_init__(self):
         codes = np.array(self.codes, dtype=np.intp)
@@ -156,32 +194,30 @@ class Dataset:
             raise ValidationError(
                 f"observation {int(np.argmax(not_finite))}: response is not finite"
             )
-        levels = np.stack(np.unravel_index(codes, self.layout.shape), axis=1)
-        for array in (codes, responses, levels):
+        for array in (codes, responses):
             array.setflags(write=False)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "responses", responses)
-        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "cells", CellTable.from_columns(self.layout, codes, responses))
 
     @property
     def n(self) -> int:
         return len(self.codes)
 
-    @property
+    @cached_property
     def level_matrix(self) -> np.ndarray:
-        """(n, n_factors) level-index matrix in observation order (read-only)."""
-        return self._levels
-
-    def cell_codes(self) -> np.ndarray:
-        """Flat cell index per observation, matching layout cell order."""
-        return self.codes
+        """(n, n_factors) level-index matrix in observation order (read-only),
+        derived from ``codes`` on first access."""
+        levels = np.stack(np.unravel_index(self.codes, self.layout.shape), axis=1)
+        levels.setflags(write=False)
+        return levels
 
     @property
     def observations(self) -> tuple[Observation, ...]:
         """One ``Observation`` per row, built on each access; the analyses
         read the columns instead."""
         return tuple(
-            map(Observation, map(tuple, self._levels.tolist()), self.responses.tolist())
+            map(Observation, map(tuple, self.level_matrix.tolist()), self.responses.tolist())
         )
 
 
@@ -278,30 +314,21 @@ def build_dataset(
 
 
 def cell_stats(d: Dataset) -> list[CellStats]:
-    """Per-cell count, mean and sample sd for every nonempty cell.
-
-    Means and sds use a two-pass computation. Cells appear in layout order;
-    empty cells are simply absent.
+    """Per-cell count, mean and sample sd for every nonempty cell, read from
+    the dataset's cell table. Cells appear in layout order; empty cells are
+    simply absent.
     """
-    codes = d.cell_codes()
-    n_cells = d.layout.n_cells
-    counts = np.bincount(codes, minlength=n_cells)
-    sums = np.bincount(codes, weights=d.responses, minlength=n_cells)
-    with np.errstate(invalid="ignore"):
-        means = sums / counts
-    sq = np.bincount(codes, weights=(d.responses - means[codes]) ** 2, minlength=n_cells)
-
+    table = d.cells
     out = []
     for flat, cell in enumerate(d.layout.cells()):
-        n = int(counts[flat])
+        n = int(table.counts[flat])
         if n == 0:
             continue
-        sd = math.sqrt(sq[flat] / (n - 1)) if n >= 2 else None
-        out.append(CellStats(cell=cell, n=n, mean=float(means[flat]), sd=sd))
+        sd = math.sqrt(table.m2[flat] / (n - 1)) if n >= 2 else None
+        out.append(CellStats(cell=cell, n=n, mean=float(table.means[flat]), sd=sd))
     return out
 
 
 def frequency_table(d: Dataset) -> FrequencyTable:
     """Cell occupancy counts of a dataset, with marginals available on demand."""
-    counts = np.bincount(d.cell_codes(), minlength=d.layout.n_cells)
-    return FrequencyTable(d.layout, counts.reshape(d.layout.shape))
+    return FrequencyTable(d.layout, d.cells.counts.reshape(d.layout.shape))

@@ -10,7 +10,8 @@ subset-means (per-level means grouped by homogeneous subset).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from .diagnostics import HistogramData, PPPlotData, ResidualSpread
 from .errors import ValidationError
@@ -119,12 +120,13 @@ def _esc(text: str) -> str:
     )
 
 
-def _thin(*series: Sequence[float]) -> tuple[Sequence[float], ...]:
+def _thin(*series: np.ndarray) -> tuple[list[float], ...]:
+    # as Python floats: per-point arithmetic on numpy scalars is several times slower
     n = len(series[0])
-    if n <= _MAX_POINTS:
-        return series
-    idx = [round(i * (n - 1) / (_MAX_POINTS - 1)) for i in range(_MAX_POINTS)]
-    return tuple(tuple(s[i] for i in idx) for s in series)
+    if n > _MAX_POINTS:
+        idx = [round(i * (n - 1) / (_MAX_POINTS - 1)) for i in range(_MAX_POINTS)]
+        series = tuple(s[idx] for s in series)
+    return tuple(s.tolist() for s in series)
 
 
 def _histogram_svg(h: HistogramData, title, xlabel, ylabel) -> str:
@@ -144,11 +146,14 @@ def _histogram_svg(h: HistogramData, title, xlabel, ylabel) -> str:
     return canvas.to_svg()
 
 
-def _scatter_svg(x: Sequence[float], y: Sequence[float], title, xlabel, ylabel,
+def _scatter_svg(x: np.ndarray, y: np.ndarray, title, xlabel, ylabel,
                  zero_line: bool = False) -> str:
     if len(x) == 0:
         raise ValidationError("empty series: nothing to plot")
-    canvas = _Canvas((min(x), max(x)), (min(y), max(y)), title, xlabel, ylabel)
+    canvas = _Canvas(
+        (float(np.min(x)), float(np.max(x))), (float(np.min(y)), float(np.max(y))),
+        title, xlabel, ylabel,
+    )
     x, y = _thin(x, y)
     if zero_line and canvas.y_lo < 0.0 < canvas.y_hi:
         yp = canvas.py(0.0)
@@ -166,7 +171,7 @@ def _scatter_svg(x: Sequence[float], y: Sequence[float], title, xlabel, ylabel,
 
 
 def _pp_svg(pp: PPPlotData, title, xlabel, ylabel) -> str:
-    if not pp.empirical:
+    if len(pp.empirical) == 0:
         raise ValidationError("empty series: nothing to plot")
     canvas = _Canvas((0.0, 1.0), (0.0, 1.0), title, xlabel, ylabel)
     canvas.elements.append(
@@ -222,8 +227,8 @@ def render_plot(series, kind: str, path: str | Path, title: str = "",
             svg = _scatter_svg(series.fitted, series.residuals, title, xlabel, ylabel,
                                zero_line=True)
         else:
-            x, y = series
-            svg = _scatter_svg(tuple(x), tuple(y), title, xlabel, ylabel)
+            x, y = (np.asarray(s, dtype=float) for s in series)
+            svg = _scatter_svg(x, y, title, xlabel, ylabel)
     elif kind == "pp":
         if not isinstance(series, PPPlotData):
             raise ValidationError("pp plots take PPPlotData")

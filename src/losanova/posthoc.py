@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .distributions import f_quantile, f_sf
 from .errors import ValidationError
 from .model import Dataset
@@ -68,18 +70,21 @@ class HomogeneousSubsets:
 
 
 def marginal_means(d: Dataset, factor: int | str) -> list[LevelSummary]:
-    """Per-level observation count and raw mean, in level order."""
+    """Per-level observation count and raw mean, in level order, from the
+    cell table: sum(n_c) and sum(n_c * mean_c) / sum(n_c) over the level's
+    cells c."""
     fi = d.layout.factor_index(factor)
-    levels = d.layout.levels(fi)
-    codes = d.level_matrix[:, fi]
-    y = d.responses
-    out = []
-    for li, name in enumerate(levels):
-        mask = codes == li
-        n = int(mask.sum())
-        mean = float(y[mask].mean()) if n else math.nan
-        out.append(LevelSummary(name, n, mean))
-    return out
+    cells = d.cells
+    shape, k = d.layout.shape, d.layout.n_levels(fi)
+
+    def per_level(values: np.ndarray) -> list:
+        return np.moveaxis(values.reshape(shape), fi, 0).reshape(k, -1).sum(axis=1).tolist()
+
+    counts, sums = per_level(cells.counts), per_level(cells.counts * cells.means)
+    return [
+        LevelSummary(name, n, total / n if n else math.nan)
+        for name, n, total in zip(d.layout.levels(fi), counts, sums)
+    ]
 
 
 def scheffe_compare(

@@ -58,10 +58,10 @@ class PowerSpec:
     def __post_init__(self):
         for i in self.effect.factor_indices:
             self.layout.factor_index(i)
-        if not self.min_diff >= 0:
-            raise ValidationError("min_diff must be >= 0")
-        if not self.sigma2 > 0:
-            raise ValidationError("sigma2 must be > 0")
+        if not (self.min_diff >= 0 and math.isfinite(self.min_diff)):
+            raise ValidationError(f"min_diff must be finite and >= 0, got {self.min_diff!r}")
+        if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
+            raise ValidationError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         if not 0 < self.alpha < 1:
             raise ValidationError("alpha must be in (0, 1)")
         if self.n < 2:
@@ -100,7 +100,8 @@ def phi_squared(spec: PowerSpec) -> float:
         for i in range(spec.layout.n_factors)
         if i not in spec.effect.factor_indices
     )
-    return spec.n * m * spec.min_diff**2 / (2.0 * spec.sigma2 * (nu1 + 1))
+    # a product, not **, so a huge min_diff gives inf instead of OverflowError
+    return spec.n * m * (spec.min_diff * spec.min_diff) / (2.0 * spec.sigma2 * (nu1 + 1))
 
 
 def power_of_test(spec: PowerSpec) -> PowerResult:

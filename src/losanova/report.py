@@ -271,15 +271,15 @@ def _series_json(obj) -> dict:
     if isinstance(obj, ResidualSpread):
         return {
             "kind": "residual_vs_fitted",
-            "fitted": list(obj.fitted),
-            "residuals": list(obj.residuals),
+            "fitted": obj.fitted.tolist(),
+            "residuals": obj.residuals.tolist(),
             "funnel_ratio": obj.funnel_ratio,
         }
     if isinstance(obj, PPPlotData):
         return {
             "kind": "pp",
-            "empirical": list(obj.empirical),
-            "theoretical": list(obj.theoretical),
+            "empirical": obj.empirical.tolist(),
+            "theoretical": obj.theoretical.tolist(),
             "max_abs_deviation": obj.max_abs_deviation,
         }
     raise ValidationError(f"unknown diagnostic series {type(obj).__name__}")
@@ -313,7 +313,6 @@ class ReportBundle:
     equation: str
     scheffe: dict[str, list[ScheffeComparison]] = field(default_factory=dict)
     subsets: dict[str, HomogeneousSubsets] = field(default_factory=dict)
-    marginal_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     diagnostics: dict[str, object] = field(default_factory=dict)
     transform_rec: TransformRecommendation | None = None
 
@@ -346,7 +345,7 @@ def _bundle_sections(bundle: ReportBundle) -> list[tuple[str, list[str], list[li
             (f"scheffe_{factor}", *scheffe_rows(comparisons), _scheffe_json(comparisons))
         )
     for factor, subsets in bundle.subsets.items():
-        counts = bundle.marginal_counts.get(factor, {})
+        counts = {level: n for (level,), n in bundle.frequency.marginal(factor).items()}
         sections.append(
             (f"subsets_{factor}", *subset_rows(subsets, counts), _subsets_json(subsets))
         )

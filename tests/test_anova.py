@@ -73,11 +73,11 @@ def brute_force_type3(d):
 def _sequential_ss(d, terms):
     """Type I SS via incremental fits (balanced-case oracle)."""
     included = []
-    sse_prev = ols_fit(build_design(d, [], "deviation"), d.responses).sse
+    sse_prev = ols_fit(build_design(d, [], "deviation"), d.cells).sse
     out = {}
     for term in terms:
         included.append(term)
-        sse = ols_fit(build_design(d, included, "deviation"), d.responses).sse
+        sse = ols_fit(build_design(d, included, "deviation"), d.cells).sse
         out[term] = sse_prev - sse
         sse_prev = sse
     return out

@@ -77,6 +77,29 @@ def test_power_unresolvable_noncentrality_exits_2(capsys):
     assert "cannot resolve its weights" in capsys.readouterr().err
 
 
+def test_power_overflowing_min_diff_exits_2(capsys):
+    # min_diff^2 overflows to inf, so lam = inf: a numerical failure, not a traceback
+    code = cli_main([
+        "power", "--levels", "4,2,5", "--min-diff", "1e200", "--sigma2", "1",
+        "--effect", "season", "--n", "5",
+    ])
+    assert code == 2
+    assert "cannot resolve its weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("min_diff, sigma2, name", [
+    ("inf", "1", "min_diff"), ("1", "inf", "sigma2"), ("1", "nan", "sigma2"),
+])
+def test_power_non_finite_spec_exits_1(capsys, min_diff, sigma2, name):
+    # sigma2 = inf used to report power = alpha without complaint
+    code = cli_main([
+        "power", "--levels", "4,2,5", "--min-diff", min_diff, "--sigma2", sigma2,
+        "--effect", "season", "--n", "5",
+    ])
+    assert code == 1
+    assert f"error: {name} must be finite" in capsys.readouterr().err
+
+
 def test_synth_then_anova(cohort_csv, capsys):
     code = cli_main(["anova", "--input", str(cohort_csv), "--transform", "auto",
                      "--alpha", "0.01"])

@@ -33,13 +33,13 @@ def test_saturated_model_zero_residuals(two_by_two):
         + [(("a2", "b1"), 3.0)] * 2 + [(("a2", "b2"), 9.0)] * 2
     d = build_dataset(two_by_two, rows)
     fit = ols_fit(build_design(d, full_factorial_terms(two_by_two), "reference"),
-                  d.responses)
+                  d.cells)
     assert np.allclose(residuals(d, fit), 0.0, atol=1e-12)
 
 
 def test_intercept_only_residuals_center(two_by_two):
     d = random_dataset(two_by_two, 25, seed=4)
-    fit = ols_fit(build_design(d, [], "reference"), d.responses)
+    fit = ols_fit(build_design(d, [], "reference"), d.cells)
     e = residuals(d, fit)
     assert float(e.sum()) == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(e, d.responses - d.responses.mean())
@@ -47,7 +47,7 @@ def test_intercept_only_residuals_center(two_by_two):
 
 def test_residuals_match_prediction_oracle(two_by_two):
     d = random_dataset(two_by_two, 30, seed=6)
-    fit = ols_fit(build_design(d, [Term((0,)), Term((1,))], "reference"), d.responses)
+    fit = ols_fit(build_design(d, [Term((0,)), Term((1,))], "reference"), d.cells)
     e = residuals(d, fit)
     for i, obs in enumerate(d.observations):
         yhat = predict(fit, d.layout.cell_names(obs.level_indices))
@@ -100,11 +100,21 @@ def test_funnel_undefined_for_single_fitted_value():
     assert spread.funnel_ratio is None
 
 
+def test_series_are_read_only_float_arrays():
+    e = np.array([0.3, -1.0, 0.7])
+    spread = residual_vs_fitted(e, np.array([2.0, 1.0, 3.0]))
+    pp = pp_plot(e)
+    assert np.array_equal(spread.fitted, [1.0, 2.0, 3.0])
+    assert np.array_equal(spread.residuals, [-1.0, 0.3, 0.7])
+    for series in (spread.fitted, spread.residuals, pp.empirical, pp.theoretical):
+        assert series.dtype == np.float64 and not series.flags.writeable
+
+
 # --- P-P plot ----------------------------------------------------------------------
 
 def test_pp_two_point_case():
     pp = pp_plot(np.array([-1.0, 1.0]))
-    assert pp.empirical == (0.25, 0.75)
+    assert np.array_equal(pp.empirical, [0.25, 0.75])
     assert pp.theoretical[0] == pytest.approx(normal_cdf(-1.0))
     assert pp.theoretical[1] == pytest.approx(normal_cdf(1.0))
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from losanova import (
-    FDist,
     ValidationError,
     f_cdf,
     f_quantile,
@@ -377,23 +376,6 @@ def test_normal_validation_messages():
             normal_cdf(z)
         assert str(info.value) == "normal_cdf: z is NaN"
     assert normal_quantile(np.array([])).shape == (0,)
-
-
-# --- FDist wrapper ---------------------------------------------------------------
-
-def test_fdist_delegates():
-    d = FDist(3.0, 360.0)
-    assert d.cdf(2.5) == f_cdf(2.5, 3.0, 360.0)
-    assert d.sf(2.5) == f_sf(2.5, 3.0, 360.0)
-    assert d.quantile(0.99) == f_quantile(0.99, 3.0, 360.0)
-    nc = FDist(3.0, 360.0, lam=5.312)
-    assert nc.cdf(2.0) == noncentral_f_cdf(2.0, 3.0, 360.0, 5.312)
-    with pytest.raises(ValidationError):
-        nc.quantile(0.5)
-    with pytest.raises(ValidationError):
-        FDist(0.0, 1.0)
-    with pytest.raises(ValidationError):
-        FDist(1.0, 1.0, lam=-1.0)
 
 
 def test_scipy_nan_raises_numerical_error(monkeypatch):

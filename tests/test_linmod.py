@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from losanova import (
+    Dataset,
     FactorLayout,
     RankDeficiencyError,
     ValidationError,
@@ -15,6 +16,7 @@ from losanova import (
     full_factorial_terms,
     ols_fit,
     predict,
+    residuals,
     significant_terms,
 )
 from losanova.linmod import (
@@ -77,8 +79,8 @@ def test_hierarchy_check():
 def test_perfect_fit_zero_residuals():
     layout = FactorLayout([("f", ("a", "b"))])
     d = build_dataset(layout, [(("a",), 3.0), (("a",), 3.0), (("b",), 7.0), (("b",), 7.0)])
-    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.responses)
-    assert np.allclose(fit.residuals, 0.0, atol=1e-12)
+    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.cells)
+    assert np.allclose(residuals(d, fit), 0.0, atol=1e-12)
     assert fit.df_error == 2
     assert fit.sse == pytest.approx(0.0, abs=1e-20)
 
@@ -87,7 +89,7 @@ def test_two_group_closed_form():
     layout = FactorLayout([("g", ("g1", "g2"))])
     rows = [(("g1",), 1.0), (("g1",), 2.0), (("g1",), 3.0), (("g2",), 4.0), (("g2",), 6.0)]
     d = build_dataset(layout, rows)
-    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.responses)
+    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.cells)
     intercept = fit.coefficients.row("Intercept")
     slope = fit.coefficients.row("g(1)")
     # reference level is g2, so the intercept is the g2 mean
@@ -103,7 +105,7 @@ def test_two_group_closed_form():
 
 def test_intercept_only_model(cohort_layout):
     d = random_dataset(cohort_layout, 40, seed=5)
-    fit = ols_fit(build_design(d, [], "reference"), d.responses)
+    fit = ols_fit(build_design(d, [], "reference"), d.cells)
     y = d.responses
     assert fit.coefficients.row("Intercept").estimate == pytest.approx(float(y.mean()))
     assert fit.sse == pytest.approx(float(((y - y.mean()) ** 2).sum()))
@@ -112,11 +114,11 @@ def test_intercept_only_model(cohort_layout):
 def test_residual_orthogonality(cohort_layout):
     d = random_dataset(cohort_layout, 300, seed=9)
     X = build_design(d, full_factorial_terms(cohort_layout, 2), "deviation")
-    fit = ols_fit(X, d.responses)
-    e = fit.residuals
+    fit = ols_fit(X, d.cells)
+    e = residuals(d, fit)
     norm_e = np.linalg.norm(e)
     for j in range(X.n_columns):
-        col = X.values[:, j]
+        col = X.cell_values[d.codes, j]
         assert abs(col @ e) <= 1e-8 * np.linalg.norm(col) * norm_e
 
 
@@ -127,7 +129,7 @@ def test_nesting_never_increases_sse(cohort_layout):
         sse_prev = math.inf
         for order in (1, 2, 3):
             X = build_design(d, full_factorial_terms(cohort_layout, order), "deviation")
-            fit = ols_fit(X, d.responses)
+            fit = ols_fit(X, d.cells)
             assert fit.sse <= sse_prev + 1e-9
             sse_prev = fit.sse
 
@@ -136,7 +138,7 @@ def test_one_factor_fit_recovers_cell_means():
     layout = FactorLayout([("f", ("a", "b", "c"))])
     rows = [(("a",), 1.0), (("a",), 3.0), (("b",), 10.0), (("b",), 14.0), (("c",), 7.0)]
     d = build_dataset(layout, rows)
-    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.responses)
+    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.cells)
     assert predict(fit, ("a",)) == pytest.approx(2.0)
     assert predict(fit, ("b",)) == pytest.approx(12.0)
     assert predict(fit, ("c",)) == pytest.approx(7.0)
@@ -156,8 +158,18 @@ def test_rank_deficiency_names_columns():
         d = build_dataset(layout, data)
         X = build_design(d, full_factorial_terms(layout), "reference")
         with pytest.raises(RankDeficiencyError) as exc_info:
-            ols_fit(X, d.responses)
+            ols_fit(X, d.cells)
         assert len(exc_info.value.dependent_columns) >= 1
+
+
+def test_fit_and_residuals_reject_another_datasets_cells(cohort_layout):
+    d = random_dataset(cohort_layout, 60, seed=1)
+    other = random_dataset(cohort_layout, 61, seed=2)
+    X = build_design(d, [Term((0,))], "reference")
+    with pytest.raises(ValidationError, match="61 observations"):
+        ols_fit(X, other.cells)
+    with pytest.raises(ValidationError, match="dataset has 61"):
+        residuals(other, ols_fit(X, d.cells))
 
 
 def _row_level_design(layout, levels, order, coding):
@@ -182,8 +194,8 @@ def _row_level_design(layout, levels, order, coding):
 def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
     # unbalanced, with many singleton cells (70 observations over 40 cells)
     d = random_dataset(cohort_layout, 70, seed=100 + order, min_per_cell=1)
-    fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, order), coding),
-                  d.responses)
+    terms = full_factorial_terms(cohort_layout, order)
+    fit = ols_fit(build_design(d, terms, coding), d.cells)
     X = _row_level_design(cohort_layout, d.level_matrix, order, coding)
     y = d.responses
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
@@ -193,8 +205,18 @@ def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
     assert fit.df_error == d.n - X.shape[1]
     np.testing.assert_allclose(fit.estimates, beta, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose([r.se for r in fit.coefficients.rows], se, rtol=1e-9)
-    np.testing.assert_allclose(fit.fitted, fitted, rtol=1e-9)
+    np.testing.assert_allclose(fit.cell_fitted[d.codes], fitted, rtol=1e-9)
     assert fit.sse == pytest.approx(sse, rel=1e-9)
+
+    # responses of 1e6 + N(0, 1): a one-pass sum(y^2) - n * mean^2 per cell
+    # loses the SSE to cancellation, the two-pass cell m2 keeps it
+    rng = np.random.default_rng(200 + order)
+    shifted = Dataset(cohort_layout, d.codes, 1e6 + rng.normal(size=d.n))
+    fit = ols_fit(build_design(shifted, terms, coding), shifted.cells)
+    y = shifted.responses
+    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    r = y - X @ beta
+    assert fit.sse == pytest.approx(float(r @ r), rel=1e-9)
 
 
 def test_ci_matches_t_quantile(cohort_layout):
@@ -202,7 +224,7 @@ def test_ci_matches_t_quantile(cohort_layout):
 
     d = random_dataset(cohort_layout, 200, seed=21)
     fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1), "reference"),
-                  d.responses, alpha=0.05)
+                  d.cells, alpha=0.05)
     t_crit = t_quantile(0.975, fit.df_error)
     for row in fit.coefficients.rows:
         assert row.ci_low == pytest.approx(row.estimate - t_crit * row.se, rel=1e-12)
@@ -221,7 +243,7 @@ def test_large_t_p_value_matches_mpmath():
     noise = [2.0 + math.sin(1.7 * k) / 3.0 for k in range(21)]
     rows = [(("g1",), v) for v in noise] + [(("g2",), 1.0 + v) for v in noise]
     d = build_dataset(layout, rows)
-    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.responses)
+    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.cells)
     row = fit.coefficients.row("g(1)")
     with mpmath.workdps(50):
         groups = [[mpmath.mpf(v) for v in noise], [mpmath.mpf(1.0 + v) for v in noise]]
@@ -338,7 +360,7 @@ def test_equation_string_format():
 def test_significant_model_on_real_fit(cohort_layout):
     d = random_dataset(cohort_layout, 150, seed=2)
     fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1), "reference"),
-                  d.responses)
+                  d.cells)
     model = significant_model(fit, 0.05, response_name="y")
     assert model.equation.startswith("y = ")
     assert model.table.labels[0] == "Intercept"

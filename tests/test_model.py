@@ -171,8 +171,8 @@ def test_dataset_is_two_read_only_columns(two_by_two):
     responses[0] = 9.0  # the dataset holds its own copies
     assert d.codes.dtype == np.intp and d.codes.tolist() == [3, 0, 2]
     assert d.responses.tolist() == [5.0, -1.0, 2.5]
-    assert d.cell_codes() is d.codes
     assert d.level_matrix.tolist() == [[1, 1], [0, 0], [1, 0]]
+    assert not d.level_matrix.flags.writeable
     with pytest.raises(ValueError):
         d.codes[0] = 0
     assert d.observations == (
@@ -182,3 +182,22 @@ def test_dataset_is_two_read_only_columns(two_by_two):
         two_by_two, [(("a2", "b2"), 5.0), (("a1", "b1"), -1.0), (("a2", "b1"), 2.5)],
         raw_scale=False,
     ).codes.tolist() == [3, 0, 2]
+
+
+def test_cell_table_matches_per_cell_numpy(cohort_layout):
+    # 60 observations over 40 cells: empty, singleton and larger cells
+    d = random_dataset(cohort_layout, 60, seed=17)
+    table = d.cells
+    assert (table.counts == 0).any() and (table.counts == 1).any() and (table.counts > 2).any()
+    for flat in range(cohort_layout.n_cells):
+        y = d.responses[d.codes == flat]
+        assert table.counts[flat] == y.size
+        if y.size == 0:
+            assert table.means[flat] == 0.0 and table.m2[flat] == 0.0
+            continue
+        mean = y.mean()
+        assert table.means[flat] == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert table.m2[flat] == pytest.approx(((y - mean) ** 2).sum(), rel=1e-12, abs=1e-12)
+    for array in (table.counts, table.means, table.m2):
+        assert not array.flags.writeable
+

@@ -71,7 +71,7 @@ def test_cell_means_within_sampling_bounds():
     spec = reference_cohort_spec(n=8000, seed=11)
     d = generate(spec)
     logs = np.log10(d.responses)
-    codes = d.cell_codes()
+    codes = d.codes
     cells = list(d.layout.cells())
     for flat, cell in enumerate(cells):
         members = logs[codes == flat]
