@@ -1,13 +1,20 @@
 """Type III sums-of-squares ANOVA for crossed fixed-effects factorial designs.
 
-Each effect's Type III SS is realized as a reduced-versus-full model
-comparison under sum-to-zero (deviation) coding: SS(effect) = SSE(full model
+The full model is fitted once under sum-to-zero (deviation) coding. Each
+effect's Type III SS is then its hypothesis SS on that fit,
+
+    SS(E) = b_E' (V_EE)^-1 b_E,
+
+where b_E are the effect's estimates and V_EE their block of the unscaled
+covariance (X'WX)^-1 (Searle, Linear Models for Unbalanced Data, 1987). The
+intercept row is the same with the constant column alone. In exact
+arithmetic this equals the reduced-versus-full comparison SSE(full model
 minus that effect's columns) - SSE(full model), with every other term --
-including higher-order interactions -- present in both models. The intercept
-row likewise removes only the constant column. This reproduces the
-between-subjects-table semantics of the major statistics packages on designs
-with all cells occupied and is directly checkable against a brute-force
-least-squares oracle.
+including higher-order interactions -- present in both models, but it needs
+no refit and no difference of two large error sums of squares. This
+reproduces the between-subjects-table semantics of the major statistics
+packages on designs with all cells occupied and is directly checkable
+against a brute-force least-squares oracle.
 
 On unbalanced data the individual effect SS do not generally add up to the
 corrected-model SS; no such additivity is assumed anywhere.
@@ -18,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .distributions import f_sf
 from .errors import ValidationError
-from .linmod import build_design, full_factorial_terms, ols_fit
+from .linmod import build_design, effect_label, full_factorial_terms, ols_fit
 from .model import Dataset, FrequencyTable, frequency_table
 
 
@@ -72,14 +80,15 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     ``max_order`` (defaults to the full factorial).
 
     Estimability and every df come from ``df_check`` on the cell counts;
-    every sum of squares comes from the dataset's cell table.
+    every sum of squares comes from one fit to the dataset's cell table.
     """
     layout = d.layout
     cells = d.cells
     df = dict(df_check(frequency_table(d), max_order))
     terms = full_factorial_terms(layout, max_order)
     full = build_design(d, terms, coding="deviation")
-    sse_full = ols_fit(full, cells).sse
+    fit = ols_fit(full, cells)
+    sse_full = fit.sse
     df_error = df["Error"]
     mse = sse_full / df_error
 
@@ -90,6 +99,12 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     corrected_total_ss = within_ss + float((counts * (means - grand_mean) ** 2).sum())
     corrected_model_ss = corrected_total_ss - sse_full
 
+    def hypothesis_ss(term) -> float:
+        cols = [i for i, c in enumerate(full.columns) if c.term == term]
+        b = fit.estimates[cols]
+        return float(b @ linalg.solve(fit.cov_unscaled[np.ix_(cols, cols)], b,
+                                      assume_a="pos"))
+
     def row(source: str, ss: float) -> AnovaRow:
         ms = ss / df[source]
         f = ms / mse
@@ -97,11 +112,9 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
 
     rows = [
         row("Corrected Model", corrected_model_ss),
-        row("Intercept", ols_fit(full.drop_term(None), cells).sse - sse_full),
+        row("Intercept", hypothesis_ss(None)),
     ]
-    for term in terms:
-        label = " * ".join(layout.names[i] for i in term.factor_indices)
-        rows.append(row(label, ols_fit(full.drop_term(term), cells).sse - sse_full))
+    rows.extend(row(effect_label(layout, term), hypothesis_ss(term)) for term in terms)
 
     rows.append(AnovaRow("Error", sse_full, df_error, mse))
     rows.append(AnovaRow("Total", total_ss, df["Total"]))
@@ -128,10 +141,8 @@ def df_check(freq: FrequencyTable, max_order: int | None = None) -> list[tuple[s
                 )
     n = freq.total
     effect_dfs = [
-        (
-            " * ".join(layout.names[i] for i in term.factor_indices),
-            int(np.prod([layout.n_levels(i) - 1 for i in term.factor_indices])),
-        )
+        (effect_label(layout, term),
+         int(np.prod([layout.n_levels(i) - 1 for i in term.factor_indices])))
         for term in terms
     ]
     model_df = sum(df for _, df in effect_dfs)

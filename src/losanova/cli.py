@@ -278,18 +278,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _add_input_options(parser, with_transform=True):
+def _add_input_options(parser):
     parser.add_argument("--input", required=True, help="cohort CSV file")
     parser.add_argument(
         "--season-from-date", action="store_true",
         help="derive season from a 'date' column (meteorological, approximate)",
     )
-    if with_transform:
-        parser.add_argument(
-            "--transform", choices=("auto", "log10", "none"), default="auto",
-            help="response transform: auto picks from the sd-mean regression",
-        )
-    parser.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    parser.add_argument(
+        "--transform", choices=("auto", "log10", "none"), default="auto",
+        help="response transform: auto picks from the sd-mean regression",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,12 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anova", help="Type III between-subjects table")
     _add_input_options(p)
+    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
     p.add_argument("--max-order", type=int, default=None,
                    help="highest interaction order (default: full factorial)")
     p.set_defaults(func=_cmd_anova)
 
     p = sub.add_parser("posthoc", help="Scheffe comparisons and homogeneous subsets")
     _add_input_options(p)
+    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
     p.add_argument("--factor", required=True, help="factor to compare")
     p.set_defaults(func=_cmd_posthoc)
 
@@ -335,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full pipeline: tables, plots, manifest")
     _add_input_options(p)
+    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
     p.add_argument("--out", help="output directory (omit to print to stdout)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text",
                    help="stdout format when --out is omitted")

@@ -56,6 +56,11 @@ class Term:
         return f"{self.order}-way interaction"
 
 
+def effect_label(layout: FactorLayout, term: Term) -> str:
+    """The term's row name in tables: its factor names joined by " * "."""
+    return " * ".join(layout.names[i] for i in term.factor_indices)
+
+
 def full_factorial_terms(layout: FactorLayout, max_order: int | None = None) -> list[Term]:
     """All main effects and interactions up to ``max_order``, hierarchical by
     construction."""
@@ -126,21 +131,6 @@ class DesignMatrix:
     @property
     def n_columns(self) -> int:
         return self.cell_values.shape[1]
-
-    def drop_term(self, term: Term | None) -> "DesignMatrix":
-        """A copy without the given term's columns (None drops the intercept)."""
-        keep = [i for i, col in enumerate(self.columns) if col.term != term]
-        if len(keep) == self.n_columns:
-            raise ValidationError("term not present in this design")
-        terms = tuple(t for t in self.terms if t != term)
-        return DesignMatrix(
-            layout=self.layout,
-            coding=self.coding,
-            terms=terms,
-            columns=tuple(self.columns[i] for i in keep),
-            cell_values=self.cell_values[:, keep],
-            n_rows=self.n_rows,
-        )
 
 
 def _term_columns(
@@ -246,12 +236,14 @@ class FitResult:
     (layout cell order); ``diagnostics.residuals`` expands a fit to one
     residual per observation. The design (and with it the coding scheme)
     travels with the fit, so ``predict`` can never be called with mismatched
-    coding.
+    coding. ``cov_unscaled`` is the read-only (X'WX)^-1 in design column
+    order, where W holds the observation counts.
     """
 
     design: DesignMatrix
     coefficients: CoefficientTable
     estimates: np.ndarray
+    cov_unscaled: np.ndarray
     cell_fitted: np.ndarray
     sse: float
     df_error: int
@@ -269,7 +261,7 @@ class FitResult:
         """Assemble a prediction-only fit from published coefficient values.
 
         Labels absent from ``values`` get a zero coefficient; unknown labels
-        are rejected. Inference fields are NaN.
+        are rejected. Inference fields and ``cov_unscaled`` are NaN.
         """
         cell_values, columns = encode_cells(layout, tuple(terms), coding)
         design = DesignMatrix(
@@ -289,7 +281,10 @@ class FitResult:
             ),
             alpha=alpha,
         )
-        return cls(design, table, estimates, cell_values @ estimates, nan, 0, nan)
+        cov_unscaled = np.full((len(columns), len(columns)), nan)
+        cov_unscaled.setflags(write=False)
+        return cls(design, table, estimates, cov_unscaled, cell_values @ estimates,
+                   nan, 0, nan)
 
 
 def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult:
@@ -342,6 +337,7 @@ def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult
     cov_unscaled_piv = r_inv @ r_inv.T
     cov_unscaled = np.empty((p, p))
     cov_unscaled[np.ix_(piv, piv)] = cov_unscaled_piv
+    cov_unscaled.setflags(write=False)
 
     nan = float("nan")
     rows = []
@@ -363,6 +359,7 @@ def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult
         design=X,
         coefficients=CoefficientTable(tuple(rows), alpha=alpha),
         estimates=estimates,
+        cov_unscaled=cov_unscaled,
         cell_fitted=cell_fitted,
         sse=sse,
         df_error=df_error,

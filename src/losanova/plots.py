@@ -2,9 +2,10 @@
 
 The emitter is dependency-free and writes no timestamps or other
 run-varying content, so identical series produce byte-identical files.
-Supported kinds: histogram (bars), scatter (residual vs fitted), pp
-(probability-probability points with the identity reference line), and
-subset-means (per-level means grouped by homogeneous subset).
+The series type picks the picture: a histogram (bars), a residual spread
+(residuals against fitted values), P-P data (probability-probability points
+with the identity reference line), or homogeneous subsets (per-level means
+grouped by subset).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _num(x: float) -> str:
 class _Canvas:
     """Linear data-to-pixel mapping plus an SVG element buffer."""
 
-    def __init__(self, x_range, y_range, title, xlabel, ylabel):
+    def __init__(self, x_range, y_range, xlabel, ylabel):
         x_lo, x_hi = x_range
         y_lo, y_hi = y_range
         if x_hi <= x_lo:
@@ -49,7 +50,7 @@ class _Canvas:
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo, y_hi
         self.elements: list[str] = []
-        self._decorate(title, xlabel, ylabel)
+        self._decorate(xlabel, ylabel)
 
     def px(self, x: float) -> float:
         span = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
@@ -59,7 +60,7 @@ class _Canvas:
         span = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
         return _HEIGHT - _MARGIN_BOTTOM - (y - self.y_lo) / (self.y_hi - self.y_lo) * span
 
-    def _decorate(self, title, xlabel, ylabel):
+    def _decorate(self, xlabel, ylabel):
         left, right = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
         top, bottom = _MARGIN_TOP, _HEIGHT - _MARGIN_BOTTOM
         self.elements.append(
@@ -86,11 +87,6 @@ class _Canvas:
             self.elements.append(
                 f'<text x="{_num(left - 8)}" y="{_num(yp + 4)}" font-size="11" '
                 f'text-anchor="end">{y:.4g}</text>'
-            )
-        if title:
-            self.elements.append(
-                f'<text x="{_num(_WIDTH / 2)}" y="22" font-size="14" '
-                f'text-anchor="middle">{_esc(title)}</text>'
             )
         if xlabel:
             self.elements.append(
@@ -129,12 +125,10 @@ def _thin(*series: np.ndarray) -> tuple[list[float], ...]:
     return tuple(s.tolist() for s in series)
 
 
-def _histogram_svg(h: HistogramData, title, xlabel, ylabel) -> str:
+def _histogram_svg(h: HistogramData, xlabel, ylabel) -> str:
     if not h.counts:
         raise ValidationError("empty histogram: nothing to plot")
-    canvas = _Canvas(
-        (h.edges[0], h.edges[-1]), (0.0, max(h.counts) or 1.0), title, xlabel, ylabel
-    )
+    canvas = _Canvas((h.edges[0], h.edges[-1]), (0.0, max(h.counts) or 1.0), xlabel, ylabel)
     for i, count in enumerate(h.counts):
         x0, x1 = canvas.px(h.edges[i]), canvas.px(h.edges[i + 1])
         y0, y1 = canvas.py(count), canvas.py(0.0)
@@ -146,16 +140,16 @@ def _histogram_svg(h: HistogramData, title, xlabel, ylabel) -> str:
     return canvas.to_svg()
 
 
-def _scatter_svg(x: np.ndarray, y: np.ndarray, title, xlabel, ylabel,
-                 zero_line: bool = False) -> str:
+def _spread_svg(spread: ResidualSpread, xlabel, ylabel) -> str:
+    x, y = spread.fitted, spread.residuals
     if len(x) == 0:
         raise ValidationError("empty series: nothing to plot")
     canvas = _Canvas(
         (float(np.min(x)), float(np.max(x))), (float(np.min(y)), float(np.max(y))),
-        title, xlabel, ylabel,
+        xlabel, ylabel,
     )
     x, y = _thin(x, y)
-    if zero_line and canvas.y_lo < 0.0 < canvas.y_hi:
+    if canvas.y_lo < 0.0 < canvas.y_hi:
         yp = canvas.py(0.0)
         canvas.elements.append(
             f'<line x1="{_num(canvas.px(canvas.x_lo))}" y1="{_num(yp)}" '
@@ -170,10 +164,10 @@ def _scatter_svg(x: np.ndarray, y: np.ndarray, title, xlabel, ylabel,
     return canvas.to_svg()
 
 
-def _pp_svg(pp: PPPlotData, title, xlabel, ylabel) -> str:
+def _pp_svg(pp: PPPlotData, xlabel, ylabel) -> str:
     if len(pp.empirical) == 0:
         raise ValidationError("empty series: nothing to plot")
-    canvas = _Canvas((0.0, 1.0), (0.0, 1.0), title, xlabel, ylabel)
+    canvas = _Canvas((0.0, 1.0), (0.0, 1.0), xlabel, ylabel)
     canvas.elements.append(
         f'<line x1="{_num(canvas.px(0.0))}" y1="{_num(canvas.py(0.0))}" '
         f'x2="{_num(canvas.px(1.0))}" y2="{_num(canvas.py(1.0))}" '
@@ -188,7 +182,7 @@ def _pp_svg(pp: PPPlotData, title, xlabel, ylabel) -> str:
     return canvas.to_svg()
 
 
-def _subset_means_svg(h: HomogeneousSubsets, title, xlabel, ylabel) -> str:
+def _subset_means_svg(h: HomogeneousSubsets, xlabel, ylabel) -> str:
     if not h.subsets:
         raise ValidationError("empty series: nothing to plot")
     levels: list[tuple[str, float, int]] = []
@@ -199,8 +193,7 @@ def _subset_means_svg(h: HomogeneousSubsets, title, xlabel, ylabel) -> str:
     means = [m for _, m, _ in levels]
     pad = (max(means) - min(means)) * 0.1 or 0.5
     canvas = _Canvas(
-        (-0.5, len(levels) - 0.5), (min(means) - pad, max(means) + pad),
-        title, xlabel, ylabel,
+        (-0.5, len(levels) - 0.5), (min(means) - pad, max(means) + pad), xlabel, ylabel
     )
     for i, (lv, m, si) in enumerate(levels):
         color = _SUBSET_COLORS[si % len(_SUBSET_COLORS)]
@@ -215,30 +208,19 @@ def _subset_means_svg(h: HomogeneousSubsets, title, xlabel, ylabel) -> str:
     return canvas.to_svg()
 
 
-def render_plot(series, kind: str, path: str | Path, title: str = "",
-                xlabel: str = "", ylabel: str = "") -> None:
-    """Write one SVG; raises (writing nothing) when the series is empty."""
-    if kind == "histogram":
-        if not isinstance(series, HistogramData):
-            raise ValidationError("histogram plots take HistogramData")
-        svg = _histogram_svg(series, title, xlabel, ylabel)
-    elif kind == "scatter":
-        if isinstance(series, ResidualSpread):
-            svg = _scatter_svg(series.fitted, series.residuals, title, xlabel, ylabel,
-                               zero_line=True)
-        else:
-            x, y = (np.asarray(s, dtype=float) for s in series)
-            svg = _scatter_svg(x, y, title, xlabel, ylabel)
-    elif kind == "pp":
-        if not isinstance(series, PPPlotData):
-            raise ValidationError("pp plots take PPPlotData")
-        svg = _pp_svg(series, title, xlabel, ylabel)
-    elif kind == "subset-means":
-        if not isinstance(series, HomogeneousSubsets):
-            raise ValidationError("subset-means plots take HomogeneousSubsets")
-        svg = _subset_means_svg(series, title, xlabel, ylabel)
-    else:
-        raise ValidationError(
-            f"unknown plot kind {kind!r} (histogram/scatter/pp/subset-means)"
-        )
-    Path(path).write_text(svg, encoding="utf-8")
+_RENDERERS = {
+    HistogramData: _histogram_svg,
+    ResidualSpread: _spread_svg,
+    PPPlotData: _pp_svg,
+    HomogeneousSubsets: _subset_means_svg,
+}
+
+
+def render_plot(series, path: str | Path, xlabel: str = "", ylabel: str = "") -> None:
+    """Write one SVG of a HistogramData, ResidualSpread, PPPlotData or
+    HomogeneousSubsets; raises (writing nothing) for any other type or an
+    empty series."""
+    render = _RENDERERS.get(type(series))
+    if render is None:
+        raise ValidationError(f"cannot plot a {type(series).__name__}")
+    Path(path).write_text(render(series, xlabel, ylabel), encoding="utf-8")

@@ -165,7 +165,7 @@ def scheffe_pairwise(
 
 def homogeneous_subsets(
     comparisons: Sequence[ScheffeComparison],
-    level_means: Sequence[tuple[str, float]] | Sequence[LevelSummary],
+    level_means: Sequence[LevelSummary],
     alpha: float = 0.05,
 ) -> HomogeneousSubsets:
     """Maximal consecutive runs of mean-sorted levels with all pairwise p > alpha.
@@ -182,13 +182,9 @@ def homogeneous_subsets(
             raise ValidationError("comparisons mix factors")
         pairs[frozenset((c.level_i, c.level_j))] = c.p
 
-    entries = [
-        (ls.level, ls.mean) if isinstance(ls, LevelSummary) else (str(ls[0]), float(ls[1]))
-        for ls in level_means
-    ]
-    entries.sort(key=lambda t: t[1])
-    levels = [lv for lv, _ in entries]
-    means = {lv: m for lv, m in entries}
+    ordered = sorted(level_means, key=lambda ls: ls.mean)
+    levels = [ls.level for ls in ordered]
+    means = {ls.level: ls.mean for ls in ordered}
 
     def pair_p(a: str, b: str) -> float:
         key = frozenset((a, b))

@@ -21,17 +21,13 @@ from typing import Sequence
 
 from .distributions import f_quantile, noncentral_f_cdf
 from .errors import ReplicationSearchError, ValidationError
-from .linmod import Term, full_factorial_terms
+from .linmod import Term, effect_label, full_factorial_terms
 from .model import FactorLayout
 
 
 # a main effect or interaction is a model term; the planning names stay public
 EffectId = Term
 all_effects = full_factorial_terms
-
-
-def effect_label(layout: FactorLayout, effect: EffectId) -> str:
-    return " * ".join(layout.names[i] for i in effect.factor_indices)
 
 
 def parse_effect(layout: FactorLayout, text: str) -> EffectId:

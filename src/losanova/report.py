@@ -395,24 +395,17 @@ def write_report_dir(bundle: ReportBundle, outdir: str | Path) -> list[str]:
         artifacts.extend([f"tables/{name}.txt", f"tables/{name}.csv", f"tables/{name}.json"])
 
     response = bundle.anova.response_name
+    axes = {
+        HistogramData: (f"residual ({response})", "count"),
+        ResidualSpread: (f"fitted {response}", "residual"),
+        PPPlotData: ("observed cumulative probability", "expected normal probability"),
+    }
+    # render_plot rejects a series of any other type
     for name, series in bundle.diagnostics.items():
-        path = plots_dir / f"{name}.svg"
-        if isinstance(series, HistogramData):
-            plots.render_plot(series, "histogram", path,
-                              xlabel=f"residual ({response})", ylabel="count")
-        elif isinstance(series, ResidualSpread):
-            plots.render_plot(series, "scatter", path,
-                              xlabel=f"fitted {response}", ylabel="residual")
-        elif isinstance(series, PPPlotData):
-            plots.render_plot(series, "pp", path,
-                              xlabel="observed cumulative probability",
-                              ylabel="expected normal probability")
-        else:
-            continue
+        plots.render_plot(series, plots_dir / f"{name}.svg", *axes.get(type(series), ()))
         artifacts.append(f"plots/{name}.svg")
     for factor, subsets in bundle.subsets.items():
-        path = plots_dir / f"subset_means_{factor}.svg"
-        plots.render_plot(subsets, "subset-means", path,
+        plots.render_plot(subsets, plots_dir / f"subset_means_{factor}.svg",
                           xlabel=factor, ylabel=f"mean {response}")
         artifacts.append(f"plots/subset_means_{factor}.svg")
 

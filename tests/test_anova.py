@@ -138,6 +138,55 @@ def test_random_unbalanced_designs_match_oracle():
             assert got == pytest.approx(ss_ref, rel=1e-8, abs=1e-9)
 
 
+def _mp_gap_sse(X, counts, means):
+    """sum n_c (mean_c - fitted_c)^2 of the count-weighted least-squares fit of
+    the cell means on X, from the normal equations in mpmath (X'NX is an
+    exact integer matrix)."""
+    import mpmath
+
+    X = X.astype(np.int64)
+    xtwx = mpmath.matrix(((X.T * counts) @ X).tolist())
+    weighted = [int(n) * m for n, m in zip(counts, means)]
+    xtwy = mpmath.matrix([mpmath.fsum(int(x) * w for x, w in zip(col, weighted))
+                          for col in X.T])
+    beta = mpmath.cholesky_solve(xtwx, xtwy)
+    total = mpmath.mpf(0)
+    for row, n, m in zip(X, counts, means):
+        gap = m - mpmath.fsum(int(x) * b for x, b in zip(row, beta))
+        total += int(n) * gap * gap
+    return total
+
+
+def test_paper_cohort_type3_matches_50_digit_model_comparison():
+    """Seed-11 N = 82,718 log10 cohort: every Type III SS against SSE(reduced)
+    - SSE(full) evaluated at 50 digits on the 40 cell means (the within-cell
+    SS is common to both fits and cancels exactly)."""
+    import mpmath
+
+    from losanova.diagnostics import apply_transform
+    from losanova.synth import generate, reference_cohort_spec
+
+    d = apply_transform(generate(reference_cohort_spec(n=82718, seed=11)), "logarithmic")
+    table = type3_anova(d)
+    shape = d.layout.shape
+    terms = [
+        combo
+        for order in range(1, len(shape) + 1)
+        for combo in itertools.combinations(range(len(shape)), order)
+    ]
+    cell_levels = np.indices(shape).reshape(len(shape), -1).T
+    X_full, owners = _oracle_design(cell_levels, shape, terms)
+    counts = d.cells.counts.astype(np.int64)
+    with mpmath.workdps(50):
+        means = [mpmath.mpf(float(m)) for m in d.cells.means]
+        sse_full = _mp_gap_sse(X_full, counts, means)
+        for term in [None] + terms:
+            keep = [i for i, owner in enumerate(owners) if owner != term]
+            exact = _mp_gap_sse(X_full[:, keep], counts, means) - sse_full
+            source = "Intercept" if term is None else _label(d.layout, term)
+            assert table.row(source).ss == pytest.approx(float(exact), rel=2e-13), source
+
+
 def test_saturated_responses_zero_error(two_by_two):
     # responses equal their cell means exactly
     rows = (

@@ -140,6 +140,14 @@ def test_diagnose_command(cohort_csv, capsys):
     assert "P-P max deviation" in out
 
 
+def test_diagnose_rejects_alpha(cohort_csv, capsys):
+    # diagnose runs no test, so a significance level would be silently ignored
+    code = cli_main(["diagnose", "--input", str(cohort_csv), "--alpha", "0.01"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "unrecognized arguments: --alpha" in err and "usage" in err
+
+
 def test_report_directory(cohort_csv, tmp_path, capsys):
     outdir = tmp_path / "report"
     code = cli_main(["report", "--input", str(cohort_csv), "--transform", "auto",

@@ -219,6 +219,17 @@ def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
     assert fit.sse == pytest.approx(float(r @ r), rel=1e-9)
 
 
+@pytest.mark.parametrize("coding", ["reference", "deviation"])
+def test_cov_unscaled_is_read_only_inverse_cross_product(cohort_layout, coding):
+    d = random_dataset(cohort_layout, 120, seed=31, min_per_cell=1)
+    X = build_design(d, full_factorial_terms(cohort_layout), coding)
+    fit = ols_fit(X, d.cells)
+    xtwx = X.cell_values.T @ (X.cell_values * d.cells.counts[:, None])
+    np.testing.assert_allclose(fit.cov_unscaled, np.linalg.inv(xtwx), rtol=1e-10)
+    with pytest.raises(ValueError):
+        fit.cov_unscaled[0, 0] = 1.0
+
+
 def test_ci_matches_t_quantile(cohort_layout):
     from losanova import t_quantile
 

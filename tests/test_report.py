@@ -118,7 +118,7 @@ def test_frequency_table_text_totals(bundle):
 def test_histogram_svg_bars(tmp_path):
     h = HistogramData(edges=(-1.0, 0.0, 1.0), counts=(1, 2))
     path = tmp_path / "hist.svg"
-    render_plot(h, "histogram", path, xlabel="residual", ylabel="count")
+    render_plot(h, path, xlabel="residual", ylabel="count")
     svg = path.read_text()
     bars = re.findall(r'class="bar" data-count="(\d+)"', svg)
     assert bars == ["1", "2"]
@@ -129,7 +129,7 @@ def test_histogram_svg_bars(tmp_path):
 def test_histogram_bar_heights_proportional(tmp_path):
     h = HistogramData(edges=(0.0, 1.0, 2.0, 3.0), counts=(1, 3, 2))
     path = tmp_path / "hist3.svg"
-    render_plot(h, "histogram", path)
+    render_plot(h, path)
     heights = [
         float(m) for m in re.findall(r'height="([0-9.]+)"[^/]*class="bar"', path.read_text())
     ]
@@ -142,7 +142,7 @@ def test_histogram_bar_heights_proportional(tmp_path):
 def test_empty_series_writes_nothing(tmp_path):
     path = tmp_path / "never.svg"
     with pytest.raises(ValidationError):
-        render_plot(HistogramData(edges=(0.0,), counts=()), "histogram", path)
+        render_plot(HistogramData(edges=(0.0,), counts=()), path)
     assert not path.exists()
 
 
@@ -150,21 +150,21 @@ def test_pp_plot_has_identity_line(tmp_path):
     pp = PPPlotData(empirical=(0.25, 0.75), theoretical=(0.2, 0.8),
                     max_abs_deviation=0.05)
     path = tmp_path / "pp.svg"
-    render_plot(pp, "pp", path)
+    render_plot(pp, path)
     assert 'class="identity"' in path.read_text()
 
 
 def test_scatter_and_subset_plots(tmp_path):
     spread = ResidualSpread(fitted=(1.0, 2.0, 3.0), residuals=(0.1, -0.2, 0.05),
                             funnel_ratio=1.1)
-    render_plot(spread, "scatter", tmp_path / "s.svg")
+    render_plot(spread, tmp_path / "s.svg")
     assert (tmp_path / "s.svg").exists()
 
     subsets = HomogeneousSubsets(
         factor="season", alpha=0.05,
         subsets=(Subset(("spring",), (0.59,), 1.0), Subset(("winter", "autumn"), (0.63, 0.64), 0.3)),
     )
-    render_plot(subsets, "subset-means", tmp_path / "m.svg")
+    render_plot(subsets, tmp_path / "m.svg")
     svg = (tmp_path / "m.svg").read_text()
     assert svg.count('class="mean"') == 3
     assert 'data-subset="2"' in svg
@@ -172,11 +172,13 @@ def test_scatter_and_subset_plots(tmp_path):
 
 def test_svg_deterministic(tmp_path):
     h = HistogramData(edges=(0.0, 0.5, 1.0), counts=(4, 6))
-    render_plot(h, "histogram", tmp_path / "a.svg")
-    render_plot(h, "histogram", tmp_path / "b.svg")
+    render_plot(h, tmp_path / "a.svg")
+    render_plot(h, tmp_path / "b.svg")
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
 
-def test_unknown_plot_kind(tmp_path):
-    with pytest.raises(ValidationError, match="kind"):
-        render_plot(HistogramData((0.0, 1.0), (1,)), "pie", tmp_path / "x.svg")
+def test_unsupported_plot_type(tmp_path):
+    path = tmp_path / "x.svg"
+    with pytest.raises(ValidationError, match="cannot plot a tuple"):
+        render_plot(((0.0, 1.0), (1.0, 2.0)), path)
+    assert not path.exists()
