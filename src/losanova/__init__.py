@@ -52,17 +52,7 @@ from .linmod import (
     significant_model,
     significant_terms,
 )
-from .model import (
-    CellStats,
-    CellTable,
-    Dataset,
-    FactorLayout,
-    FrequencyTable,
-    Observation,
-    build_dataset,
-    cell_stats,
-    frequency_table,
-)
+from .model import CellTable, Dataset, FactorLayout, build_dataset
 from .posthoc import (
     HomogeneousSubsets,
     LevelSummary,

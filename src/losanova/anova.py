@@ -30,7 +30,7 @@ from scipy import linalg
 from .distributions import f_sf
 from .errors import ValidationError
 from .linmod import build_design, effect_label, full_factorial_terms, ols_fit
-from .model import Dataset, FrequencyTable, frequency_table
+from .model import CellTable, Dataset
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     """
     layout = d.layout
     cells = d.cells
-    df = dict(df_check(frequency_table(d), max_order))
+    df = dict(df_check(cells, max_order))
     terms = full_factorial_terms(layout, max_order)
     full = build_design(d, terms, coding="deviation")
     fit = ols_fit(full, cells)
@@ -122,24 +122,25 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     return AnovaTable(tuple(rows), response_name=d.response_name)
 
 
-def df_check(freq: FrequencyTable, max_order: int | None = None) -> list[tuple[str, int]]:
+def df_check(cells: CellTable, max_order: int | None = None) -> list[tuple[str, int]]:
     """Degrees-of-freedom column computed from cell counts alone.
 
     Valid when every cell spanned by a model term is occupied and at least
     one error df remains (both checked); rows appear in the same order as
     ``type3_anova`` output.
     """
-    layout = freq.layout
+    layout = cells.layout
     terms = full_factorial_terms(layout, max_order)
     for term in terms:
-        for names, count in freq.marginal(*term.factor_indices).items():
-            if count == 0:
-                factors = [layout.names[i] for i in term.factor_indices]
-                cell = ", ".join(f"{f}={lv}" for f, lv in zip(factors, names))
-                raise ValidationError(
-                    f"every cell spanned by a model term must be occupied; empty: {cell}"
-                )
-    n = freq.total
+        margin = cells.margin(*term.factor_indices)
+        empty = np.flatnonzero(margin.counts == 0)
+        if empty.size:
+            names = margin.layout.cell_names(np.unravel_index(empty[0], margin.layout.shape))
+            cell = ", ".join(f"{f}={lv}" for f, lv in zip(margin.layout.names, names))
+            raise ValidationError(
+                f"every cell spanned by a model term must be occupied; empty: {cell}"
+            )
+    n = cells.n
     effect_dfs = [
         (effect_label(layout, term),
          int(np.prod([layout.n_levels(i) - 1 for i in term.factor_indices])))

@@ -28,7 +28,7 @@ from .diagnostics import (
 from .errors import LosanovaError, NumericalError, ValidationError
 from .ingest import ingest_csv, write_csv
 from .linmod import build_design, full_factorial_terms, ols_fit, significant_model
-from .model import FactorLayout, cell_stats, frequency_table
+from .model import FactorLayout
 from .posthoc import homogeneous_subsets, marginal_means, scheffe_pairwise
 from .power import (
     effect_label,
@@ -65,10 +65,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _planning_layout(levels_text: str, factors_text: str | None) -> FactorLayout:
-    try:
-        counts = [int(part) for part in levels_text.split(",") if part.strip()]
-    except ValueError:
-        raise ValidationError(f"cannot parse --levels {levels_text!r}") from None
+    counts = _parse_int_list(levels_text, "--levels")
     if len(counts) < 1:
         raise ValidationError("--levels needs at least one factor")
     if factors_text:
@@ -97,13 +94,9 @@ def _cmd_power(args) -> int:
         plan = plan_all_effects(
             layout, args.min_diff, args.sigma2, args.alpha, args.target_power
         )
-        headers = ["effect", "n", "phi", "NFD", "DFD", "beta", "power"]
-        rows = [
-            [p.label, str(p.result.n), f"{p.result.phi:.4f}", str(p.result.nu1),
-             str(p.result.nu2), f"{p.result.beta:.4f}", f"{p.result.power:.4f}"]
-            for p in plan.effects
-        ]
-        print(_table_text(headers, rows), end="")
+        headers, rows = power_rows([p.result for p in plan.effects])
+        rows = [[p.label, *row] for p, row in zip(plan.effects, rows)]
+        print(_table_text(["effect", *headers], rows), end="")
         print(f"\noverall replications required (max over effects): {plan.max_n}")
         return 0
 
@@ -139,7 +132,7 @@ def _load_analysis(args):
     raw = ingest_csv(args.input, use_date_season=getattr(args, "season_from_date", False))
     rec = None
     if args.transform == "auto":
-        rec = sd_mean_regression(cell_stats(raw))
+        rec = sd_mean_regression(raw.cells)
         chosen = rec.transform
     elif args.transform == "log10":
         chosen = "logarithmic"
@@ -201,7 +194,7 @@ def _cmd_diagnose(args) -> int:
     hist_raw = residual_histogram(e_raw)
     print(f"raw-scale model: funnel ratio {_funnel_text(spread_raw)}")
     print(f"raw residual histogram: {len(hist_raw.counts)} bins, N={hist_raw.n}")
-    rec = rec or sd_mean_regression(cell_stats(raw))
+    rec = rec or sd_mean_regression(raw.cells)
     print(_table_text(*transform_rows(rec)), end="")
     if chosen != "none":
         e_t, spread_t = _residual_spread(analysis, _fit_reference_model(analysis, 0.05))
@@ -214,8 +207,7 @@ def _cmd_diagnose(args) -> int:
 
 def _build_bundle(args) -> ReportBundle:
     raw, analysis, rec, chosen = _load_analysis(args)
-    rec = rec or sd_mean_regression(cell_stats(raw))
-    freq = frequency_table(analysis)
+    rec = rec or sd_mean_regression(raw.cells)
     table = type3_anova(analysis)
     fit = _fit_reference_model(analysis, args.alpha)
     model = significant_model(fit, args.alpha, analysis.response_name)
@@ -257,7 +249,7 @@ def _build_bundle(args) -> ReportBundle:
     }
     return ReportBundle(
         parameters=parameters,
-        frequency=freq,
+        cells=analysis.cells,
         anova=table,
         coefficients=fit.coefficients,
         equation=model.equation,

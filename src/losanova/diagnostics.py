@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import normal_cdf
 from .errors import ValidationError
 from .linmod import FitResult
-from .model import CellStats, Dataset
+from .model import CellTable, Dataset
 
 # forward map, inverse map and response-name pattern of each transform
 _MAPS = {
@@ -191,21 +191,25 @@ def pp_plot(e: np.ndarray) -> PPPlotData:
     return PPPlotData(empirical, theoretical, max_dev)
 
 
-def sd_mean_regression(cells: list[CellStats]) -> TransformRecommendation:
+def sd_mean_regression(cells: CellTable) -> TransformRecommendation:
     """Fit log10(sd) on log10(mean) across cells and pick a transform.
 
-    Cells with n < 2, sd = 0, or nonpositive mean cannot contribute (their
-    log is undefined) and are counted as excluded. Needs at least 3 usable
-    cells and nonconstant log-means.
+    A cell's sd is the sample sd sqrt(m2 / (n - 1)). Nonempty cells with
+    n < 2, sd = 0, or nonpositive mean cannot contribute (their log is
+    undefined) and are counted as excluded. Needs at least 3 usable cells and
+    nonconstant log-means.
     """
-    usable = [c for c in cells if c.n >= 2 and c.sd is not None and c.sd > 0 and c.mean > 0]
-    excluded = len(cells) - len(usable)
-    if len(usable) < 3:
+    n, mean = cells.counts, cells.means
+    sd = np.sqrt(np.divide(cells.m2, n - 1, out=np.zeros(n.size), where=n >= 2))
+    usable = (n >= 2) & (sd > 0) & (mean > 0)
+    n_usable = int(usable.sum())
+    excluded = int((n > 0).sum()) - n_usable
+    if n_usable < 3:
         raise ValidationError(
-            f"need at least 3 cells with n >= 2, positive mean and sd > 0; got {len(usable)}"
+            f"need at least 3 cells with n >= 2, positive mean and sd > 0; got {n_usable}"
         )
-    x = np.log10([c.mean for c in usable])
-    y = np.log10([c.sd for c in usable])
+    x = np.log10(mean[usable])
+    y = np.log10(sd[usable])
     sxx = float(((x - x.mean()) ** 2).sum())
     if sxx == 0:
         raise ValidationError("log cell means are constant; slope undefined")
@@ -226,7 +230,7 @@ def sd_mean_regression(cells: list[CellStats]) -> TransformRecommendation:
         snapped_exponent=snapped,
         transform=_EXPONENT_TO_TRANSFORM[snapped],
         low_confidence=abs(slope - snapped) > _SNAP_CONFIDENCE_RADIUS,
-        cells_used=len(usable),
+        cells_used=n_usable,
         cells_excluded=excluded,
     )
 

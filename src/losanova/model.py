@@ -1,11 +1,11 @@
-"""Domain model shared by every analysis: factors, datasets, per-cell
-statistics, and frequency tables with marginal totals.
+"""Domain model shared by every analysis: factor layouts, datasets and their
+per-cell moments.
 
 A dataset is columnar: one flat cell-code array and one response array, both
-read-only numpy vectors, plus its ``CellTable`` of per-cell moments. Every
-analysis reads the cell table; only the residual diagnostics go back to the
-columns. ``Observation`` objects exist only as the elements of the on-demand
-``Dataset.observations`` view.
+read-only numpy vectors, plus its ``CellTable`` of per-cell counts, means and
+within-cell sums of squares. Every analysis reads the cell table -- totals
+over some factors come from ``CellTable.margin`` -- and only the residual
+diagnostics go back to the columns.
 
 All types are immutable after construction and all operations are pure, so
 they can be shared freely across threads or processes.
@@ -106,15 +106,6 @@ class FactorLayout:
         return tuple(self.level_index(i, lv) for i, lv in enumerate(level_names))
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One measured response at a particular factor-level combination; the
-    element type of ``Dataset.observations``."""
-
-    level_indices: tuple[int, ...]
-    response: float
-
-
 @dataclass(frozen=True, eq=False)
 class CellTable:
     """Per-cell moments of a dataset, as read-only arrays in layout cell order:
@@ -152,6 +143,31 @@ class CellTable:
     @property
     def n(self) -> int:
         return int(self.counts.sum())
+
+    def margin(self, *factors: int | str) -> "CellTable":
+        """The table pooled over every factor not listed, on the layout of the
+        listed factors in the order given.
+
+        Each cell counts as a weighted observation of its parent cell: counts
+        and count-weighted means add up, and m2 pools as
+        sum(m2_c) + sum(n_c * (mean_c - mean)^2) (Chan, Golub & LeVeque,
+        Am. Stat. 37, 1983).
+        """
+        if not factors:
+            raise ValidationError("a margin needs at least one factor")
+        keep = [self.layout.factor_index(f) for f in factors]
+        if len(set(keep)) != len(keep):
+            raise ValidationError(f"duplicate factor in margin {factors!r}")
+        layout = FactorLayout(self.layout.factors[i] for i in keep)
+        levels = np.unravel_index(np.arange(self.layout.n_cells), self.layout.shape)
+        parent = np.ravel_multi_index([levels[i] for i in keep], layout.shape)
+        n_cells = layout.n_cells
+        counts = np.bincount(parent, weights=self.counts, minlength=n_cells)
+        sums = np.bincount(parent, weights=self.counts * self.means, minlength=n_cells)
+        means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
+        between = self.counts * (self.means - means[parent]) ** 2
+        m2 = np.bincount(parent, weights=self.m2 + between, minlength=n_cells)
+        return CellTable(layout, counts, means, m2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,76 +228,6 @@ class Dataset:
         levels.setflags(write=False)
         return levels
 
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        """One ``Observation`` per row, built on each access; the analyses
-        read the columns instead."""
-        return tuple(
-            map(Observation, map(tuple, self.level_matrix.tolist()), self.responses.tolist())
-        )
-
-
-@dataclass(frozen=True)
-class CellStats:
-    """Count, mean and sample standard deviation (n-1 divisor) of one cell.
-
-    ``sd`` is None when the cell has fewer than two observations.
-    """
-
-    cell: tuple[int, ...]
-    n: int
-    mean: float
-    sd: float | None
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Cell counts plus all marginal totals for a layout."""
-
-    layout: FactorLayout
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != self.layout.shape:
-            raise ValidationError(
-                f"counts shape {counts.shape} does not match layout shape {self.layout.shape}"
-            )
-        if (counts < 0).any():
-            raise ValidationError("cell counts must be nonnegative")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_cell_counts(
-        cls, layout: FactorLayout, cell_counts: dict[tuple[str, ...], int]
-    ) -> "FrequencyTable":
-        """Build directly from a {level-name tuple: count} mapping."""
-        counts = np.zeros(layout.shape, dtype=np.int64)
-        for names, count in cell_counts.items():
-            counts[layout.resolve_cell(names)] = count
-        return cls(layout, counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def count(self, level_names: Sequence[str]) -> int:
-        return int(self.counts[self.layout.resolve_cell(level_names)])
-
-    def marginal(self, *factors: int | str) -> dict[tuple[str, ...], int]:
-        """Totals over all factors not listed, keyed by level-name tuples."""
-        keep = [self.layout.factor_index(f) for f in factors]
-        if len(set(keep)) != len(keep):
-            raise ValidationError("duplicate factor in marginal request")
-        drop = tuple(i for i in range(self.layout.n_factors) if i not in keep)
-        summed = self.counts.sum(axis=drop) if drop else self.counts
-        out: dict[tuple[str, ...], int] = {}
-        for idx in itertools.product(*(range(self.layout.n_levels(f)) for f in keep)):
-            key = tuple(self.layout.levels(f)[i] for f, i in zip(keep, idx))
-            out[key] = int(summed[idx])
-        return out
-
 
 def build_dataset(
     layout: FactorLayout,
@@ -313,22 +259,12 @@ def build_dataset(
     return Dataset(layout, codes, responses, response_name=response_name)
 
 
-def cell_stats(d: Dataset) -> list[CellStats]:
-    """Per-cell count, mean and sample sd for every nonempty cell, read from
-    the dataset's cell table. Cells appear in layout order; empty cells are
-    simply absent.
-    """
-    table = d.cells
-    out = []
-    for flat, cell in enumerate(d.layout.cells()):
-        n = int(table.counts[flat])
-        if n == 0:
-            continue
-        sd = math.sqrt(table.m2[flat] / (n - 1)) if n >= 2 else None
-        out.append(CellStats(cell=cell, n=n, mean=float(table.means[flat]), sd=sd))
-    return out
+# ``bench/run.py`` traces these two names; nothing in the package calls them.
+def cell_stats(d: Dataset) -> CellTable:
+    """The dataset's cell table, ``d.cells``."""
+    return d.cells
 
 
-def frequency_table(d: Dataset) -> FrequencyTable:
-    """Cell occupancy counts of a dataset, with marginals available on demand."""
-    return FrequencyTable(d.layout, d.cells.counts.reshape(d.layout.shape))
+def frequency_table(d: Dataset) -> CellTable:
+    """The dataset's cell table, ``d.cells``."""
+    return d.cells

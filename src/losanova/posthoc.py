@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .distributions import f_quantile, f_sf
 from .errors import ValidationError
 from .model import Dataset
@@ -71,19 +69,13 @@ class HomogeneousSubsets:
 
 def marginal_means(d: Dataset, factor: int | str) -> list[LevelSummary]:
     """Per-level observation count and raw mean, in level order, from the
-    cell table: sum(n_c) and sum(n_c * mean_c) / sum(n_c) over the level's
-    cells c."""
-    fi = d.layout.factor_index(factor)
-    cells = d.cells
-    shape, k = d.layout.shape, d.layout.n_levels(fi)
-
-    def per_level(values: np.ndarray) -> list:
-        return np.moveaxis(values.reshape(shape), fi, 0).reshape(k, -1).sum(axis=1).tolist()
-
-    counts, sums = per_level(cells.counts), per_level(cells.counts * cells.means)
+    cell table's margin over the factor; an empty level's mean is NaN."""
+    margin = d.cells.margin(factor)
     return [
-        LevelSummary(name, n, total / n if n else math.nan)
-        for name, n, total in zip(d.layout.levels(fi), counts, sums)
+        LevelSummary(name, n, mean if n else math.nan)
+        for name, n, mean in zip(
+            margin.layout.levels(0), margin.counts.tolist(), margin.means.tolist()
+        )
     ]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +21,7 @@ from .anova import AnovaTable
 from .diagnostics import HistogramData, PPPlotData, ResidualSpread, TransformRecommendation
 from .errors import ValidationError
 from .linmod import CoefficientTable
-from .model import FrequencyTable
+from .model import CellTable
 from .posthoc import HomogeneousSubsets, ScheffeComparison
 from .power import PowerResult
 
@@ -151,36 +151,35 @@ def power_rows(results: Sequence[PowerResult]) -> tuple[list[str], list[list[str
     return headers, rows
 
 
-def frequency_rows(ft: FrequencyTable) -> tuple[list[str], list[list[str]]]:
+def frequency_rows(cells: CellTable) -> tuple[list[str], list[list[str]]]:
     """Nested two-way rows against the last factor's levels, with totals."""
-    layout = ft.layout
+    layout = cells.layout
     if layout.n_factors != 3:
         headers = [*layout.names, "count"]
         rows = [
-            [*layout.cell_names(cell), str(int(ft.counts[cell]))]
-            for cell in layout.cells()
+            [*layout.cell_names(cell), str(n)]
+            for cell, n in zip(layout.cells(), cells.counts.tolist())
         ]
-        rows.append(["total", *[""] * (layout.n_factors - 1), str(ft.total)])
+        rows.append(["total", *[""] * (layout.n_factors - 1), str(cells.n)])
         return headers, rows
+
+    def counts(*factors: int) -> list:
+        margin = cells.margin(*factors)
+        return margin.counts.reshape(margin.layout.shape).astype(str).tolist()
 
     f0, f1, f2 = layout.names
     lv0, lv1, lv2 = (layout.levels(i) for i in range(3))
     headers = [f0, f1, *[f"{f2}={lv}" for lv in lv2], "total"]
-    m_012 = ft.marginal(0, 1, 2)
-    m_01 = ft.marginal(0, 1)
-    m_02 = ft.marginal(0, 2)
-    m_12 = ft.marginal(1, 2)
-    m_0 = ft.marginal(0)
-    m_1 = ft.marginal(1)
-    m_2 = ft.marginal(2)
+    n_012, n_01, n_02, n_12 = counts(0, 1, 2), counts(0, 1), counts(0, 2), counts(1, 2)
+    n_0, n_1, n_2 = counts(0), counts(1), counts(2)
     rows = []
-    for a in lv0:
-        for b in lv1:
-            rows.append([a, b, *[str(m_012[(a, b, c)]) for c in lv2], str(m_01[(a, b)])])
-        rows.append([a, "total", *[str(m_02[(a, c)]) for c in lv2], str(m_0[(a,)])])
-    for b in lv1:
-        rows.append(["total", b, *[str(m_12[(b, c)]) for c in lv2], str(m_1[(b,)])])
-    rows.append(["total", "total", *[str(m_2[(c,)]) for c in lv2], str(ft.total)])
+    for a, a_name in enumerate(lv0):
+        for b, b_name in enumerate(lv1):
+            rows.append([a_name, b_name, *n_012[a][b], n_01[a][b]])
+        rows.append([a_name, "total", *n_02[a], n_0[a]])
+    for b, b_name in enumerate(lv1):
+        rows.append(["total", b_name, *n_12[b], n_1[b]])
+    rows.append(["total", "total", *n_2, str(cells.n)])
     return headers, rows
 
 
@@ -204,13 +203,7 @@ def transform_rows(rec: TransformRecommendation) -> tuple[list[str], list[list[s
 # full-precision JSON conversion
 
 def _anova_json(t: AnovaTable) -> dict:
-    return {
-        "response": t.response_name,
-        "rows": [
-            {"source": r.source, "ss": r.ss, "df": r.df, "ms": r.ms, "f": r.f, "p": r.p}
-            for r in t.rows
-        ],
-    }
+    return {"response": t.response_name, "rows": [asdict(r) for r in t.rows]}
 
 
 def _coefficients_json(t: CoefficientTable, equation: str | None = None) -> dict:
@@ -240,28 +233,17 @@ def _scheffe_json(comparisons: Sequence[ScheffeComparison]) -> list[dict]:
     ]
 
 
-def _subsets_json(h: HomogeneousSubsets) -> dict:
-    return {
-        "factor": h.factor,
-        "alpha": h.alpha,
-        "significance_rule": h.significance_rule,
-        "subsets": [
-            {"levels": list(s.levels), "means": list(s.means), "significance": s.significance}
-            for s in h.subsets
-        ],
-    }
-
-
-def _frequency_json(ft: FrequencyTable) -> dict:
+def _frequency_json(cells: CellTable) -> dict:
+    layout = cells.layout
     return {
         "factors": [
-            {"name": name, "levels": list(levels)} for name, levels in ft.layout.factors
+            {"name": name, "levels": list(levels)} for name, levels in layout.factors
         ],
         "cells": [
-            {"cell": list(ft.layout.cell_names(cell)), "count": int(ft.counts[cell])}
-            for cell in ft.layout.cells()
+            {"cell": list(layout.cell_names(cell)), "count": n}
+            for cell, n in zip(layout.cells(), cells.counts.tolist())
         ],
-        "total": ft.total,
+        "total": cells.n,
     }
 
 
@@ -285,20 +267,6 @@ def _series_json(obj) -> dict:
     raise ValidationError(f"unknown diagnostic series {type(obj).__name__}")
 
 
-def _transform_json(rec: TransformRecommendation) -> dict:
-    return {
-        "slope": rec.slope,
-        "intercept": rec.intercept,
-        "r_squared": rec.r_squared,
-        "slope_through_origin": rec.slope_through_origin,
-        "snapped_exponent": rec.snapped_exponent,
-        "transform": rec.transform,
-        "low_confidence": rec.low_confidence,
-        "cells_used": rec.cells_used,
-        "cells_excluded": rec.cells_excluded,
-    }
-
-
 # ---------------------------------------------------------------------------
 # the bundle
 
@@ -307,7 +275,7 @@ class ReportBundle:
     """Everything one analysis run produces, at full precision."""
 
     parameters: dict
-    frequency: FrequencyTable
+    cells: CellTable
     anova: AnovaTable
     coefficients: CoefficientTable
     equation: str
@@ -320,22 +288,22 @@ class ReportBundle:
 def bundle_to_dict(bundle: ReportBundle) -> dict:
     out = {
         "parameters": bundle.parameters,
-        "frequency": _frequency_json(bundle.frequency),
+        "frequency": _frequency_json(bundle.cells),
         "anova": _anova_json(bundle.anova),
         "coefficients": _coefficients_json(bundle.coefficients, bundle.equation),
         "scheffe": {f: _scheffe_json(c) for f, c in bundle.scheffe.items()},
-        "subsets": {f: _subsets_json(h) for f, h in bundle.subsets.items()},
+        "subsets": {f: asdict(h) for f, h in bundle.subsets.items()},
         "diagnostics": {name: _series_json(s) for name, s in bundle.diagnostics.items()},
     }
     if bundle.transform_rec is not None:
-        out["transform_recommendation"] = _transform_json(bundle.transform_rec)
+        out["transform_recommendation"] = asdict(bundle.transform_rec)
     return out
 
 
 def _bundle_sections(bundle: ReportBundle) -> list[tuple[str, list[str], list[list[str]], object]]:
     """Each table of the bundle: name, headers, rendered rows, full-precision JSON."""
     sections = [
-        ("frequency", *frequency_rows(bundle.frequency), _frequency_json(bundle.frequency)),
+        ("frequency", *frequency_rows(bundle.cells), _frequency_json(bundle.cells)),
         ("anova", *anova_rows(bundle.anova), _anova_json(bundle.anova)),
         ("coefficients", *coefficient_rows(bundle.coefficients),
          _coefficients_json(bundle.coefficients, bundle.equation)),
@@ -345,13 +313,12 @@ def _bundle_sections(bundle: ReportBundle) -> list[tuple[str, list[str], list[li
             (f"scheffe_{factor}", *scheffe_rows(comparisons), _scheffe_json(comparisons))
         )
     for factor, subsets in bundle.subsets.items():
-        counts = {level: n for (level,), n in bundle.frequency.marginal(factor).items()}
-        sections.append(
-            (f"subsets_{factor}", *subset_rows(subsets, counts), _subsets_json(subsets))
-        )
+        margin = bundle.cells.margin(factor)
+        counts = dict(zip(margin.layout.levels(0), margin.counts.tolist()))
+        sections.append((f"subsets_{factor}", *subset_rows(subsets, counts), asdict(subsets)))
     if bundle.transform_rec is not None:
         rec = bundle.transform_rec
-        sections.append(("transform", *transform_rows(rec), _transform_json(rec)))
+        sections.append(("transform", *transform_rows(rec), asdict(rec)))
     return sections
 
 

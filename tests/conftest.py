@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from losanova import FactorLayout, build_dataset
+from losanova import CellTable, FactorLayout, build_dataset
 from losanova.synth import REFERENCE_CELL_COUNTS, default_layout
 
 
@@ -54,6 +54,16 @@ def random_dataset(layout, n, seed, effects=None, sd=1.0, positive_shift=None,
         positive_shift = max(0.0, 1.0 - lowest)
     rows = [(names, y + positive_shift) for names, y in rows]
     return build_dataset(layout, rows)
+
+
+def count_table(layout, cell_counts):
+    """Cell table of the given counts (means and m2 zero), from a
+    {level-name tuple: count} mapping; unlisted cells are empty."""
+    counts = np.zeros(layout.shape, dtype=np.int64)
+    for names, count in cell_counts.items():
+        counts[layout.resolve_cell(names)] = count
+    zeros = np.zeros(layout.n_cells)
+    return CellTable(layout, counts.ravel(), zeros, zeros)
 
 
 @pytest.fixture

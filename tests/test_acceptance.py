@@ -32,7 +32,6 @@ from scipy import special
 
 from losanova import (
     FactorLayout,
-    FrequencyTable,
     apply_transform,
     build_dataset,
     df_check,
@@ -50,7 +49,7 @@ from losanova.posthoc import LevelSummary, homogeneous_subsets, scheffe_compare,
 from losanova.power import parse_effect
 from losanova.synth import REFERENCE_CELL_COUNTS, REFERENCE_TOTAL, reference_cohort_spec
 
-from conftest import random_dataset
+from conftest import count_table, random_dataset
 from test_anova import _label, _sequential_ss, brute_force_type3
 
 PLANNING_LAYOUT = FactorLayout(
@@ -163,8 +162,7 @@ def test_criterion_02_beta_column():
 @criterion(3, "df column from the reference cell counts alone")
 def test_criterion_03_df_column():
     counts = {(a, s, g): c for (g, s, a), c in REFERENCE_CELL_COUNTS.items()}
-    freq = FrequencyTable.from_cell_counts(TABLE_LAYOUT, counts)
-    got = [df for _, df in df_check(freq)]
+    got = [df for _, df in df_check(count_table(TABLE_LAYOUT, counts))]
     assert got == [39, 1, 4, 3, 1, 12, 4, 3, 12, 82678, 82718, 82717]
 
 

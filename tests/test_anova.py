@@ -8,7 +8,6 @@ import pytest
 
 from losanova import (
     FactorLayout,
-    FrequencyTable,
     ValidationError,
     build_dataset,
     build_design,
@@ -21,7 +20,7 @@ from losanova.anova import AnovaRow, AnovaTable
 from losanova.linmod import Term, full_factorial_terms
 from losanova.synth import REFERENCE_CELL_COUNTS
 
-from conftest import random_dataset
+from conftest import count_table, random_dataset
 
 
 # --- independent brute-force oracle (numpy only, own encoder) -----------------
@@ -246,8 +245,7 @@ def test_permutation_invariance(cohort_layout):
     shuffled = build_dataset(
         cohort_layout,
         [
-            (cohort_layout.cell_names(d.observations[i].level_indices),
-             d.observations[i].response)
+            (cohort_layout.cell_names(d.level_matrix[i]), d.responses[i])
             for i in perm
         ],
     )
@@ -297,8 +295,7 @@ def test_df_check_reference_counts(anova_layout):
     counts = {
         (a, s, g): c for (g, s, a), c in REFERENCE_CELL_COUNTS.items()
     }
-    freq = FrequencyTable.from_cell_counts(anova_layout, counts)
-    got = df_check(freq)
+    got = df_check(count_table(anova_layout, counts))
     assert [df for _, df in got] == [39, 1, 4, 3, 1, 12, 4, 3, 12, 82678, 82718, 82717]
     assert [src for src, _ in got] == [
         "Corrected Model", "Intercept", "age_group", "season", "gender",
@@ -309,28 +306,27 @@ def test_df_check_reference_counts(anova_layout):
 
 def test_df_check_single_factor():
     layout = FactorLayout([("f", ("x", "y"))])
-    freq = FrequencyTable.from_cell_counts(layout, {("x",): 6, ("y",): 4})
-    got = df_check(freq)
+    got = df_check(count_table(layout, {("x",): 6, ("y",): 4}))
     assert [df for _, df in got] == [1, 1, 1, 8, 10, 9]
 
 
 def test_df_check_rejects_empty_cell():
     layout = FactorLayout([("f", ("x", "y"))])
-    freq = FrequencyTable.from_cell_counts(layout, {("x",): 10, ("y",): 0})
+    cells = count_table(layout, {("x",): 10, ("y",): 0})
     with pytest.raises(ValidationError, match="occupied"):
-        df_check(freq)
+        df_check(cells)
 
 
 def test_df_check_rejects_zero_error_df():
     layout = FactorLayout([("f", ("x", "y")), ("g", ("u", "v"))])
-    one_each = FrequencyTable.from_cell_counts(
+    one_each = count_table(
         layout, {(f, g): 1 for f in ("x", "y") for g in ("u", "v")}
     )
     with pytest.raises(ValidationError, match=r"^N = 4 leaves error df 0 < 1$"):
         df_check(one_each)
     # main effects only: 4 - 2 - 1 leaves one error df
     assert df_check(one_each, max_order=1)[-3] == ("Error", 1)
-    two = FrequencyTable.from_cell_counts(layout, {("x", "u"): 1, ("y", "v"): 1})
+    two = count_table(layout, {("x", "u"): 1, ("y", "v"): 1})
     with pytest.raises(ValidationError, match=r"^N = 2 leaves error df -1 < 1$"):
         df_check(two, max_order=1)
 

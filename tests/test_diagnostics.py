@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from losanova import (
+    CellTable,
     FactorLayout,
     ValidationError,
     apply_transform,
     back_transform,
     build_dataset,
     build_design,
-    cell_stats,
     normal_cdf,
     ols_fit,
     pp_plot,
@@ -21,7 +21,6 @@ from losanova import (
     sd_mean_regression,
 )
 from losanova.linmod import Term, full_factorial_terms
-from losanova.model import CellStats
 
 from conftest import random_dataset
 
@@ -49,9 +48,9 @@ def test_residuals_match_prediction_oracle(two_by_two):
     d = random_dataset(two_by_two, 30, seed=6)
     fit = ols_fit(build_design(d, [Term((0,)), Term((1,))], "reference"), d.cells)
     e = residuals(d, fit)
-    for i, obs in enumerate(d.observations):
-        yhat = predict(fit, d.layout.cell_names(obs.level_indices))
-        assert e[i] == pytest.approx(obs.response - yhat, abs=1e-10)
+    for i, (levels, y) in enumerate(zip(d.level_matrix, d.responses)):
+        yhat = predict(fit, d.layout.cell_names(levels))
+        assert e[i] == pytest.approx(y - yhat, abs=1e-10)
 
 
 # --- histogram --------------------------------------------------------------------
@@ -139,15 +138,19 @@ def test_pp_rejects_constant():
 
 # --- sd/mean regression ----------------------------------------------------------------
 
+def _table(cells):
+    """One-factor cell table from (n, mean, sample sd) triples."""
+    n, mean, sd = (np.array(column, dtype=float) for column in zip(*cells))
+    layout = FactorLayout([("cell", tuple(str(i) for i in range(len(cells))))])
+    return CellTable(layout, n, mean, sd**2 * np.maximum(n - 1, 0))
+
+
 def _power_law_cells(exponent, coefficient=0.3, means=(1.5, 3.0, 6.0, 12.0, 24.0)):
-    return [
-        CellStats(cell=(i,), n=50, mean=m, sd=coefficient * m**exponent)
-        for i, m in enumerate(means)
-    ]
+    return [(50, m, coefficient * m**exponent) for m in means]
 
 
 def test_exact_power_law_recovery():
-    rec = sd_mean_regression(_power_law_cells(1.176))
+    rec = sd_mean_regression(_table(_power_law_cells(1.176)))
     assert rec.slope == pytest.approx(1.176, abs=1e-9)
     assert rec.snapped_exponent == 1.0
     assert rec.transform == "logarithmic"
@@ -156,8 +159,8 @@ def test_exact_power_law_recovery():
 
 
 def test_constant_sd_means_no_transform():
-    cells = [CellStats((i,), 50, m, 2.0) for i, m in enumerate((2.0, 4.0, 8.0, 16.0))]
-    rec = sd_mean_regression(cells)
+    cells = [(50, m, 2.0) for m in (2.0, 4.0, 8.0, 16.0)]
+    rec = sd_mean_regression(_table(cells))
     assert rec.slope == pytest.approx(0.0, abs=1e-12)
     assert rec.transform == "none"
 
@@ -168,13 +171,13 @@ def test_each_grid_exponent_maps_to_its_transform():
         1.5: "reciprocal_square_root", 2.0: "reciprocal",
     }
     for exponent, transform in expected.items():
-        rec = sd_mean_regression(_power_law_cells(exponent))
+        rec = sd_mean_regression(_table(_power_law_cells(exponent)))
         assert rec.snapped_exponent == exponent
         assert rec.transform == transform
 
 
 def test_low_confidence_outside_grid_hull():
-    rec = sd_mean_regression(_power_law_cells(2.6))
+    rec = sd_mean_regression(_table(_power_law_cells(2.6)))
     assert rec.snapped_exponent == 2.0
     assert rec.low_confidence
 
@@ -193,9 +196,8 @@ def test_snapped_exponent_recovered_from_noisy_cells():
                 # power law sd = c * mu^a, with c set so sd/mu stays moderate
                 sd = 0.2 * mu * (mu / 10.0) ** (exponent - 1.0)
                 sample = rng.normal(mu, sd, size=120)
-                cells.append(CellStats((i,), 120, float(sample.mean()),
-                                       float(sample.std(ddof=1))))
-            if sd_mean_regression(cells).snapped_exponent == exponent:
+                cells.append((120, float(sample.mean()), float(sample.std(ddof=1))))
+            if sd_mean_regression(_table(cells)).snapped_exponent == exponent:
                 hits += 1
         assert hits >= 19, f"exponent {exponent}: {hits}/20"
 
@@ -207,31 +209,52 @@ def test_synthetic_cohort_default_seed_recovers_log():
     from losanova import generate, reference_cohort_spec
 
     d = generate(reference_cohort_spec(n=8000, seed=0))
-    rec = sd_mean_regression(cell_stats(d))
+    rec = sd_mean_regression(d.cells)
     assert rec.transform == "logarithmic"
     assert rec.slope == pytest.approx(1.0, abs=0.1)
 
 
 def test_regression_input_guards():
     with pytest.raises(ValidationError, match="at least 3"):
-        sd_mean_regression(_power_law_cells(1.0)[:2])
-    same_mean = [CellStats((i,), 50, 4.0, 1.0 + i) for i in range(5)]
+        sd_mean_regression(_table(_power_law_cells(1.0)[:2]))
+    same_mean = [(50, 4.0, 1.0 + i) for i in range(5)]
     with pytest.raises(ValidationError, match="constant"):
-        sd_mean_regression(same_mean)
+        sd_mean_regression(_table(same_mean))
     # unusable cells are excluded and counted
-    cells = _power_law_cells(1.0) + [
-        CellStats((9,), 1, 5.0, None), CellStats((10,), 30, 5.0, 0.0),
-    ]
-    rec = sd_mean_regression(cells)
+    cells = _power_law_cells(1.0) + [(1, 5.0, 0.0), (30, 5.0, 0.0)]
+    rec = sd_mean_regression(_table(cells))
     assert rec.cells_used == 5 and rec.cells_excluded == 2
 
 
 def test_slope_invariant_under_response_scaling():
     cells = _power_law_cells(1.176)
-    scaled = [CellStats(c.cell, c.n, 7.3 * c.mean, 7.3 * c.sd) for c in cells]
-    r1, r2 = sd_mean_regression(cells), sd_mean_regression(scaled)
+    scaled = [(n, 7.3 * mean, 7.3 * sd) for n, mean, sd in cells]
+    r1, r2 = sd_mean_regression(_table(cells)), sd_mean_regression(_table(scaled))
     assert r1.slope == pytest.approx(r2.slope, abs=1e-12)
     assert r1.intercept != pytest.approx(r2.intercept, abs=1e-6)
+
+
+def test_regression_counts_each_unusable_cell_of_a_table():
+    # an empty cell is not counted; a singleton, a zero-sd cell and cells with
+    # zero or negative mean are counted as excluded
+    usable = _power_law_cells(1.0)
+    unusable = [(0, 0.0, 0.0), (1, 5.0, 0.0), (30, 5.0, 0.0), (30, 0.0, 1.0), (30, -2.0, 1.0)]
+    rec = sd_mean_regression(_table(usable + unusable))
+    assert rec.cells_used == 5 and rec.cells_excluded == 4
+    assert rec.slope == sd_mean_regression(_table(usable)).slope
+
+
+def test_regression_reads_sd_from_cell_m2(two_by_two):
+    # cells (a1,b1), (a1,b2), (a2,b1) with n = 2, 3, 2; (a2,b2) empty
+    rows = [(("a1", "b1"), 1.0), (("a1", "b1"), 3.0),
+            (("a1", "b2"), 2.0), (("a1", "b2"), 4.0), (("a1", "b2"), 9.0),
+            (("a2", "b1"), 5.0), (("a2", "b1"), 11.0)]
+    d = build_dataset(two_by_two, rows)
+    rec = sd_mean_regression(d.cells)
+    x = np.log10([2.0, 5.0, 8.0])
+    y = np.log10([np.sqrt(2.0), np.sqrt(13.0), np.sqrt(18.0)])
+    assert rec.cells_used == 3 and rec.cells_excluded == 0
+    assert rec.slope == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
 
 
 # --- transforms ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CSV ingestion: schema validation, age binning, normalization, round trips."""
 
+import numpy as np
 import pytest
 
 from losanova import ValidationError, bin_age, generate, ingest_csv, season_from_date, write_csv
@@ -36,8 +37,8 @@ def test_ingest_with_age_column(tmp_path):
     )
     d = ingest_csv(path)
     assert d.n == 2
-    assert d.layout.cell_names(d.observations[0].level_indices) == ("male", "spring", "1")
-    assert d.layout.cell_names(d.observations[1].level_indices) == ("female", "winter", "5")
+    assert d.layout.cell_names(d.level_matrix[0]) == ("male", "spring", "1")
+    assert d.layout.cell_names(d.level_matrix[1]) == ("female", "winter", "5")
 
 
 def test_ingest_normalizes_case_and_spaces(tmp_path):
@@ -47,8 +48,8 @@ def test_ingest_normalizes_case_and_spaces(tmp_path):
         "  Male ,  SPRING , 3 , 4.25\n",
     )
     d = ingest_csv(path)
-    assert d.layout.cell_names(d.observations[0].level_indices) == ("male", "spring", "3")
-    assert d.observations[0].response == 4.25
+    assert d.layout.cell_names(d.level_matrix[0]) == ("male", "spring", "3")
+    assert d.responses[0] == 4.25
 
 
 def test_ingest_errors_carry_line_numbers(tmp_path):
@@ -108,7 +109,7 @@ def test_id_column_ignored(tmp_path):
     )
     d = ingest_csv(path)
     assert d.n == 1
-    assert d.observations[0].response == 5.5
+    assert d.responses[0] == 5.5
 
 
 def test_synth_round_trip(tmp_path):
@@ -117,7 +118,8 @@ def test_synth_round_trip(tmp_path):
     write_csv(original, path)
     restored = ingest_csv(path)
     assert restored.layout == original.layout
-    assert restored.observations == original.observations
+    assert np.array_equal(restored.codes, original.codes)
+    assert np.array_equal(restored.responses, original.responses)
     assert restored.response_name == original.response_name
 
 
@@ -138,7 +140,7 @@ def test_ingest_season_from_date_flag(tmp_path):
         "dated.csv",
     )
     d = ingest_csv(path, use_date_season=True)
-    assert d.layout.cell_names(d.observations[0].level_indices) == ("male", "summer", "4")
+    assert d.layout.cell_names(d.level_matrix[0]) == ("male", "summer", "4")
     with pytest.raises(ValidationError, match="date"):
         ingest_csv(path)  # without the flag, a season column is required
 

@@ -1,4 +1,4 @@
-"""Core domain model: datasets, cell statistics, frequency tables."""
+"""Core domain model: layouts, datasets, cell tables and their margins."""
 
 import math
 
@@ -6,18 +6,36 @@ import numpy as np
 import pytest
 
 from losanova import (
+    CellTable,
     Dataset,
     FactorLayout,
-    FrequencyTable,
-    Observation,
     ValidationError,
     build_dataset,
-    cell_stats,
-    frequency_table,
 )
 from losanova.synth import default_layout
 
-from conftest import random_dataset
+from conftest import count_table, random_dataset
+
+
+def _sds(table):
+    """Sample sd of each cell with n >= 2 (NaN elsewhere)."""
+    n = table.counts
+    return np.sqrt(np.where(n >= 2, table.m2 / np.maximum(n - 1, 1), np.nan))
+
+
+def _count(table, level_names):
+    """Count of one cell, addressed by its level names."""
+    layout = table.layout
+    return int(table.counts[np.ravel_multi_index(layout.resolve_cell(level_names), layout.shape)])
+
+
+def _margin_counts(table, *factors):
+    """Margin counts keyed by level-name tuples, in the order the factors are given."""
+    margin = table.margin(*factors)
+    return {
+        margin.layout.cell_names(cell): n
+        for cell, n in zip(margin.layout.cells(), margin.counts.tolist())
+    }
 
 
 def test_layout_validation():
@@ -57,87 +75,83 @@ def test_order_preserved(two_by_two):
     rows = [(("a1", "b2"), 5.0), (("a2", "b1"), 1.0), (("a1", "b1"), 3.0)]
     d = build_dataset(two_by_two, rows)
     for i, (names, y) in enumerate(rows):
-        assert d.layout.cell_names(d.observations[i].level_indices) == names
-        assert d.observations[i].response == y
+        assert d.layout.cell_names(d.level_matrix[i]) == names
+        assert d.responses[i] == y
 
 
 def test_cell_stats_constant_cell(two_by_two):
     d = build_dataset(two_by_two, [(("a1", "b1"), 2.0)] * 3)
-    (stats,) = cell_stats(d)
-    assert stats.n == 3
-    assert stats.mean == 2.0
-    assert stats.sd == 0.0
+    assert d.cells.counts.tolist() == [3, 0, 0, 0]
+    assert d.cells.means[0] == 2.0
+    assert _sds(d.cells)[0] == 0.0
 
 
 def test_cell_stats_hand_computed(two_by_two):
     d = build_dataset(two_by_two, [(("a1", "b1"), 1.0), (("a1", "b1"), 3.0)])
-    (stats,) = cell_stats(d)
-    assert stats.mean == pytest.approx(2.0)
-    assert stats.sd == pytest.approx(math.sqrt(2.0))
+    assert d.cells.counts.tolist() == [2, 0, 0, 0]
+    assert d.cells.means[0] == pytest.approx(2.0)
+    assert _sds(d.cells)[0] == pytest.approx(math.sqrt(2.0))
 
 
 def test_cell_stats_singleton_has_no_sd(two_by_two):
     d = build_dataset(two_by_two, [(("a1", "b1"), 4.0)])
-    (stats,) = cell_stats(d)
-    assert stats.n == 1 and stats.sd is None
+    assert d.cells.counts.tolist() == [1, 0, 0, 0]
+    assert d.cells.m2[0] == 0.0 and math.isnan(_sds(d.cells)[0])
 
 
 def test_cohort_layout_has_40_cells(cohort_layout):
     assert cohort_layout.n_cells == 40
     d = random_dataset(cohort_layout, 4000, seed=1)
-    assert len(cell_stats(d)) == 40
+    assert int((d.cells.counts > 0).sum()) == 40
 
 
 def test_cell_means_reproduce_grand_mean(cohort_layout):
     d = random_dataset(cohort_layout, 500, seed=7)
-    stats = cell_stats(d)
-    weighted = sum(s.n * s.mean for s in stats) / d.n
+    weighted = float((d.cells.counts * d.cells.means).sum()) / d.n
     assert weighted == pytest.approx(float(d.responses.mean()), rel=1e-10)
 
 
 def test_frequency_single_observation(two_by_two):
     d = build_dataset(two_by_two, [(("a2", "b1"), 1.0)])
-    ft = frequency_table(d)
-    assert ft.total == 1
-    assert ft.marginal("a")[("a2",)] == 1
-    assert ft.marginal("b")[("b1",)] == 1
-    assert ft.count(("a2", "b1")) == 1
+    assert d.cells.n == 1
+    assert _margin_counts(d.cells, "a")[("a2",)] == 1
+    assert _margin_counts(d.cells, "b")[("b1",)] == 1
+    assert _count(d.cells, ("a2", "b1")) == 1
 
 
 def test_frequency_random_recount(cohort_layout):
     d = random_dataset(cohort_layout, 100, seed=3)
-    ft = frequency_table(d)
+    counts = d.cells.counts.reshape(cohort_layout.shape)
     # brute-force recount straight off the observations
     for cell in cohort_layout.cells():
-        expected = sum(1 for o in d.observations if o.level_indices == cell)
-        assert ft.counts[cell] == expected
-    assert ft.total == 100
+        expected = sum(1 for levels in d.level_matrix.tolist() if tuple(levels) == cell)
+        assert counts[cell] == expected
+    assert d.cells.n == 100
 
 
 def test_reference_cohort_marginals(reference_counts):
-    ft = FrequencyTable.from_cell_counts(default_layout(), reference_counts)
-    assert ft.total == 82718
-    gender = ft.marginal("gender")
+    table = count_table(default_layout(), reference_counts)
+    assert table.n == 82718
+    gender = _margin_counts(table, "gender")
     assert gender[("male",)] == 46510
     assert gender[("female",)] == 36208
-    assert ft.count(("female", "winter", "1")) == 609
-    assert int(ft.counts.min()) == 609  # the smallest cell in the cohort
-    season = ft.marginal("season")
+    assert _count(table, ("female", "winter", "1")) == 609
+    assert int(table.counts.min()) == 609  # the smallest cell in the cohort
+    season = _margin_counts(table, "season")
     assert season == {
         ("spring",): 21963, ("summer",): 21564, ("autumn",): 19374, ("winter",): 19817,
     }
-    age = ft.marginal("age_group")
+    age = _margin_counts(table, "age_group")
     assert [age[(g,)] for g in "12345"] == [6433, 7875, 11064, 27890, 29456]
 
 
 def test_marginal_consistency_property(cohort_layout):
     d = random_dataset(cohort_layout, 257, seed=11)
-    ft = frequency_table(d)
     for keep in [("gender",), ("season",), ("age_group",), ("gender", "season")]:
-        marg = ft.marginal(*keep)
-        assert sum(marg.values()) == ft.total
-    two_way = ft.marginal("gender", "age_group")
-    one_way = ft.marginal("gender")
+        marg = _margin_counts(d.cells, *keep)
+        assert sum(marg.values()) == d.cells.n
+    two_way = _margin_counts(d.cells, "gender", "age_group")
+    one_way = _margin_counts(d.cells, "gender")
     for g in ("male", "female"):
         assert sum(v for (gg, _), v in two_way.items() if gg == g) == one_way[(g,)]
 
@@ -175,9 +189,9 @@ def test_dataset_is_two_read_only_columns(two_by_two):
     assert not d.level_matrix.flags.writeable
     with pytest.raises(ValueError):
         d.codes[0] = 0
-    assert d.observations == (
-        Observation((1, 1), 5.0), Observation((0, 0), -1.0), Observation((1, 0), 2.5)
-    )
+    assert list(zip(map(tuple, d.level_matrix.tolist()), d.responses.tolist())) == [
+        ((1, 1), 5.0), ((0, 0), -1.0), ((1, 0), 2.5)
+    ]
     assert build_dataset(
         two_by_two, [(("a2", "b2"), 5.0), (("a1", "b1"), -1.0), (("a2", "b1"), 2.5)],
         raw_scale=False,
@@ -201,3 +215,59 @@ def test_cell_table_matches_per_cell_numpy(cohort_layout):
     for array in (table.counts, table.means, table.m2):
         assert not array.flags.writeable
 
+
+
+def test_margin_keeps_the_order_the_factors_are_given():
+    layout = FactorLayout([("a", ("a1", "a2", "a3")), ("b", ("b1", "b2", "b3"))])
+    table = count_table(layout, {("a1", "b2"): 5})
+    swapped = table.margin("b", "a")
+    assert swapped.layout.names == ("b", "a")
+    counts = _margin_counts(table, "b", "a")
+    assert counts[("b2", "a1")] == 5
+    assert counts[("b1", "a2")] == 0
+    assert sum(counts.values()) == 5
+
+
+def test_margin_out_of_layout_order_on_cohort(cohort_layout):
+    d = random_dataset(cohort_layout, 300, seed=5)
+    levels = d.level_matrix.tolist()
+    for keep in [("season", "gender"), ("age_group", "season"),
+                 ("age_group", "gender", "season"), ("season", "age_group", "gender")]:
+        fi = [cohort_layout.factor_index(f) for f in keep]
+        got = _margin_counts(d.cells, *keep)
+        assert len(got) == math.prod(cohort_layout.n_levels(f) for f in keep)
+        for names, n in got.items():
+            idx = tuple(cohort_layout.level_index(f, lv) for f, lv in zip(keep, names))
+            assert n == sum(1 for row in levels if tuple(row[i] for i in fi) == idx)
+
+
+def test_margin_pools_like_from_columns(cohort_layout):
+    # 60 observations over 40 cells leave empty cells and empty margin cells
+    for n, seed in ((60, 17), (2000, 3)):
+        d = random_dataset(cohort_layout, n, seed=seed, positive_shift=1e3)
+        for keep in [("gender",), ("season",), ("age_group",), ("age_group", "gender"),
+                     ("season", "gender"), ("gender", "season", "age_group"),
+                     ("age_group", "season", "gender")]:
+            margin = d.cells.margin(*keep)
+            fi = [cohort_layout.factor_index(f) for f in keep]
+            codes = np.ravel_multi_index(d.level_matrix[:, fi].T, margin.layout.shape)
+            direct = CellTable.from_columns(margin.layout, codes, d.responses)
+            assert margin.counts.tolist() == direct.counts.tolist()
+            np.testing.assert_allclose(margin.means, direct.means, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(margin.m2, direct.m2, rtol=1e-12, atol=0)
+    full = d.cells.margin(*cohort_layout.names)
+    assert full.layout == cohort_layout
+    assert np.array_equal(full.counts, d.cells.counts)
+    assert np.array_equal(full.means, d.cells.means)
+
+
+def test_margin_rejects_bad_factor_lists(cohort_layout):
+    table = random_dataset(cohort_layout, 100, seed=2).cells
+    with pytest.raises(ValidationError, match="unknown factor 'ward'"):
+        table.margin("ward")
+    with pytest.raises(ValidationError, match="duplicate factor"):
+        table.margin("season", "season")
+    with pytest.raises(ValidationError, match="duplicate factor"):
+        table.margin("season", 1)
+    with pytest.raises(ValidationError, match="at least one factor"):
+        table.margin()

@@ -157,8 +157,8 @@ def test_shift_invariance(cohort_layout):
     shifted = build_dataset(
         cohort_layout,
         [
-            (cohort_layout.cell_names(o.level_indices), o.response + 11.5)
-            for o in d.observations
+            (cohort_layout.cell_names(levels), y + 11.5)
+            for levels, y in zip(d.level_matrix, d.responses)
         ],
     )
     c1 = scheffe_pairwise(d, "season", 1.1, 200, alpha=0.05)
@@ -229,8 +229,8 @@ def test_marginal_means_random_recount(cohort_layout):
         fi = cohort_layout.factor_index(factor)
         for s in marginal_means(d, factor):
             members = [
-                o.response for o in d.observations
-                if cohort_layout.levels(fi)[o.level_indices[fi]] == s.level
+                y for levels, y in zip(d.level_matrix, d.responses)
+                if cohort_layout.levels(fi)[levels[fi]] == s.level
             ]
             assert s.n == len(members)
             if members:
@@ -238,8 +238,6 @@ def test_marginal_means_random_recount(cohort_layout):
 
 
 def test_marginal_counts_reproduce_reference_n_column():
-    from losanova import frequency_table
-
     layout = default_layout()
     rows = []
     for (g, s, a), count in REFERENCE_CELL_COUNTS.items():
@@ -250,10 +248,13 @@ def test_marginal_counts_reproduce_reference_n_column():
     season_ns = {x.level: x.n for x in marginal_means(d, "season")}
     assert season_ns == SEASON_COUNTS
     # the cohort-sized dataset also reproduces the full frequency marginals
-    ft = frequency_table(d)
-    assert ft.total == 82718
-    assert ft.marginal("gender") == {("male",): 46510, ("female",): 36208}
-    assert ft.count(("female", "winter", "1")) == 609
+    gender = d.cells.margin("gender")
+    assert d.cells.n == 82718
+    assert dict(zip(gender.layout.levels(0), gender.counts.tolist())) == {
+        "male": 46510, "female": 36208}
+    assert d.cells.counts[
+        np.ravel_multi_index(layout.resolve_cell(("female", "winter", "1")), layout.shape)
+    ] == 609
 
 
 def test_zero_count_level_rejected(cohort_layout):

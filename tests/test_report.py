@@ -12,8 +12,10 @@ from losanova.diagnostics import HistogramData, PPPlotData, ResidualSpread
 from losanova.plots import render_plot
 from losanova.posthoc import HomogeneousSubsets, Subset
 from losanova.power import PowerResult
-from losanova.report import fmt3, fmt4, fmtn, power_rows, _table_csv, _table_text
+from losanova.report import fmt3, fmt4, fmtn, frequency_rows, power_rows, _table_csv, _table_text
 from losanova.synth import reference_cohort_spec
+
+from conftest import count_table
 
 
 def _args(path, transform="auto", alpha=0.05):
@@ -52,6 +54,13 @@ def test_fmt4_phi_precision():
     assert fmt4(2.3896) == "2.3896"
     assert fmtn(-0.01994, 4) == "-.0199"
     assert fmtn(0.007819, 5) == ".00782"
+
+
+def test_frequency_rows_list_cells_of_a_two_factor_layout(two_by_two):
+    headers, rows = frequency_rows(count_table(two_by_two, {("a1", "b2"): 3, ("a2", "b1"): 1}))
+    assert headers == ["a", "b", "count"]
+    assert rows == [["a1", "b1", "0"], ["a1", "b2", "3"], ["a2", "b1", "1"],
+                    ["a2", "b2", "0"], ["total", "", "4"]]
 
 
 def test_power_rows_table_shape():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from losanova import ValidationError, cell_stats, frequency_table, generate, write_csv
+from losanova import ValidationError, generate, write_csv
 from losanova.synth import (
     REFERENCE_CELL_COUNTS,
     REFERENCE_TOTAL,
@@ -54,17 +54,17 @@ def test_seeded_stream_digest_pinned(tmp_path):
 def test_same_seed_bit_identical():
     a = generate(reference_cohort_spec(n=600, seed=42))
     b = generate(reference_cohort_spec(n=600, seed=42))
-    assert a.observations == b.observations
+    assert np.array_equal(a.codes, b.codes) and np.array_equal(a.responses, b.responses)
     c = generate(reference_cohort_spec(n=600, seed=43))
-    assert a.observations != c.observations
+    assert not (np.array_equal(a.codes, c.codes) and np.array_equal(a.responses, c.responses))
 
 
 def test_zero_error_sd_hits_cell_means_exactly():
     spec = reference_cohort_spec(n=200, seed=5, error_sd=0.0)
     d = generate(spec)
-    for obs in d.observations:
-        eta = cell_mean(spec, obs.level_indices)
-        assert math.log10(obs.response) == pytest.approx(eta, abs=1e-12)
+    for levels, y in zip(d.level_matrix.tolist(), d.responses.tolist()):
+        eta = cell_mean(spec, tuple(levels))
+        assert math.log10(y) == pytest.approx(eta, abs=1e-12)
 
 
 def test_cell_means_within_sampling_bounds():
@@ -85,7 +85,7 @@ def test_cell_means_within_sampling_bounds():
 def test_cell_frequencies_match_probabilities():
     spec = reference_cohort_spec(n=8000, seed=19)
     d = generate(spec)
-    observed = frequency_table(d).counts.ravel()
+    observed = d.cells.counts
     expected = np.array(spec.cell_probabilities) * spec.n
     result = scipy_stats.chisquare(observed, expected)
     assert result.pvalue > 0.001
@@ -96,8 +96,9 @@ def test_raw_scale_lognormal_structure():
     # scale; the fitted slope is noisy cell-to-cell but the pooled ratio
     # sd/mean should be nearly common across cells
     d = generate(reference_cohort_spec(n=8000, seed=0))
-    usable = [c for c in cell_stats(d) if c.n >= 50]
-    ratios = np.array([c.sd / c.mean for c in usable])
+    n, mean, m2 = d.cells.counts, d.cells.means, d.cells.m2
+    usable = n >= 50
+    ratios = np.sqrt(m2[usable] / (n[usable] - 1)) / mean[usable]
     assert ratios.std() / ratios.mean() < 0.5
 
 
