@@ -29,7 +29,7 @@ from .errors import LosanovaError, NumericalError, ValidationError
 from .ingest import ingest_csv, write_csv
 from .linmod import build_design, full_factorial_terms, ols_fit, significant_model
 from .model import FactorLayout
-from .posthoc import homogeneous_subsets, marginal_means, scheffe_pairwise
+from .posthoc import homogeneous_subsets, marginal_means, scheffe_from_stats
 from .power import (
     effect_label,
     min_replications,
@@ -160,12 +160,12 @@ def _cmd_anova(args) -> int:
 def _cmd_posthoc(args) -> int:
     _, analysis, _, chosen = _load_analysis(args)
     table = type3_anova(analysis)
-    comparisons = scheffe_pairwise(
-        analysis, args.factor, table.ms_error, table.df_error, args.alpha
+    stats = marginal_means(analysis, args.factor)
+    comparisons = scheffe_from_stats(
+        args.factor, stats, table.ms_error, table.df_error, args.alpha
     )
     print(f"transform: {chosen}; response: {analysis.response_name}")
     print(_table_text(*scheffe_rows(comparisons)), end="")
-    stats = marginal_means(analysis, args.factor)
     subsets = homogeneous_subsets(comparisons, stats, args.alpha)
     counts = {s.level: s.n for s in stats}
     print()
@@ -230,10 +230,10 @@ def _build_bundle(args) -> ReportBundle:
     for name in analysis.layout.names:
         if analysis.layout.n_levels(name) < 3:
             continue
-        comparisons = scheffe_pairwise(
-            analysis, name, table.ms_error, table.df_error, args.alpha
-        )
         stats = marginal_means(analysis, name)
+        comparisons = scheffe_from_stats(
+            name, stats, table.ms_error, table.df_error, args.alpha
+        )
         scheffe[name] = comparisons
         subsets[name] = homogeneous_subsets(comparisons, stats, args.alpha)
 

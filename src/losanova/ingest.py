@@ -9,6 +9,12 @@ Header names and level values are normalized by trimming and lowercasing.
 A bad row aborts the run with its line number rather than being skipped:
 silently dropping rows would bias the cell counts the whole unbalanced
 analysis depends on.
+
+Rows are read by numpy's C reader (``np.loadtxt``). A file it cannot vouch
+for (a bad row, a value too wide for its byte column, a spelling numpy and
+Python's ``float`` disagree on) is read again by one sequential
+``csv.reader`` pass, the only code that numbers lines. The two readers give
+identical results.
 """
 
 from __future__ import annotations
@@ -16,19 +22,21 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 import math
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import Dataset, FactorLayout
+from .model import Dataset
 from .synth import default_layout
 
-# rows coded per block in ingest_csv: enough to amortise the per-block
-# work, few enough that the raw text of a block stays a few tens of MB
-_BLOCK_ROWS = 1 << 16
+# byte width of each factor column in the numpy read: a value that fills it
+# may have been cut short, and sends the file to the sequential reader
+_WIDTHS = {"gender": 8, "season": 8, "age_group": 8, "age": 8, "date": 16}
+
+# a factor's column, the parser of its raw values and its level names
+_Parser = tuple[str, Callable[[str], str], Sequence[str]]
 
 # closed age-group bins; ages below 1 are rejected (undefined by the grouping)
 _AGE_BINS = ((1, 10, "1"), (11, 25, "2"), (26, 40, "3"), (41, 60, "4"))
@@ -88,86 +96,17 @@ def _age_group(value: str) -> str:
     return bin_age(age)
 
 
-def _los_problem(value: str) -> str:
+def _los(value: str) -> float:
     raw_los = value.strip()
     try:
         los = float(raw_los)
     except ValueError:
-        return f"unparseable los {raw_los!r}"
+        raise ValidationError(f"unparseable los {raw_los!r}") from None
     if not math.isfinite(los):
-        return f"los must be a finite number of days, got {raw_los}"
-    return f"los must be > 0 days, got {raw_los}"
-
-
-def _code_levels(
-    values: Sequence[str], parse: Callable[[str], str], levels: Sequence[str]
-) -> tuple[np.ndarray, dict[str, str]]:
-    """Level index of each raw value, -1 where ``parse`` rejects it, and the
-    reason for each rejected value. Each distinct value is parsed once."""
-    index = {name: i for i, name in enumerate(levels)}
-    lookup = {}
-    problems = {}
-    for value in set(values):
-        try:
-            lookup[value] = index[parse(value)]
-        except ValidationError as exc:
-            lookup[value] = -1
-            problems[value] = str(exc)
-    codes = np.fromiter(map(lookup.__getitem__, values), dtype=np.intp, count=len(values))
-    return codes, problems
-
-
-def _parse_floats(values: Sequence[str]) -> tuple[np.ndarray, int]:
-    """``float`` of each value up to the first one it rejects, and that
-    value's index (``len(values)`` when every value parses)."""
-    try:
-        return np.fromiter(map(float, values), dtype=float, count=len(values)), len(values)
-    except ValueError:
-        pass
-    for stop, value in enumerate(values):
-        try:
-            float(value)
-        except ValueError:
-            break
-    return np.fromiter(map(float, values[:stop]), dtype=float, count=stop), stop
-
-
-def _code_records(
-    records: list[list[str]],
-    lines: list[int],
-    cols: dict[str, int],
-    parsers: list[tuple[str, Callable[[str], str]]],
-    layout: FactorLayout,
-    path: Path,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat cell codes and los values of a block of records with the header's
-    field count; raises for the block's first bad row, naming its line."""
-
-    def column(name: str) -> list[str]:
-        return list(map(itemgetter(cols[name]), records))
-
-    raw_los = column("los")
-    los, n = _parse_floats(raw_los)
-    if n < len(records):
-        # an unparseable los: no later row can be reported before it
-        los = np.append(los, math.nan)
-        records = records[: n + 1]
-    raw = [column(name) for name, _ in parsers]
-    coded = [_code_levels(values, parse, levels)
-             for values, (_, parse), (_, levels) in zip(raw, parsers, layout.factors)]
-    bad = ~(np.isfinite(los) & (los > 0))
-    for codes, _ in coded:
-        bad |= codes < 0
-    if bad.any():
-        i = int(np.argmax(bad))
-        for values, (codes, problems) in zip(raw, coded):
-            if codes[i] < 0:
-                problem = problems[values[i]]
-                break
-        else:
-            problem = _los_problem(raw_los[i])
-        raise ValidationError(f"{path}:{lines[i]}: {problem}")
-    return np.ravel_multi_index([codes for codes, _ in coded], layout.shape), los
+        raise ValidationError(f"los must be a finite number of days, got {raw_los}")
+    if los <= 0:
+        raise ValidationError(f"los must be > 0 days, got {raw_los}")
+    return los
 
 
 def ingest_csv(path: str | Path, use_date_season: bool = False) -> Dataset:
@@ -180,9 +119,11 @@ def ingest_csv(path: str | Path, use_date_season: bool = False) -> Dataset:
     in the order: field count, gender, season (or date), age (or age_group),
     los. Blank rows are skipped.
 
-    Records are coded column-wise in blocks of ``_BLOCK_ROWS``, so memory
-    for the raw text stays bounded whatever the file's length. A file that is
-    not UTF-8 text fails with a ``ValidationError`` naming its path.
+    Rows are read by numpy's C parser and each distinct factor value is
+    validated once. A file that reader cannot vouch for is read again by one
+    sequential ``csv.reader`` pass, which gives an identical Dataset or the
+    error message. A file that is not UTF-8 text fails with a
+    ``ValidationError`` naming its path.
     """
     path = Path(path)
     try:
@@ -221,45 +162,102 @@ def _read_cohort(path: Path, use_date_season: bool) -> Dataset:
                 raise ValidationError(f"{path}: season-from-date requires a 'date' column")
         elif "season" not in cols:
             raise ValidationError(f"{path}: missing required column 'season'")
+        # numpy skips one line as the header, and warns on a file without rows
+        fast = reader.line_num == 1 and any(reader)
 
-        genders, seasons, groups = (levels for _, levels in layout.factors)
-        # the column and the parser of each factor, in layout order
-        parsers = [
-            ("gender", _level_parser("gender", genders, "/".join(genders))),
-            ("date", season_from_date) if use_date_season
-            else ("season", _level_parser("season", seasons, "/".join(seasons))),
-            ("age", _age_group) if has_age
-            else ("age_group", _level_parser("age_group", groups, f"{groups[0]}-{groups[-1]}")),
-        ]
+    genders, seasons, groups = (levels for _, levels in layout.factors)
+    # the column, the parser and the levels of each factor, in layout order
+    parsers = [
+        ("gender", _level_parser("gender", genders, "/".join(genders)), genders),
+        ("date", season_from_date, seasons) if use_date_season
+        else ("season", _level_parser("season", seasons, "/".join(seasons)), seasons),
+        ("age", _age_group, groups) if has_age
+        else ("age_group", _level_parser("age_group", groups, f"{groups[0]}-{groups[-1]}"),
+              groups),
+    ]
+    columns = _read_fast(path, header, parsers) if fast else None
+    if columns is None:
+        columns = _read_sequential(path, header, parsers)
+    levels, los = columns
+    if not los.size:
+        raise ValidationError(f"{path}: no data rows")
+    return Dataset(layout, np.ravel_multi_index(levels, layout.shape), los, response_name="los")
 
-        blocks = []
 
-        def code(records: list[list[str]], lines: list[int]) -> None:
-            blocks.append(_code_records(records, lines, cols, parsers, layout, path))
+def _read_fast(
+    path: Path, header: list[str], parsers: list[_Parser]
+) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """Each factor's level indices and the los values, read by numpy's C
+    parser; None when only the sequential reader can tell the result."""
+    if b"\0" in path.read_bytes():
+        return None  # numpy drops trailing NULs from byte fields
+    widths = {column: _WIDTHS[column] for column, _, _ in parsers}
+    # every column gets a field, so loadtxt rejects a row with a field too
+    # many (usecols would let it pass); fields are named by position
+    kinds = {"los": "f8", **{column: f"S{width}" for column, width in widths.items()}}
+    dtype = [(f"f{i}", kinds.get(name, "U1")) for i, name in enumerate(header)]
+    cols = {name: f"f{i}" for i, name in enumerate(header)}
+    try:
+        rows = np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                          skiprows=1, encoding="utf-8-sig", ndmin=1)
+    except ValueError:
+        return None
+    los = rows[cols["los"]]
+    if not ((los > 0) & (los < math.inf)).all():
+        return None
+    levels = []
+    for column, parse, names in parsers:
+        width = widths[column]
+        values = rows[cols[column]]
+        keys, inverse = np.unique(
+            values.view(np.uint64) if width == 8 else values, return_inverse=True
+        )
+        lookup = []
+        for key in keys.view(f"S{width}").tolist():
+            if len(key) == width:
+                return None  # the value may have been cut short
+            try:
+                lookup.append(names.index(parse(key.decode("latin-1"))))
+            except ValidationError:
+                return None
+        levels.append(np.array(lookup, dtype=np.intp)[inverse])
+    return levels, los
 
-        records = []
-        lines = []
+
+def _read_sequential(
+    path: Path, header: list[str], parsers: list[_Parser]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each factor's level indices and the los values, read row by row;
+    raises for the first bad row, naming its line."""
+    cols = {name: i for i, name in enumerate(header)}
+    fields = [cols[column] for column, _, _ in parsers]
+    seen = [{} for _ in parsers]  # raw value -> level index, per factor
+    levels = [[] for _ in parsers]
+    los = []
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        while fh.read(1 << 20):  # a file that is not UTF-8 fails before any row
+            pass
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         for record in reader:
             if not "".join(record).strip():
                 continue
             if len(record) != len(header):
-                code(records, lines)  # an earlier bad row is reported first
                 raise ValidationError(
                     f"{path}:{reader.line_num}: expected {len(header)} fields, "
                     f"got {len(record)}"
                 )
-            records.append(record)
-            lines.append(reader.line_num)
-            if len(records) == _BLOCK_ROWS:
-                code(records, lines)
-                records = []
-                lines = []
-        code(records, lines)
-
-    codes, los = (np.concatenate(column) for column in zip(*blocks))
-    if not los.size:
-        raise ValidationError(f"{path}: no data rows")
-    return Dataset(layout, codes, los, response_name="los")
+            try:
+                for field, (_, parse, names), cache, codes in zip(fields, parsers, seen, levels):
+                    value = record[field]
+                    if value not in cache:
+                        cache[value] = names.index(parse(value))
+                    codes.append(cache[value])
+                los.append(_los(record[cols["los"]]))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+    return [np.array(codes, dtype=np.intp) for codes in levels], np.array(los)
 
 
 def write_csv(d: Dataset, path: str | Path) -> None:

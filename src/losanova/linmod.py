@@ -75,19 +75,6 @@ def full_factorial_terms(layout: FactorLayout, max_order: int | None = None) -> 
     ]
 
 
-def check_hierarchical(terms: Sequence[Term]) -> None:
-    """Reject term lists containing an interaction without its nested margins."""
-    have = {t.factor_indices for t in terms}
-    for t in terms:
-        for order in range(1, t.order):
-            for sub in itertools.combinations(t.factor_indices, order):
-                if sub not in have:
-                    raise ValidationError(
-                        f"non-hierarchical model: term for factors {t.factor_indices} "
-                        f"lacks nested term {sub}"
-                    )
-
-
 def _coding_basis(n_levels: int, coding: Coding) -> np.ndarray:
     """(n_levels, n_levels-1) row-per-level coding matrix."""
     basis = np.zeros((n_levels, n_levels - 1))

@@ -24,7 +24,6 @@ from losanova.linmod import (
     CoefficientTable,
     FitResult,
     Term,
-    check_hierarchical,
     encode_row,
     equation_string,
     significant_model,
@@ -66,12 +65,6 @@ def test_column_count_is_levels_minus_one():
     for coding in ("reference", "deviation"):
         X = build_design(d, [Term((0,))], coding)
         assert X.n_columns == 5  # intercept + 4
-
-
-def test_hierarchy_check():
-    check_hierarchical([Term((0,)), Term((1,)), Term((0, 1))])
-    with pytest.raises(ValidationError, match="hierarchical"):
-        check_hierarchical([Term((0, 1))])
 
 
 # --- fitting ------------------------------------------------------------------
