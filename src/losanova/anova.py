@@ -25,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .distributions import f_sf
 from .errors import ValidationError
-from .linmod import build_design, effect_label, full_factorial_terms, ols_fit
+from .linmod import build_design, effect_label, full_factorial_terms, linalg, ols_fit
 from .model import CellTable, Dataset
 
 

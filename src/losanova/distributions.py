@@ -8,7 +8,9 @@ scipy raises ``NumericalError``. The noncentral F stays in-house, as a
 Poisson mixture of ``betainc`` terms, because ``scipy.special.ncfdtr``
 returns NaN for noncentralities from about 1,400. The normal CDF and
 quantile apply ``math`` per element, because ``synth``'s seeded stream runs
-through them. Everything here is pure and stateless, safe for concurrent use.
+through them. ``scipy.special`` is bound on first use, at the first call that
+needs it, so importing this module does not import scipy. Everything here is
+pure and stateless, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
+from ._lazy import LazyModule
 from .errors import NumericalError, ValidationError
+
+special = LazyModule("scipy.special")
 
 # bound on the Poisson mass the noncentral series leaves out on each side
 _TAIL_BOUND = 5e-13

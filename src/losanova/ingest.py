@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
+import itertools
 import math
 from pathlib import Path
 from typing import Callable, Sequence
@@ -117,7 +119,8 @@ def ingest_csv(path: str | Path, use_date_season: bool = False) -> Dataset:
     spans lines is numbered by its last line. When several rows are bad, the
     first one in the file is reported, and within a row the first bad field
     in the order: field count, gender, season (or date), age (or age_group),
-    los. Blank rows are skipped.
+    los. Blank rows are skipped. A file that ends inside a quoted field was
+    cut off, and is rejected at its last line.
 
     Rows are read by numpy's C parser and each distinct factor value is
     validated once. A file that reader cannot vouch for is read again by one
@@ -189,8 +192,11 @@ def _read_fast(
 ) -> tuple[list[np.ndarray], np.ndarray] | None:
     """Each factor's level indices and the los values, read by numpy's C
     parser; None when only the sequential reader can tell the result."""
-    if b"\0" in path.read_bytes():
+    data = path.read_bytes()
+    if b"\0" in data:
         return None  # numpy drops trailing NULs from byte fields
+    if _may_end_in_quotes(data):
+        return None  # numpy closes a quoted field the file cuts off
     widths = {column: _WIDTHS[column] for column, _, _ in parsers}
     # every column gets a field, so loadtxt rejects a row with a field too
     # many (usecols would let it pass); fields are named by position
@@ -224,6 +230,24 @@ def _read_fast(
     return levels, los
 
 
+def _may_end_in_quotes(data: bytes) -> bool:
+    """Whether a file may end inside a quoted field.
+
+    The quotes after a field's opening quote come in escaped pairs until
+    one closes it, so the opening quote of a field left open starts the
+    file's last run of an odd number of quotes, right after a comma or a
+    line break. A closing quote there (a quoted value ending in a comma or
+    a line break) is a false alarm, which costs only the sequential read.
+    """
+    at = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord('"'))
+    starts = np.flatnonzero(np.diff(at, prepend=-2) != 1)
+    odd = starts[np.diff(starts, append=at.size) % 2 == 1]
+    if not odd.size:
+        return False
+    first = int(at[odd[-1]])
+    return first == 0 or data[first - 1] in b",\r\n"
+
+
 def _read_sequential(
     path: Path, header: list[str], parsers: list[_Parser]
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -235,12 +259,15 @@ def _read_sequential(
     levels = [[] for _ in parsers]
     los = []
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        while fh.read(1 << 20):  # a file that is not UTF-8 fails before any row
-            pass
+        lines = sum(1 for _ in fh)  # a file that is not UTF-8 fails before any row
         fh.seek(0)
-        reader = csv.reader(fh)
+        # a record still inside a quoted field at the end of the file takes
+        # in the line break chained after it, and so ends past the last line
+        reader = csv.reader(itertools.chain(fh, ["\n"]))
         next(reader)
         for record in reader:
+            if record and reader.line_num > lines:
+                raise ValidationError(f"{path}:{lines}: file ends inside a quoted field")
             if not "".join(record).strip():
                 continue
             if len(record) != len(header):
@@ -261,13 +288,22 @@ def _read_sequential(
 
 
 def write_csv(d: Dataset, path: str | Path) -> None:
-    """Emit a dataset in the ingestion schema; responses round-trip exactly."""
-    path = Path(path)
-    names = [
-        np.array(levels, dtype=object)[d.level_matrix[:, fi]].tolist()
-        for fi, (_, levels) in enumerate(d.layout.factors)
-    ]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*d.layout.names, d.response_name])
-        writer.writerows(zip(*names, map(repr, d.responses.tolist())))
+    """Emit a dataset in the ingestion schema; responses round-trip exactly.
+
+    Each cell's quoted level fields are formatted once by ``csv.writer``;
+    a row is its cell's fields and ``repr`` of its response, which never
+    needs quoting.
+    """
+    layout = d.layout
+    prefixes = [_csv_row([*layout.cell_names(cell), ""])[:-2] for cell in layout.cells()]
+    rows = zip(map(prefixes.__getitem__, d.codes.tolist()), d.responses.tolist())
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(_csv_row([*layout.names, d.response_name]))
+        fh.write("".join([f"{prefix}{los!r}\r\n" for prefix, los in rows]))
+
+
+def _csv_row(fields: list[str]) -> str:
+    """One record as ``csv.writer`` writes it, ending in its ``\\r\\n``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()

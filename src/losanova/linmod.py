@@ -19,11 +19,13 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy import linalg
 
+from ._lazy import LazyModule
 from .distributions import t_cdf, t_quantile
 from .errors import RankDeficiencyError, ValidationError
 from .model import CellTable, Dataset, FactorLayout
+
+linalg = LazyModule("scipy.linalg")
 
 Coding = Literal["reference", "deviation"]
 

@@ -267,11 +267,16 @@ def test_help_exits_zero(capsys):
     assert "subcommand" in capsys.readouterr().out.lower() or True
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 @pytest.mark.parametrize("module", ["losanova", "losanova.cli"])
 def test_python_dash_m_runs_cli(module, tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _src_env()
     out = tmp_path / "m.csv"
     run = subprocess.run(
         [sys.executable, "-m", module, "synth", "--n", "100", "--seed", "1", "--out", str(out)],
@@ -282,3 +287,48 @@ def test_python_dash_m_runs_cli(module, tmp_path):
     bad = subprocess.run([sys.executable, "-m", module, "synth", "--bogus"],
                          env=env, capture_output=True, text=True)
     assert bad.returncode == 1
+
+
+# runs cli_main on the arguments in a fresh interpreter and prints its exit
+# code and whether scipy was imported
+_FRESH_CLI = """
+import contextlib, io, sys
+from losanova.cli import cli_main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli_main(sys.argv[1:])
+print(code, "scipy" in sys.modules)
+"""
+
+
+def _fresh(code: str, *argv: str) -> str:
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=_src_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["losanova", "losanova.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    assert _fresh(f"import sys, {module}; print('scipy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n", "200", "--seed", "3", "--out", "{tmp}/cohort.csv"],
+    ["--version"],
+    ["--help"],
+    ["report", "--input", "{tmp}/missing.csv"],
+])
+def test_commands_without_numerics_leave_scipy_unloaded(argv, tmp_path):
+    code = 1 if argv[0] == "report" else 0
+    assert _fresh(_FRESH_CLI, *(a.format(tmp=tmp_path) for a in argv)) == f"{code} False"
+
+
+def test_fresh_report_loads_scipy_and_writes_the_same_artifacts(cohort_csv, tmp_path):
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    assert cli_main(["report", "--input", str(cohort_csv), "--out", str(here)]) == 0
+    assert _fresh(_FRESH_CLI, "report", "--input", str(cohort_csv), "--out", str(fresh)) \
+        == "0 True"
+    files = sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+    for rel in files:
+        assert (here / rel).read_bytes() == (fresh / rel).read_bytes(), rel

@@ -7,11 +7,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from losanova import ValidationError, bin_age, generate, ingest_csv, season_from_date, write_csv
-from losanova.synth import reference_cohort_spec
+from losanova import (
+    Dataset,
+    FactorLayout,
+    ValidationError,
+    bin_age,
+    generate,
+    ingest_csv,
+    season_from_date,
+    write_csv,
+)
+from losanova.synth import default_layout, reference_cohort_spec
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -128,6 +137,38 @@ def test_synth_round_trip(tmp_path):
     assert np.array_equal(restored.codes, original.codes)
     assert np.array_equal(restored.responses, original.responses)
     assert restored.response_name == original.response_name
+
+
+# every form repr gives a float: exponents, subnormal, largest, integral
+_REPR_FORMS = [1e-05, 1e+16, 5e-324, 1.7976931348623157e+308, 3.0, 1234567.0, 0.1, 2.5e-07]
+
+
+def test_write_csv_matches_a_plain_csv_writer(tmp_path):
+    layout = FactorLayout([("sex, coded", ("a,b", 'say "hi"', "line\nbreak", " lead")),
+                           ("ward", ("", "x"))])
+    codes = np.random.default_rng(4).integers(0, layout.n_cells, size=200)
+    responses = np.array(_REPR_FORMS)[codes]  # one value a cell: no overflow in its m2
+    d = Dataset(layout, codes, responses, response_name='stay "days"')
+    write_csv(d, tmp_path / "out.csv")
+    expected = tmp_path / "expected.csv"
+    with expected.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*layout.names, d.response_name])
+        for cell, los in zip(codes.tolist(), responses.tolist()):
+            names = layout.cell_names(np.unravel_index(cell, layout.shape))
+            writer.writerow([*names, repr(los)])
+    assert (tmp_path / "out.csv").read_bytes() == expected.read_bytes()
+
+
+def test_write_csv_reads_back_bit_equal(tmp_path):
+    layout = default_layout()
+    codes = np.arange(len(_REPR_FORMS) * 5) % layout.n_cells
+    d = Dataset(layout, codes, _REPR_FORMS * 5, response_name="los")
+    path = tmp_path / "cohort.csv"
+    write_csv(d, path)
+    restored = ingest_csv(path)
+    assert restored.codes.tolist() == d.codes.tolist()
+    assert restored.responses.view(np.uint64).tolist() == d.responses.view(np.uint64).tolist()
 
 
 def test_season_from_date():
@@ -370,6 +411,26 @@ def test_ingest_header_only_gives_no_warning(tmp_path):
         assert _message(path) == f"{path}: no data rows"
 
 
+@pytest.mark.parametrize("body, line", [
+    ('male,spring,3,"2.0', 2),
+    ('male,spring,3,"2.0\n', 2),
+    ('male,spring,3,"2""0\n\n', 3),
+    ('male,spring,3,2.0\nmale,"spring,3,2.0\n', 3),
+    ('male,spring,3,2.0\n  ,"', 3),
+])
+def test_ingest_file_cut_off_inside_a_quoted_field(tmp_path, body, line):
+    path = _write(tmp_path, _HEADER + body)
+    assert _message(path) == f"{path}:{line}: file ends inside a quoted field"
+    with_id = _write(tmp_path, "id," + _HEADER + 'a"b,' + body, "with_id.csv")
+    assert _message(with_id) == f"{with_id}:{line}: file ends inside a quoted field"
+
+
+def test_ingest_closed_quotes_at_the_end_still_ingest(tmp_path):
+    for body in ('male,spring,3,"2.0"', 'male,spring,3,"2.0"\n', 'male,spring,"3\n",2\n',
+                 'male,spring,3,2.0\n,,,""'):
+        assert ingest_csv(_write(tmp_path, _HEADER + body)).responses[0] == 2.0
+
+
 def test_ingest_many_ages_and_dates(tmp_path):
     ages = list(range(1, 100))
     days = [datetime.date(2023, 1, 1) + datetime.timedelta(days=7 * i) for i in range(99)]
@@ -400,11 +461,19 @@ def _reference_ingest(path, use_date_season):
     """The ingest contract read one csv.reader record at a time: the flat cell
     codes and los values, or the error message."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        # strict: the generated fields are well formed, so the only error is
+        # a file ending inside a quoted field
+        reader = csv.reader(fh, strict=True)
         header = [name.strip().lower() for name in next(reader)]
         col = {name: i for i, name in enumerate(header)}
         codes, responses = [], []
-        for record in reader:
+        while True:
+            try:
+                record = next(reader)
+            except StopIteration:
+                break
+            except csv.Error:
+                return f"{path}:{reader.line_num}: file ends inside a quoted field"
             if not any(field.strip() for field in record):
                 continue
             at = f"{path}:{reader.line_num}: "
@@ -494,7 +563,8 @@ def _dressed(draw, value, padding):
 @st.composite
 def _cohort_csv(draw):
     """A cohort CSV, its id, age and date columns and its blank rows drawn,
-    with at most one bad field; and whether season comes from the date."""
+    with at most one bad field or a last field cut off inside its quotes; and
+    whether season comes from the date."""
     use_date_season = draw(st.booleans())
     columns = ["gender", "date" if use_date_season else "season",
                draw(st.sampled_from(["age", "age_group"])), "los"]
@@ -505,8 +575,12 @@ def _cohort_csv(draw):
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 3]))):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(_BLANK_ROWS)))
     data = [row for row in rows if isinstance(row, list)]
-    fault = draw(st.sampled_from([None] * 5 + ["odd", "short", "long", "field"]))
-    if data and fault:
+    fault = draw(st.sampled_from([None] * 5 + ["odd", "short", "long", "field", "cut"]))
+    if fault == "cut":  # a last row whose last field is never closed
+        row = [draw(_VALID[c]) for c in columns]
+        last = row.pop()
+        cut = '"' + last.replace('"', '""') + draw(st.sampled_from(["", "\n", '""']))
+    elif data and fault:
         row = draw(st.sampled_from(data))
         if fault == "odd":
             row[columns.index("los")] = draw(st.sampled_from(_ODD_LOS))
@@ -522,12 +596,18 @@ def _cohort_csv(draw):
         row if isinstance(row, str) else ",".join(draw(_dressed(v, padding)) for v in row)
         for row in rows]
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    if fault == "cut":
+        lines.append(",".join([*(draw(_dressed(v, padding)) for v in row), cut]))
+        text = newline.join(lines)
+    else:
+        text = newline.join(lines) + draw(st.sampled_from(["", newline]))
     return draw(st.sampled_from(["", "\ufeff"])) + text, use_date_season
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(case=_cohort_csv())
+# generated cut-off files rarely suit numpy's reader; this one does
+@example(case=(_HEADER + 'male,spring,3,2.0\r\nfemale,winter,5,"4.5', False))
 def test_ingest_matches_a_plain_csv_reader(tmp_path_factory, case):
     text, use_date_season = case
     path = tmp_path_factory.getbasetemp() / "oracle.csv"
