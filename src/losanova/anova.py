@@ -22,6 +22,7 @@ corrected-model SS; no such additivity is assumed anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,17 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     layout = d.layout
     cells = d.cells
     df = dict(df_check(cells, max_order))
+    # every sum of squares below is at most the total SS, so a finite total
+    # keeps the fit and the tests finite
+    counts, means = cells.counts, cells.means
+    within_ss = float(cells.m2.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total_ss = within_ss + float((counts * means * means).sum())
+    if not math.isfinite(total_ss):
+        raise ValidationError(
+            f"sums of squares overflow on the {d.response_name} scale; "
+            "rescale or log-transform the response"
+        )
     terms = full_factorial_terms(layout, max_order)
     full = build_design(d, terms, coding="deviation")
     fit = ols_fit(full, cells)
@@ -91,10 +103,7 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     df_error = df["Error"]
     mse = sse_full / df_error
 
-    counts, means = cells.counts, cells.means
-    within_ss = float(cells.m2.sum())
     grand_mean = float((counts * means).sum()) / cells.n
-    total_ss = within_ss + float((counts * means * means).sum())
     corrected_total_ss = within_ss + float((counts * (means - grand_mean) ** 2).sum())
     corrected_model_ss = corrected_total_ss - sse_full
 

@@ -13,6 +13,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -62,6 +63,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _alpha(text: str) -> float:
+    """The ``--alpha`` argument type: a number in (0, 1), checked at parse time."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError("must be a number in (0, 1)")
+    return value
 
 
 def _planning_layout(levels_text: str, factors_text: str | None) -> FactorLayout:
@@ -293,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-diff", type=float, required=True,
                    help="smallest level-mean difference worth detecting")
     p.add_argument("--sigma2", type=float, required=True, help="error variance estimate")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
     p.add_argument("--effect", help="effect to analyze, e.g. season or gender*season")
     p.add_argument("--all-effects", action="store_true",
                    help="plan every main effect and interaction")
@@ -310,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anova", help="Type III between-subjects table")
     _add_input_options(p)
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
     p.add_argument("--max-order", type=int, default=None,
                    help="highest interaction order (default: full factorial)")
     p.set_defaults(func=_cmd_anova)
 
     p = sub.add_parser("posthoc", help="Scheffe comparisons and homogeneous subsets")
     _add_input_options(p)
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
     p.add_argument("--factor", required=True, help="factor to compare")
     p.set_defaults(func=_cmd_posthoc)
 
@@ -327,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full pipeline: tables, plots, manifest")
     _add_input_options(p)
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=_alpha, default=0.05, help="significance level")
     p.add_argument("--out", help="output directory (omit to print to stdout)")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text",
                    help="stdout format when --out is omitted")

@@ -196,12 +196,13 @@ def sd_mean_regression(cells: CellTable) -> TransformRecommendation:
 
     A cell's sd is the sample sd sqrt(m2 / (n - 1)). Nonempty cells with
     n < 2, sd = 0, or nonpositive mean cannot contribute (their log is
-    undefined) and are counted as excluded. Needs at least 3 usable cells and
+    undefined), nor can a cell whose responses overflow to a non-finite sd;
+    all are counted as excluded. Needs at least 3 usable cells and
     nonconstant log-means.
     """
     n, mean = cells.counts, cells.means
     sd = np.sqrt(np.divide(cells.m2, n - 1, out=np.zeros(n.size), where=n >= 2))
-    usable = (n >= 2) & (sd > 0) & (mean > 0)
+    usable = (n >= 2) & (sd > 0) & np.isfinite(sd) & (mean > 0)
     n_usable = int(usable.sum())
     excluded = int((n > 0).sum()) - n_usable
     if n_usable < 3:

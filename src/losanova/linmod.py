@@ -176,18 +176,6 @@ def build_design(d: Dataset, terms: Sequence[Term], coding: Coding = "reference"
     )
 
 
-def encode_row(
-    layout: FactorLayout,
-    terms: Sequence[Term],
-    coding: Coding,
-    level_names: Sequence[str],
-) -> np.ndarray:
-    """Coded row for a single observation given by level names."""
-    cell = layout.resolve_cell(level_names)
-    matrix, _ = encode_cells(layout, terms, coding)
-    return matrix[np.ravel_multi_index(cell, layout.shape)]
-
-
 @dataclass(frozen=True)
 class CoefficientRow:
     label: str
@@ -357,9 +345,10 @@ def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult
 
 
 def predict(fit: FitResult, level_names: Sequence[str]) -> float:
-    """Model prediction for one factor-level combination."""
-    row = encode_row(fit.design.layout, fit.design.terms, fit.design.coding, level_names)
-    return float(row @ fit.estimates)
+    """Model prediction for one factor-level combination: its cell's fitted value."""
+    layout = fit.design.layout
+    cell = layout.resolve_cell(level_names)
+    return float(fit.cell_fitted[np.ravel_multi_index(cell, layout.shape)])
 
 
 def significant_terms(table: CoefficientTable, alpha: float) -> CoefficientTable:

@@ -132,12 +132,15 @@ class CellTable:
         cls, layout: FactorLayout, codes: np.ndarray, responses: np.ndarray
     ) -> "CellTable":
         """Cell moments of coded responses, computed two-pass: the means
-        first, then the squared deviations from them."""
+        first, then the squared deviations from them. Responses too large to
+        square give an infinite or NaN moment, without a warning; the
+        analyses that need the moments check them."""
         n_cells = layout.n_cells
         counts = np.bincount(codes, minlength=n_cells)
-        sums = np.bincount(codes, weights=responses, minlength=n_cells)
-        means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
-        m2 = np.bincount(codes, weights=(responses - means[codes]) ** 2, minlength=n_cells)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.bincount(codes, weights=responses, minlength=n_cells)
+            means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
+            m2 = np.bincount(codes, weights=(responses - means[codes]) ** 2, minlength=n_cells)
         return cls(layout, counts, means, m2)
 
     @property
@@ -163,10 +166,11 @@ class CellTable:
         parent = np.ravel_multi_index([levels[i] for i in keep], layout.shape)
         n_cells = layout.n_cells
         counts = np.bincount(parent, weights=self.counts, minlength=n_cells)
-        sums = np.bincount(parent, weights=self.counts * self.means, minlength=n_cells)
-        means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
-        between = self.counts * (self.means - means[parent]) ** 2
-        m2 = np.bincount(parent, weights=self.m2 + between, minlength=n_cells)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.bincount(parent, weights=self.counts * self.means, minlength=n_cells)
+            means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
+            between = self.counts * (self.means - means[parent]) ** 2
+            m2 = np.bincount(parent, weights=self.m2 + between, minlength=n_cells)
         return CellTable(layout, counts, means, m2)
 
 

@@ -2,6 +2,7 @@
 table structure."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from losanova import (
     FactorLayout,
     ValidationError,
+    apply_transform,
     build_dataset,
     build_design,
     df_check,
@@ -280,6 +282,19 @@ def test_empty_cell_is_named(two_by_two):
     # without the interaction the margins are all occupied
     table = type3_anova(d, max_order=1)
     assert {r.source for r in table.effect_rows} == {"a", "b"}
+
+
+def test_overflowing_sums_of_squares_are_named(two_by_two):
+    # an infinite cell m2, or a finite cell whose n * mean^2 overflows
+    small = [(("a1", "b2"), 1.0), (("a1", "b2"), 2.0), (("a2", "b1"), 3.0),
+             (("a2", "b1"), 4.0), (("a2", "b2"), 5.0), (("a2", "b2"), 6.0)]
+    for huge in ((3.0, 1e200, 2e200), (1e200, 1e200)):
+        d = build_dataset(two_by_two, small + [(("a1", "b1"), v) for v in huge],
+                          response_name="los")
+        with pytest.raises(ValidationError, match="overflow on the los scale"):
+            type3_anova(d)
+        logged = apply_transform(d, "logarithmic")
+        assert math.isfinite(type3_anova(logged).row("Error").ss)
 
 
 def test_zero_error_df_refused(two_by_two):

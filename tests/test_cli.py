@@ -184,6 +184,69 @@ def test_report_stdout_json(cohort_csv, capsys):
     assert parsed["parameters"]["n_observations"] == 8000
 
 
+@pytest.mark.parametrize("command", [
+    ["power", "--levels", "4,2,5", "--min-diff", "1", "--sigma2", "9.41",
+     "--effect", "season", "--n", "10"],
+    ["anova"], ["posthoc", "--factor", "season"], ["report"],
+])
+@pytest.mark.parametrize("alpha", ["0", "1", "-0.1", "nan"])
+def test_alpha_outside_0_1_is_a_usage_error(command, alpha, tmp_path, capsys):
+    # checked when parsing, before the (missing) input file is read
+    if command[0] != "power":
+        command = [*command, "--input", str(tmp_path / "missing.csv")]
+    assert cli_main([*command, "--alpha", alpha]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: argument --alpha: must be a number in (0, 1)\n")
+    assert "usage: losanova" in captured.err and not captured.out
+
+
+_HUGE_LOG10_TABLE = """\
+transform: logarithmic
+response: log10(los)
+Source                       Type III Sum of Squares  df   Mean Square  F      Sig.
+-----------------------------------------------------------------------------------
+Corrected Model              30552.969                39   783.409      1.344  .131
+Intercept                    812.033                  1    812.033      1.393  .241
+gender                       482.707                  1    482.707      .828   .365
+season                       1477.979                 3    492.660      .845   .473
+age_group                    1991.166                 4    497.791      .854   .495
+gender * season              1477.979                 3    492.660      .845   .473
+gender * age_group           1991.166                 4    497.791      .854   .495
+season * age_group           6516.542                 12   543.045      .932   .520
+gender * season * age_group  6516.542                 12   543.045      .932   .520
+Error                        47789.013                82   582.793
+Total                        80163.650                122
+Corrected Total              78341.982                121
+
+significant at alpha=0.05: none
+"""
+
+
+def test_anova_of_huge_finite_responses(tmp_path, capsys):
+    # los 1e200 and 2e200 pass ingest, but their squares overflow on the raw
+    # scale; any RuntimeWarning on the way is an error under the test settings
+    from losanova.synth import default_layout
+
+    layout = default_layout()
+    lines = ["gender,season,age_group,los"]
+    for names in map(layout.cell_names, layout.cells()):
+        lines += [",".join([*names, los]) for los in ("3.0", "5.0", "4.0")]
+    lines += ["male,spring,1,1e200", "male,spring,1,2e200"]
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["anova", "--input", str(path), "--transform"]
+
+    assert cli_main([*argv, "none"]) == 1
+    assert capsys.readouterr().err == (
+        "error: sums of squares overflow on the los scale; "
+        "rescale or log-transform the response\n")
+    # the overflowed cell leaves the sd-mean regression; the other 39 share one mean
+    assert cli_main([*argv, "auto"]) == 1
+    assert "log cell means are constant" in capsys.readouterr().err
+    assert cli_main([*argv, "log10"]) == 0
+    assert capsys.readouterr().out == _HUGE_LOG10_TABLE
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     code = cli_main(["anova", "--input", str(tmp_path / "missing.csv")])
     assert code == 1

@@ -1,5 +1,7 @@
 """Residual diagnostics and variance-stabilizing transform selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,17 @@ def test_regression_counts_each_unusable_cell_of_a_table():
     unusable = [(0, 0.0, 0.0), (1, 5.0, 0.0), (30, 5.0, 0.0), (30, 0.0, 1.0), (30, -2.0, 1.0)]
     rec = sd_mean_regression(_table(usable + unusable))
     assert rec.cells_used == 5 and rec.cells_excluded == 4
+    assert rec.slope == sd_mean_regression(_table(usable)).slope
+
+
+def test_regression_excludes_a_non_finite_sd():
+    # responses too large to square leave a cell with an infinite or NaN m2
+    usable = _power_law_cells(1.0)
+    table = _table(usable + [(30, 5.0, 1.0), (30, 6e199, 1.0)])
+    m2 = table.m2.copy()
+    m2[-2:] = (math.nan, math.inf)
+    rec = sd_mean_regression(CellTable(table.layout, table.counts, table.means, m2))
+    assert rec.cells_used == 5 and rec.cells_excluded == 2
     assert rec.slope == sd_mean_regression(_table(usable)).slope
 
 

@@ -13,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -216,7 +216,7 @@ def test_ncf_monotone_in_lambda():
 
 
 def test_ncf_large_lambda_stable():
-    # mode-centered summation keeps very large noncentralities finite
+    # log-space weights keep very large noncentralities finite
     v = noncentral_f_cdf(50.0, 3.0, 400.0, 3000.0)
     assert 0.0 <= v <= 1.0
 
@@ -491,8 +491,16 @@ def test_reg_inc_beta_matches_mpmath(x, a, b):
         assert abs(reg_inc_beta(x, a, b) - _mp_betainc(x, a, b)) <= 1e-13
 
 
+# log-spaced in 1 + lam up to 5e3, past the OC sweep's largest lam (4,243);
+# beyond about 5e3 the sum's log-space weights lose the 2e-12 this asserts.
+# hypothesis favours small and boundary floats, so the top gets examples too.
 @_SWEEP
-@given(nu1=_NU1, nu2=_NU2, lam=st.floats(0.0, 200.0), z=st.floats(-1.0, 1.0))
+@given(nu1=_NU1, nu2=_NU2, lam=st.floats(0.0, math.log1p(5e3)).map(math.expm1),
+       z=st.floats(-1.0, 1.0))
+@example(nu1=3, nu2=360.0, lam=0.0, z=0.0)
+@example(nu1=1, nu2=5e4, lam=1e3, z=-0.3)
+@example(nu1=12, nu2=1580.0, lam=4243.358129649309, z=0.1)
+@example(nu1=60, nu2=4e6, lam=5e3, z=0.5)
 def test_noncentral_f_matches_mpmath(nu1, nu2, lam, z):
     x = (nu1 + lam) / nu1 * math.exp(z)  # around the noncentral mean
     with mpmath.workdps(50):
@@ -517,20 +525,24 @@ def test_noncentral_f_large_nu2_regression():
         assert abs(oracle - mpmath.mpf("0.576429442493365231")) < 1e-17
 
 
-def test_noncentral_f_blocks_agree(monkeypatch):
-    # walking the window in blocks of 3 terms sums the same terms
+def test_noncentral_f_window_leaves_out_at_most_the_tail_bound():
+    # each side of the summed window omits at most _TAIL_BOUND of the Poisson mass
+    from scipy import special
+
     from losanova import distributions
 
-    points = [(2.0, 5.0, 40.0, 0.7), (11.0, 3.0, 360.0, 30.0), (130.0, 7.0, 900.0, 900.0),
-              (5000.0, 1.0, 5e4, 5000.0)]
-    whole = [noncentral_f_cdf(*pt) for pt in points]
-    monkeypatch.setattr(distributions, "_BLOCK", 3)
-    for pt, expected in zip(points, whole):
-        assert abs(noncentral_f_cdf(*pt) - expected) <= 1e-14
+    bound = distributions._TAIL_BOUND
+    for lam in np.logspace(-300.0, 10.0, 2000):
+        h = lam / 2.0
+        j = distributions._window(h)
+        lo, hi = int(j[0]), int(j[-1])
+        assert np.array_equal(j, np.arange(lo, hi + 1))
+        below = special.pdtr(lo - 1, h) if lo else 0.0  # pdtr(-1, h) is NaN
+        assert below <= bound and special.pdtrc(hi, h) <= bound, lam
 
 
 def test_noncentral_f_huge_lambda_in_range():
-    # about 350,000 terms around the mode, walked in bounded blocks
+    # about 320,000 terms around the mode, in one window
     lam = 1e9
     assert 0.0 <= noncentral_f_cdf((3.0 + lam) / 3.0, 3.0, 10.0, lam) <= 1.0
     from losanova import NumericalError

@@ -24,7 +24,6 @@ from losanova.linmod import (
     CoefficientTable,
     FitResult,
     Term,
-    encode_row,
     equation_string,
     significant_model,
 )
@@ -35,17 +34,25 @@ from conftest import random_dataset
 
 # --- design construction ----------------------------------------------------
 
+def _cell_row(X, level_names):
+    """The design row of the cell named by its levels."""
+    cell = X.layout.resolve_cell(level_names)
+    return X.cell_values[np.ravel_multi_index(cell, X.layout.shape)]
+
+
 def test_reference_coding_rows(cohort_layout):
-    season = Term((1,))
-    spring = encode_row(cohort_layout, [season], "reference", ("male", "spring", "1"))
+    d = random_dataset(cohort_layout, 60, seed=0)
+    X = build_design(d, [Term((1,))], "reference")
+    spring = _cell_row(X, ("male", "spring", "1"))
     assert spring.tolist() == [1.0, 1.0, 0.0, 0.0]  # intercept + season(1..3)
-    winter = encode_row(cohort_layout, [season], "reference", ("male", "winter", "1"))
+    winter = _cell_row(X, ("male", "winter", "1"))
     assert winter.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_deviation_coding_rows(cohort_layout):
-    season = Term((1,))
-    winter = encode_row(cohort_layout, [season], "deviation", ("male", "winter", "1"))
+    d = random_dataset(cohort_layout, 60, seed=0)
+    X = build_design(d, [Term((1,))], "deviation")
+    winter = _cell_row(X, ("male", "winter", "1"))
     assert winter.tolist() == [1.0, -1.0, -1.0, -1.0]
 
 

@@ -99,6 +99,21 @@ def test_cell_stats_singleton_has_no_sd(two_by_two):
     assert d.cells.m2[0] == 0.0 and math.isnan(_sds(d.cells)[0])
 
 
+def test_cell_moments_of_huge_responses_overflow_without_warning(two_by_two):
+    # finite responses whose squares (or sum) overflow give non-finite moments,
+    # not a RuntimeWarning; the other cells keep their exact moments
+    rows = [(("a1", "b1"), v) for v in (3.0, 5.0, 4.0, 1e200, 2e200)]
+    rows += [(("a2", "b2"), v) for v in (1e308, 1.7e308)]
+    rows += [(("a1", "b2"), v) for v in (1.0, 3.0)]
+    cells = build_dataset(two_by_two, rows).cells
+    assert cells.means[0] == pytest.approx(6e199) and math.isinf(cells.m2[0])
+    assert math.isinf(cells.means[3]) and not math.isfinite(cells.m2[3])
+    assert (cells.means[1], cells.m2[1]) == (2.0, 2.0)
+    margin = cells.margin("b")
+    assert not np.isfinite(margin.m2).any()
+    assert cells.margin("a").counts.tolist() == [7, 2]
+
+
 def test_cohort_layout_has_40_cells(cohort_layout):
     assert cohort_layout.n_cells == 40
     d = random_dataset(cohort_layout, 4000, seed=1)
