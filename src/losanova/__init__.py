@@ -15,6 +15,7 @@ from .diagnostics import (
     apply_transform,
     back_transform,
     pp_plot,
+    residual_diagnostics,
     residual_histogram,
     residual_vs_fitted,
     residuals,

@@ -57,10 +57,6 @@ class AnovaTable:
         raise ValidationError(f"no ANOVA row named {source!r}")
 
     @property
-    def sources(self) -> tuple[str, ...]:
-        return tuple(r.source for r in self.rows)
-
-    @property
     def effect_rows(self) -> tuple[AnovaRow, ...]:
         skip = {"Corrected Model", "Intercept", "Error", "Total", "Corrected Total"}
         return tuple(r for r in self.rows if r.source not in skip)

@@ -18,14 +18,7 @@ import sys
 
 from . import __version__
 from .anova import significance_summary, type3_anova
-from .diagnostics import (
-    apply_transform,
-    pp_plot,
-    residual_histogram,
-    residual_vs_fitted,
-    residuals,
-    sd_mean_regression,
-)
+from .diagnostics import apply_transform, residual_diagnostics, sd_mean_regression
 from .errors import LosanovaError, NumericalError, ValidationError
 from .ingest import ingest_csv, write_csv
 from .linmod import build_design, full_factorial_terms, ols_fit, significant_model
@@ -185,15 +178,15 @@ def _cmd_posthoc(args) -> int:
     return 0
 
 
-def _fit_reference_model(analysis, alpha):
-    design = build_design(analysis, full_factorial_terms(analysis.layout), "reference")
-    return ols_fit(design, analysis.cells, alpha=alpha)
-
-
-def _residual_spread(d, fit):
-    """A fit's residuals, one per observation, and its residual-vs-fitted series."""
-    e = residuals(d, fit)
-    return e, residual_vs_fitted(e, fit.cell_fitted[d.codes])
+def _recommendation(raw, rec):
+    """``auto``'s recommendation ``rec``, or else the sd-mean regression's,
+    which a forced transform does not need: (None, why) if it fails."""
+    if rec is not None:
+        return rec, None
+    try:
+        return sd_mean_regression(raw.cells), None
+    except ValidationError as exc:
+        return None, str(exc)
 
 
 def _funnel_text(spread) -> str:
@@ -202,40 +195,30 @@ def _funnel_text(spread) -> str:
 
 def _cmd_diagnose(args) -> int:
     raw, analysis, rec, chosen = _load_analysis(args)
-    e_raw, spread_raw = _residual_spread(raw, _fit_reference_model(raw, 0.05))
-    hist_raw = residual_histogram(e_raw)
-    print(f"raw-scale model: funnel ratio {_funnel_text(spread_raw)}")
+    series = residual_diagnostics(raw, analysis)
+    hist_raw = series["raw_residual_histogram"]
+    print(f"raw-scale model: funnel ratio {_funnel_text(series['raw_residual_vs_fitted'])}")
     print(f"raw residual histogram: {len(hist_raw.counts)} bins, N={hist_raw.n}")
-    rec = rec or sd_mean_regression(raw.cells)
-    print(_table_text(*transform_rows(rec)), end="")
+    rec, reason = _recommendation(raw, rec)
+    if rec is None:
+        print(f"transform recommendation unavailable: {reason}")
+    else:
+        print(_table_text(*transform_rows(rec)), end="")
     if chosen != "none":
-        e_t, spread_t = _residual_spread(analysis, _fit_reference_model(analysis, 0.05))
-        pp = pp_plot(e_t)
         print(f"\ntransformed model ({analysis.response_name}): funnel ratio "
-              f"{_funnel_text(spread_t)}, "
-              f"P-P max deviation {pp.max_abs_deviation:.4f}")
+              f"{_funnel_text(series['residual_vs_fitted'])}, "
+              f"P-P max deviation {series['pp_plot'].max_abs_deviation:.4f}")
     return 0
 
 
 def _build_bundle(args) -> ReportBundle:
     raw, analysis, rec, chosen = _load_analysis(args)
-    rec = rec or sd_mean_regression(raw.cells)
+    rec, _ = _recommendation(raw, rec)
     table = type3_anova(analysis)
-    fit = _fit_reference_model(analysis, args.alpha)
+    design = build_design(analysis, full_factorial_terms(analysis.layout), "reference")
+    fit = ols_fit(design, analysis.cells, alpha=args.alpha)
     model = significant_model(fit, args.alpha, analysis.response_name)
-
-    e, spread = _residual_spread(analysis, fit)
-    if chosen != "none":
-        e_raw, spread_raw = _residual_spread(raw, _fit_reference_model(raw, args.alpha))
-    else:
-        e_raw, spread_raw = e, spread
-    diagnostics = {
-        "raw_residual_histogram": residual_histogram(e_raw),
-        "raw_residual_vs_fitted": spread_raw,
-        "residual_histogram": residual_histogram(e),
-        "residual_vs_fitted": spread,
-        "pp_plot": pp_plot(e),
-    }
+    diagnostics = residual_diagnostics(raw, analysis)
 
     scheffe = {}
     subsets = {}
@@ -256,7 +239,7 @@ def _build_bundle(args) -> ReportBundle:
         "transform_requested": args.transform,
         "transform_applied": chosen,
         "response": analysis.response_name,
-        "sd_mean_slope": rec.slope,
+        "sd_mean_slope": None if rec is None else rec.slope,
         "version": __version__,
     }
     return ReportBundle(

@@ -18,7 +18,6 @@ import numpy as np
 
 from .distributions import normal_cdf
 from .errors import ValidationError
-from .linmod import FitResult
 from .model import CellTable, Dataset
 
 # forward map, inverse map and response-name pattern of each transform
@@ -82,7 +81,8 @@ class ResidualSpread:
 
     ``fitted`` and ``residuals`` are read-only float64 arrays ordered by
     fitted value. ``funnel_ratio`` is the residual sd in the top fitted-value
-    quartile over the bottom quartile; None when either group is degenerate.
+    quartile over the bottom quartile; None when either group is degenerate
+    or its sd overflows.
     """
 
     fitted: np.ndarray
@@ -106,17 +106,33 @@ class TransformRecommendation:
     cells_excluded: int
 
 
-def residuals(d: Dataset, fit: FitResult) -> np.ndarray:
-    """Observed minus fitted responses, in observation order.
+def residuals(d: Dataset) -> np.ndarray:
+    """Observed responses minus their cell means, in observation order: the
+    residuals of the full factorial model, whose fitted values are the means."""
+    return d.responses - d.cells.means[d.codes]
 
-    The one place a fit is expanded to one value per observation: each
-    observation's fitted value is its cell's entry of ``fit.cell_fitted``.
-    """
-    if fit.design.layout != d.layout or fit.design.n_rows != d.n:
-        raise ValidationError(
-            f"fit has {fit.design.n_rows} observations, dataset has {d.n}"
-        )
-    return d.responses - fit.cell_fitted[d.codes]
+
+def residual_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
+    """The full factorial model's residual series, by name: the raw scale's
+    histogram and spread against the fitted values, then the analysis scale's
+    histogram, spread and normal P-P plot. Without a transform (``raw is
+    analysis``) each series is computed once."""
+    e = residuals(analysis)
+    histogram = residual_histogram(e)
+    spread = residual_vs_fitted(e, analysis.cells.means[analysis.codes])
+    if raw is analysis:
+        raw_histogram, raw_spread = histogram, spread
+    else:
+        e_raw = residuals(raw)
+        raw_histogram = residual_histogram(e_raw)
+        raw_spread = residual_vs_fitted(e_raw, raw.cells.means[raw.codes])
+    return {
+        "raw_residual_histogram": raw_histogram,
+        "raw_residual_vs_fitted": raw_spread,
+        "residual_histogram": histogram,
+        "residual_vs_fitted": spread,
+        "pp_plot": pp_plot(e),
+    }
 
 
 def residual_histogram(e: np.ndarray, bins: int | None = None) -> HistogramData:
@@ -162,9 +178,11 @@ def residual_vs_fitted(e: np.ndarray, fitted: np.ndarray) -> ResidualSpread:
         low = e[fitted <= q1]
         high = e[fitted >= q3]
         if low.size >= 2 and high.size >= 2:
-            sd_low = float(low.std(ddof=1))
-            sd_high = float(high.std(ddof=1))
-            if sd_low > 0:
+            # huge finite residuals overflow in the squares; no ratio then
+            with np.errstate(over="ignore", invalid="ignore"):
+                sd_low = float(low.std(ddof=1))
+                sd_high = float(high.std(ddof=1))
+            if sd_low > 0 and math.isfinite(sd_low) and math.isfinite(sd_high):
                 funnel = sd_high / sd_low
     return ResidualSpread(fitted=fitted[order], residuals=e[order], funnel_ratio=funnel)
 

@@ -210,8 +210,7 @@ class FitResult:
     """An OLS fit: coefficients, one fitted value per cell, and error moments.
 
     Every observation's fitted value is its cell's entry of ``cell_fitted``
-    (layout cell order); ``diagnostics.residuals`` expands a fit to one
-    residual per observation. The design (and with it the coding scheme)
+    (layout cell order). The design (and with it the coding scheme)
     travels with the fit, so ``predict`` can never be called with mismatched
     coding. ``cov_unscaled`` is the read-only (X'WX)^-1 in design column
     order, where W holds the observation counts.

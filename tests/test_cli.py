@@ -222,19 +222,28 @@ significant at alpha=0.05: none
 """
 
 
-def test_anova_of_huge_finite_responses(tmp_path, capsys):
-    # los 1e200 and 2e200 pass ingest, but their squares overflow on the raw
-    # scale; any RuntimeWarning on the way is an error under the test settings
+def _cohort_file(path, cell_values, extra=()):
+    """A cohort CSV with one row per value of ``cell_values(cell_index)`` in
+    every cell of the default layout, then the ``extra`` rows."""
     from losanova.synth import default_layout
 
     layout = default_layout()
     lines = ["gender,season,age_group,los"]
-    for names in map(layout.cell_names, layout.cells()):
-        lines += [",".join([*names, los]) for los in ("3.0", "5.0", "4.0")]
-    lines += ["male,spring,1,1e200", "male,spring,1,2e200"]
-    path = tmp_path / "huge.csv"
-    path.write_text("\n".join(lines) + "\n")
-    argv = ["anova", "--input", str(path), "--transform"]
+    for i, names in enumerate(map(layout.cell_names, layout.cells())):
+        lines += [",".join([*names, repr(los)]) for los in cell_values(i)]
+    path.write_text("\n".join([*lines, *extra]) + "\n")
+    return path
+
+
+def _huge_csv(tmp_path):
+    # los 1e200 and 2e200 pass ingest, but their squares overflow on the raw
+    # scale; any RuntimeWarning on the way is an error under the test settings
+    return _cohort_file(tmp_path / "huge.csv", lambda i: (3.0, 5.0, 4.0),
+                        ["male,spring,1,1e200", "male,spring,1,2e200"])
+
+
+def test_anova_of_huge_finite_responses(tmp_path, capsys):
+    argv = ["anova", "--input", str(_huge_csv(tmp_path)), "--transform"]
 
     assert cli_main([*argv, "none"]) == 1
     assert capsys.readouterr().err == (
@@ -245,6 +254,42 @@ def test_anova_of_huge_finite_responses(tmp_path, capsys):
     assert "log cell means are constant" in capsys.readouterr().err
     assert cli_main([*argv, "log10"]) == 0
     assert capsys.readouterr().out == _HUGE_LOG10_TABLE
+
+
+def test_forced_transform_report_drops_a_failed_recommendation(tmp_path, capsys):
+    # the sd-mean regression cannot fit the huge-response file; only auto needs it
+    path, out = _huge_csv(tmp_path), tmp_path / "report"
+    argv = ["report", "--input", str(path), "--transform"]
+    assert cli_main([*argv, "log10", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 29 artifacts to {out}\n"
+    assert not list(out.glob("tables/transform.*"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"]["sd_mean_slope"] is None
+    assert cli_main([*argv, "none"]) == 1
+    assert "sums of squares overflow on the los scale" in capsys.readouterr().err
+    assert cli_main([*argv, "auto"]) == 1
+    assert "log cell means are constant" in capsys.readouterr().err
+
+
+def test_forced_transform_diagnose_of_huge_finite_responses(tmp_path, capsys):
+    argv = ["diagnose", "--input", str(_huge_csv(tmp_path)), "--transform", "log10"]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "raw-scale model: funnel ratio undefined"
+    assert out[2] == ("transform recommendation unavailable: "
+                      "log cell means are constant; slope undefined")
+    assert out[-1].startswith("transformed model (log10(los)): funnel ratio ")
+
+
+def test_diagnose_accepts_an_empty_cell(tmp_path, capsys):
+    # residuals from cell means need no estimable design; report's Type III
+    # table still refuses the empty cell
+    path = _cohort_file(tmp_path / "gap.csv",
+                        lambda i: () if i == 7 else (i + 1.0, 1.5 * (i + 1), 2.0 * (i + 1)))
+    assert cli_main(["diagnose", "--input", str(path)]) == 0
+    assert "N=117" in capsys.readouterr().out
+    assert cli_main(["report", "--input", str(path)]) == 1
+    assert "empty" in capsys.readouterr().err
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
@@ -384,6 +429,10 @@ def test_import_leaves_scipy_unloaded(module):
 def test_commands_without_numerics_leave_scipy_unloaded(argv, tmp_path):
     code = 1 if argv[0] == "report" else 0
     assert _fresh(_FRESH_CLI, *(a.format(tmp=tmp_path) for a in argv)) == f"{code} False"
+
+
+def test_fresh_diagnose_leaves_scipy_unloaded(cohort_csv):
+    assert _fresh(_FRESH_CLI, "diagnose", "--input", str(cohort_csv)) == "0 False"
 
 
 def test_fresh_report_loads_scipy_and_writes_the_same_artifacts(cohort_csv, tmp_path):

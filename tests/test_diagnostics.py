@@ -17,12 +17,14 @@ from losanova import (
     ols_fit,
     pp_plot,
     predict,
+    residual_diagnostics,
     residual_histogram,
     residual_vs_fitted,
     residuals,
     sd_mean_regression,
 )
 from losanova.linmod import Term, full_factorial_terms
+from losanova.synth import generate, reference_cohort_spec
 
 from conftest import random_dataset
 
@@ -33,15 +35,48 @@ def test_saturated_model_zero_residuals(two_by_two):
     rows = [(("a1", "b1"), 2.0)] * 2 + [(("a1", "b2"), 5.0)] * 2 \
         + [(("a2", "b1"), 3.0)] * 2 + [(("a2", "b2"), 9.0)] * 2
     d = build_dataset(two_by_two, rows)
-    fit = ols_fit(build_design(d, full_factorial_terms(two_by_two), "reference"),
-                  d.cells)
-    assert np.allclose(residuals(d, fit), 0.0, atol=1e-12)
+    assert np.array_equal(residuals(d), np.zeros(d.n))
+
+
+def _full_factorial_residuals(d):
+    """The residuals of a reference-coded full factorial least-squares fit."""
+    X = build_design(d, full_factorial_terms(d.layout), "reference")
+    return d.responses - ols_fit(X, d.cells).cell_fitted[d.codes]
+
+
+def test_residuals_match_full_factorial_fit(cohort_layout, two_by_two):
+    datasets = [random_dataset(cohort_layout, 400, seed=s, min_per_cell=2) for s in range(5)]
+    datasets += [random_dataset(two_by_two, 30, seed=s, min_per_cell=1, positive_shift=1e6)
+                 for s in range(3)]
+    cohort = generate(reference_cohort_spec(n=8000, seed=0))
+    datasets += [cohort, apply_transform(cohort, "logarithmic")]
+    for d in datasets:
+        scale = float(np.abs(d.responses).max())
+        assert np.abs(residuals(d) - _full_factorial_residuals(d)).max() <= 1e-12 * scale
+
+
+def test_residual_diagnostics_series(cohort_layout):
+    raw = random_dataset(cohort_layout, 300, seed=8, min_per_cell=2)
+    logged = apply_transform(raw, "logarithmic")
+    names = ["raw_residual_histogram", "raw_residual_vs_fitted", "residual_histogram",
+             "residual_vs_fitted", "pp_plot"]
+    series = residual_diagnostics(raw, logged)
+    assert list(series) == names
+    assert series["raw_residual_histogram"] == residual_histogram(residuals(raw))
+    assert series["residual_histogram"] == residual_histogram(residuals(logged))
+    spread = series["residual_vs_fitted"]
+    assert np.array_equal(np.sort(spread.fitted), np.sort(logged.cells.means[logged.codes]))
+    assert series["pp_plot"].max_abs_deviation == pp_plot(residuals(logged)).max_abs_deviation
+    # without a transform the raw-scale series are the analysis-scale ones
+    same = residual_diagnostics(raw, raw)
+    assert same["raw_residual_histogram"] is same["residual_histogram"]
+    assert same["raw_residual_vs_fitted"] is same["residual_vs_fitted"]
 
 
 def test_intercept_only_residuals_center(two_by_two):
     d = random_dataset(two_by_two, 25, seed=4)
     fit = ols_fit(build_design(d, [], "reference"), d.cells)
-    e = residuals(d, fit)
+    e = d.responses - fit.cell_fitted[d.codes]
     assert float(e.sum()) == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(e, d.responses - d.responses.mean())
 
@@ -49,7 +84,7 @@ def test_intercept_only_residuals_center(two_by_two):
 def test_residuals_match_prediction_oracle(two_by_two):
     d = random_dataset(two_by_two, 30, seed=6)
     fit = ols_fit(build_design(d, [Term((0,)), Term((1,))], "reference"), d.cells)
-    e = residuals(d, fit)
+    e = d.responses - fit.cell_fitted[d.codes]
     for i, (levels, y) in enumerate(zip(d.level_matrix, d.responses)):
         yhat = predict(fit, d.layout.cell_names(levels))
         assert e[i] == pytest.approx(y - yhat, abs=1e-10)
@@ -98,6 +133,13 @@ def test_funnel_detects_sd_proportional_to_mean():
 
 def test_funnel_undefined_for_single_fitted_value():
     spread = residual_vs_fitted(np.array([1.0, -1.0, 0.5]), np.full(3, 2.0))
+    assert spread.funnel_ratio is None
+
+
+def test_funnel_undefined_when_an_sd_overflows():
+    # the top quartile's squared deviations overflow; RuntimeWarnings are errors here
+    e = np.array([1.0, -1.0, 0.5, -0.5, 1e200, -1e200])
+    spread = residual_vs_fitted(e, np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
     assert spread.funnel_ratio is None
 
 
