@@ -6,81 +6,65 @@ noncentral-F power, CSV ingestion, variance-stabilizing transform selection,
 Type III ANOVA, dummy-coded regression with coefficient inference, Scheffe
 post hoc comparisons with homogeneous subsets, residual diagnostics, and
 publication-style reports with deterministic SVG plots.
+
+Each exported name is imported from its submodule at its first use
+(PEP 562), so ``import losanova`` loads neither numpy nor any submodule.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .anova import AnovaTable, df_check, significance_summary, type3_anova
-from .diagnostics import (
-    apply_transform,
-    back_transform,
-    pp_plot,
-    residual_diagnostics,
-    residual_histogram,
-    residual_vs_fitted,
-    residuals,
-    sd_mean_regression,
-)
-from .distributions import (
-    f_cdf,
-    f_quantile,
-    f_sf,
-    log_gamma,
-    noncentral_f_cdf,
-    normal_cdf,
-    normal_quantile,
-    reg_inc_beta,
-    t_cdf,
-    t_quantile,
-)
-from .errors import (
-    LosanovaError,
-    NumericalError,
-    RankDeficiencyError,
-    ReplicationSearchError,
-    ValidationError,
-)
-from .ingest import bin_age, ingest_csv, season_from_date, write_csv
-from .linmod import (
-    CoefficientTable,
-    DesignMatrix,
-    FitResult,
-    Term,
-    build_design,
-    full_factorial_terms,
-    ols_fit,
-    predict,
-    significant_model,
-    significant_terms,
-)
-from .model import CellTable, Dataset, FactorLayout, build_dataset
-from .posthoc import (
-    HomogeneousSubsets,
-    LevelSummary,
-    ScheffeComparison,
-    homogeneous_subsets,
-    marginal_means,
-    scheffe_from_stats,
-    scheffe_pairwise,
-)
-from .power import (
-    EffectId,
-    PowerResult,
-    PowerSpec,
-    all_effects,
-    effect_dfs,
-    min_replications,
-    oc_table,
-    phi_squared,
-    plan_all_effects,
-    power_of_test,
-)
-from .report import ReportBundle, render_report, write_report_dir
-from .synth import (
-    CohortSpec,
-    REFERENCE_CELL_COUNTS,
-    REFERENCE_TOTAL,
-    default_layout,
-    generate,
-    reference_cohort_spec,
-)
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "anova": ("AnovaTable", "df_check", "significance_summary", "type3_anova"),
+    "diagnostics": (
+        "apply_transform", "back_transform", "pp_plot", "report_diagnostics",
+        "residual_diagnostics", "residual_histogram", "residual_vs_fitted", "residuals",
+        "sd_mean_regression",
+    ),
+    "distributions": (
+        "f_cdf", "f_quantile", "f_sf", "log_gamma", "noncentral_f_cdf", "normal_cdf",
+        "normal_quantile", "reg_inc_beta", "t_cdf", "t_quantile",
+    ),
+    "errors": (
+        "LosanovaError", "NumericalError", "RankDeficiencyError",
+        "ReplicationSearchError", "ValidationError",
+    ),
+    "ingest": ("bin_age", "ingest_csv", "season_from_date", "write_csv"),
+    "linmod": (
+        "CoefficientTable", "DesignMatrix", "FitResult", "Term", "build_design",
+        "full_factorial_terms", "ols_fit", "predict", "significant_model",
+        "significant_terms",
+    ),
+    "model": ("CellTable", "Dataset", "FactorLayout", "build_dataset"),
+    "posthoc": (
+        "HomogeneousSubsets", "LevelSummary", "ScheffeComparison", "homogeneous_subsets",
+        "marginal_means", "scheffe_from_stats", "scheffe_pairwise",
+    ),
+    "power": (
+        "EffectId", "PowerResult", "PowerSpec", "all_effects", "effect_dfs",
+        "min_replications", "oc_table", "phi_squared", "plan_all_effects", "power_of_test",
+    ),
+    "report": ("ReportBundle", "render_report", "write_report_dir"),
+    "synth": (
+        "CohortSpec", "REFERENCE_CELL_COUNTS", "REFERENCE_TOTAL", "default_layout",
+        "generate", "reference_cohort_spec",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

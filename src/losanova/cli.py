@@ -8,6 +8,10 @@ full pipeline into an output directory).
 
 Exit codes: 0 on success, 1 for input or validation problems, 2 for a
 numerical failure.
+
+Each command imports the modules it runs when it runs, so a fresh process
+that only parses arguments, prints help or fails on its usage loads neither
+numpy nor any analysis module.
 """
 
 from __future__ import annotations
@@ -17,32 +21,7 @@ import math
 import sys
 
 from . import __version__
-from .anova import significance_summary, type3_anova
-from .diagnostics import apply_transform, residual_diagnostics, sd_mean_regression
 from .errors import LosanovaError, NumericalError, ValidationError
-from .ingest import ingest_csv, write_csv
-from .linmod import build_design, full_factorial_terms, ols_fit, significant_model
-from .model import FactorLayout
-from .posthoc import homogeneous_subsets, marginal_means, scheffe_from_stats
-from .power import (
-    effect_label,
-    min_replications,
-    oc_table,
-    parse_effect,
-    plan_all_effects,
-)
-from .report import (
-    ReportBundle,
-    anova_rows,
-    power_rows,
-    render_report,
-    scheffe_rows,
-    subset_rows,
-    transform_rows,
-    write_report_dir,
-    _table_text,
-)
-from .synth import reference_cohort_spec, generate
 
 # factor names assumed for bare --levels lists of length three, matching the
 # planning convention season x gender x age_group
@@ -69,7 +48,10 @@ def _alpha(text: str) -> float:
     return value
 
 
-def _planning_layout(levels_text: str, factors_text: str | None) -> FactorLayout:
+def _planning_layout(levels_text: str, factors_text: str | None):
+    """The ``model.FactorLayout`` that ``--levels`` and ``--factors`` name."""
+    from .model import FactorLayout
+
     counts = _parse_int_list(levels_text, "--levels")
     if len(counts) < 1:
         raise ValidationError("--levels needs at least one factor")
@@ -94,6 +76,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_power(args) -> int:
+    from .power import effect_label, min_replications, oc_table, parse_effect, plan_all_effects
+    from .report import _table_text, power_rows
+
     layout = _planning_layout(args.levels, args.factors)
     if args.all_effects:
         plan = plan_all_effects(
@@ -125,6 +110,9 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .ingest import write_csv
+    from .synth import generate, reference_cohort_spec
+
     spec = reference_cohort_spec(n=args.n, seed=args.seed)
     dataset = generate(spec)
     write_csv(dataset, args.out)
@@ -134,6 +122,9 @@ def _cmd_synth(args) -> int:
 
 def _load_analysis(args):
     """Shared ingest + transform front end for the analysis subcommands."""
+    from .diagnostics import apply_transform, sd_mean_regression
+    from .ingest import ingest_csv
+
     raw = ingest_csv(args.input, use_date_season=getattr(args, "season_from_date", False))
     rec = None
     if args.transform == "auto":
@@ -148,6 +139,9 @@ def _load_analysis(args):
 
 
 def _cmd_anova(args) -> int:
+    from .anova import significance_summary, type3_anova
+    from .report import _table_text, anova_rows
+
     _, analysis, rec, chosen = _load_analysis(args)
     if rec is not None:
         print(f"transform (auto): {chosen} [sd-mean slope {rec.slope:.3f}]")
@@ -163,6 +157,10 @@ def _cmd_anova(args) -> int:
 
 
 def _cmd_posthoc(args) -> int:
+    from .anova import type3_anova
+    from .posthoc import homogeneous_subsets, marginal_means, scheffe_from_stats
+    from .report import _table_text, scheffe_rows, subset_rows
+
     _, analysis, _, chosen = _load_analysis(args)
     table = type3_anova(analysis)
     stats = marginal_means(analysis, args.factor)
@@ -181,6 +179,8 @@ def _cmd_posthoc(args) -> int:
 def _recommendation(raw, rec):
     """``auto``'s recommendation ``rec``, or else the sd-mean regression's,
     which a forced transform does not need: (None, why) if it fails."""
+    from .diagnostics import sd_mean_regression
+
     if rec is not None:
         return rec, None
     try:
@@ -194,8 +194,12 @@ def _funnel_text(spread) -> str:
 
 
 def _cmd_diagnose(args) -> int:
+    from .diagnostics import report_diagnostics, residual_diagnostics
+    from .report import _table_text, transform_rows
+
     raw, analysis, rec, chosen = _load_analysis(args)
-    series = residual_diagnostics(raw, analysis)
+    # the P-P plot is printed only for a transformed model
+    series = (residual_diagnostics if chosen == "none" else report_diagnostics)(raw, analysis)
     hist_raw = series["raw_residual_histogram"]
     print(f"raw-scale model: funnel ratio {_funnel_text(series['raw_residual_vs_fitted'])}")
     print(f"raw residual histogram: {len(hist_raw.counts)} bins, N={hist_raw.n}")
@@ -211,14 +215,21 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _build_bundle(args) -> ReportBundle:
+def _build_bundle(args):
+    """The ``report.ReportBundle`` of the full pipeline on ``--input``."""
+    from .anova import type3_anova
+    from .diagnostics import report_diagnostics
+    from .linmod import build_design, full_factorial_terms, ols_fit, significant_model
+    from .posthoc import homogeneous_subsets, marginal_means, scheffe_from_stats
+    from .report import ReportBundle
+
     raw, analysis, rec, chosen = _load_analysis(args)
     rec, _ = _recommendation(raw, rec)
     table = type3_anova(analysis)
     design = build_design(analysis, full_factorial_terms(analysis.layout), "reference")
     fit = ols_fit(design, analysis.cells, alpha=args.alpha)
     model = significant_model(fit, args.alpha, analysis.response_name)
-    diagnostics = residual_diagnostics(raw, analysis)
+    diagnostics = report_diagnostics(raw, analysis)
 
     scheffe = {}
     subsets = {}
@@ -256,6 +267,8 @@ def _build_bundle(args) -> ReportBundle:
 
 
 def _cmd_report(args) -> int:
+    from .report import render_report, write_report_dir
+
     bundle = _build_bundle(args)
     if args.out:
         artifacts = write_report_dir(bundle, args.out)

@@ -115,9 +115,20 @@ def residuals(d: Dataset) -> np.ndarray:
 def residual_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
     """The full factorial model's residual series, by name: the raw scale's
     histogram and spread against the fitted values, then the analysis scale's
-    histogram, spread and normal P-P plot. Without a transform (``raw is
-    analysis``) each series is computed once."""
+    histogram and spread. Without a transform (``raw is analysis``) each
+    series is computed once."""
+    return _residual_series(raw, analysis, residuals(analysis))
+
+
+def report_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
+    """The report's residual series: ``residual_diagnostics``' four, then the
+    analysis scale's normal P-P plot, which raises ``ValidationError`` when
+    the residuals have no variance."""
     e = residuals(analysis)
+    return {**_residual_series(raw, analysis, e), "pp_plot": pp_plot(e)}
+
+
+def _residual_series(raw: Dataset, analysis: Dataset, e: np.ndarray) -> dict[str, object]:
     histogram = residual_histogram(e)
     spread = residual_vs_fitted(e, analysis.cells.means[analysis.codes])
     if raw is analysis:
@@ -131,7 +142,6 @@ def residual_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
         "raw_residual_vs_fitted": raw_spread,
         "residual_histogram": histogram,
         "residual_vs_fitted": spread,
-        "pp_plot": pp_plot(e),
     }
 
 

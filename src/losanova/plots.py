@@ -116,13 +116,16 @@ def _esc(text: str) -> str:
     )
 
 
-def _thin(*series: np.ndarray) -> tuple[list[float], ...]:
-    # as Python floats: per-point arithmetic on numpy scalars is several times slower
-    n = len(series[0])
+def _add_points(canvas: _Canvas, x: np.ndarray, y: np.ndarray, template: str) -> None:
+    """One ``template % (px, py)`` element per point, thinned to at most
+    ``_MAX_POINTS``. numpy's elementwise arithmetic rounds as per-point Python
+    floats would, and ``%.2f`` formats as ``_num`` does."""
+    n = len(x)
     if n > _MAX_POINTS:
-        idx = [round(i * (n - 1) / (_MAX_POINTS - 1)) for i in range(_MAX_POINTS)]
-        series = tuple(s[idx] for s in series)
-    return tuple(s.tolist() for s in series)
+        idx = np.rint(np.arange(_MAX_POINTS) * (n - 1) / (_MAX_POINTS - 1)).astype(np.intp)
+        x, y = x[idx], y[idx]
+    canvas.elements.extend(template % p for p in zip(canvas.px(x).tolist(),
+                                                     canvas.py(y).tolist()))
 
 
 def _histogram_svg(h: HistogramData, xlabel, ylabel) -> str:
@@ -148,7 +151,6 @@ def _spread_svg(spread: ResidualSpread, xlabel, ylabel) -> str:
         (float(np.min(x)), float(np.max(x))), (float(np.min(y)), float(np.max(y))),
         xlabel, ylabel,
     )
-    x, y = _thin(x, y)
     if canvas.y_lo < 0.0 < canvas.y_hi:
         yp = canvas.py(0.0)
         canvas.elements.append(
@@ -156,11 +158,8 @@ def _spread_svg(spread: ResidualSpread, xlabel, ylabel) -> str:
             f'x2="{_num(canvas.px(canvas.x_hi))}" y2="{_num(yp)}" '
             f'stroke="#999" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    for xi, yi in zip(x, y):
-        canvas.elements.append(
-            f'<circle cx="{_num(canvas.px(xi))}" cy="{_num(canvas.py(yi))}" '
-            f'r="2.5" fill="#4878d0" fill-opacity="0.6" class="pt"/>'
-        )
+    _add_points(canvas, x, y, '<circle cx="%.2f" cy="%.2f" '
+                'r="2.5" fill="#4878d0" fill-opacity="0.6" class="pt"/>')
     return canvas.to_svg()
 
 
@@ -173,12 +172,8 @@ def _pp_svg(pp: PPPlotData, xlabel, ylabel) -> str:
         f'x2="{_num(canvas.px(1.0))}" y2="{_num(canvas.py(1.0))}" '
         f'stroke="#333" stroke-width="1" class="identity"/>'
     )
-    empirical, theoretical = _thin(pp.empirical, pp.theoretical)
-    for e, t in zip(empirical, theoretical):
-        canvas.elements.append(
-            f'<circle cx="{_num(canvas.px(e))}" cy="{_num(canvas.py(t))}" '
-            f'r="2.0" fill="#d65f5f" fill-opacity="0.7" class="pt"/>'
-        )
+    _add_points(canvas, pp.empirical, pp.theoretical, '<circle cx="%.2f" cy="%.2f" '
+                'r="2.0" fill="#d65f5f" fill-opacity="0.7" class="pt"/>')
     return canvas.to_svg()
 
 

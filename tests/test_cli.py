@@ -281,6 +281,35 @@ def test_forced_transform_diagnose_of_huge_finite_responses(tmp_path, capsys):
     assert out[-1].startswith("transformed model (log10(los)): funnel ratio ")
 
 
+def test_diagnose_without_transform_of_residual_free_cells(tmp_path, capsys):
+    # every row equals its cell mean: the raw-scale residuals are all zero, and
+    # their P-P plot, which diagnose prints only for a transformed model, is undefined
+    path = _cohort_file(tmp_path / "flat.csv", lambda i: (i + 1.0,) * 3)
+    unavailable = ("transform recommendation unavailable: need at least 3 cells with "
+                   "n >= 2, positive mean and sd > 0; got 0")
+    assert cli_main(["diagnose", "--input", str(path), "--transform", "none"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "raw-scale model: funnel ratio undefined",
+        "raw residual histogram: 1 bins, N=120",
+        unavailable,
+    ]
+    assert cli_main(["report", "--input", str(path), "--transform", "none"]) == 1
+    assert capsys.readouterr().err == (
+        "error: residuals have zero variance; P-P plot undefined\n")
+    # the log10 residuals are rounding noise, which has a P-P plot
+    assert cli_main(["diagnose", "--input", str(path), "--transform", "log10"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == [
+        "raw-scale model: funnel ratio undefined",
+        "raw residual histogram: 1 bins, N=120",
+        unavailable,
+        "",
+    ]
+    assert re.fullmatch(r"transformed model \(log10\(los\)\): funnel ratio \S+, "
+                        r"P-P max deviation \d\.\d{4}", out[4])
+    assert len(out) == 5
+
+
 def test_diagnose_accepts_an_empty_cell(tmp_path, capsys):
     # residuals from cell means need no estimable design; report's Type III
     # table still refuses the empty cell
@@ -359,12 +388,13 @@ def test_posthoc_two_level_factor(cohort_csv, capsys):
 
 def test_numerical_failure_exits_2(cohort_csv, capsys, monkeypatch):
     from losanova import NumericalError
-    import losanova.cli as cli_mod
+    import losanova.anova as anova_mod
 
     def boom(*args, **kwargs):
         raise NumericalError("series did not converge")
 
-    monkeypatch.setattr(cli_mod, "type3_anova", boom)
+    # the command imports type3_anova from its module when it runs
+    monkeypatch.setattr(anova_mod, "type3_anova", boom)
     code = cli_main(["anova", "--input", str(cohort_csv)])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
@@ -433,6 +463,61 @@ def test_commands_without_numerics_leave_scipy_unloaded(argv, tmp_path):
 
 def test_fresh_diagnose_leaves_scipy_unloaded(cohort_csv):
     assert _fresh(_FRESH_CLI, "diagnose", "--input", str(cohort_csv)) == "0 False"
+
+
+# appended to a fresh interpreter's code: prints whether numpy was imported and
+# the loaded losanova modules
+_LOADED = """
+print("numpy" in sys.modules, *sorted(m for m in sys.modules if m.startswith("losanova")))
+"""
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("losanova", "losanova"),
+    ("losanova.cli", "losanova losanova.cli losanova.errors"),
+])
+def test_import_loads_no_analysis_module(module, loaded):
+    assert _fresh(f"import sys, {module}" + _LOADED) == f"False {loaded}"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["--version"], 0),
+    ([], 1),
+    (["frobnicate"], 1),
+    (["power", "--levels", "4,2,5", "--bogus"], 1),
+    (["anova", "--input", "x.csv", "--alpha", "2"], 1),
+])
+def test_commands_that_only_parse_load_no_analysis_module(argv, code):
+    assert _fresh(_FRESH_CLI + _LOADED, *argv).splitlines() == [
+        f"{code} False", "False losanova losanova.cli losanova.errors"]
+
+
+def test_fresh_synth_loads_no_analysis_module(tmp_path):
+    out = _fresh(_FRESH_CLI + _LOADED, "synth", "--n", "200", "--out", str(tmp_path / "c.csv"))
+    status, loaded = out.splitlines()
+    assert status == "0 False"
+    assert not {f"losanova.{m}" for m in (
+        "anova", "linmod", "diagnostics", "posthoc", "power", "report", "plots",
+    )} & set(loaded.split())
+
+
+def test_package_exports_are_their_submodules_objects():
+    import importlib
+
+    import losanova
+
+    for module, names in losanova._EXPORTS.items():
+        defining = importlib.import_module(f"losanova.{module}")
+        for name in names:
+            assert getattr(losanova, name) is getattr(defining, name), name
+    assert sorted(losanova.__all__) == sorted(n for ns in losanova._EXPORTS.values() for n in ns)
+    assert set(losanova.__all__) <= set(dir(losanova))
+    star = {}
+    exec("from losanova import *", star)
+    assert set(star) - {"__builtins__"} == set(losanova.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        losanova.no_such_name  # noqa: B018
 
 
 def test_fresh_report_loads_scipy_and_writes_the_same_artifacts(cohort_csv, tmp_path):

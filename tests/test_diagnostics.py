@@ -17,6 +17,7 @@ from losanova import (
     ols_fit,
     pp_plot,
     predict,
+    report_diagnostics,
     residual_diagnostics,
     residual_histogram,
     residual_vs_fitted,
@@ -59,18 +60,22 @@ def test_residual_diagnostics_series(cohort_layout):
     raw = random_dataset(cohort_layout, 300, seed=8, min_per_cell=2)
     logged = apply_transform(raw, "logarithmic")
     names = ["raw_residual_histogram", "raw_residual_vs_fitted", "residual_histogram",
-             "residual_vs_fitted", "pp_plot"]
+             "residual_vs_fitted"]
     series = residual_diagnostics(raw, logged)
     assert list(series) == names
     assert series["raw_residual_histogram"] == residual_histogram(residuals(raw))
     assert series["residual_histogram"] == residual_histogram(residuals(logged))
     spread = series["residual_vs_fitted"]
     assert np.array_equal(np.sort(spread.fitted), np.sort(logged.cells.means[logged.codes]))
-    assert series["pp_plot"].max_abs_deviation == pp_plot(residuals(logged)).max_abs_deviation
     # without a transform the raw-scale series are the analysis-scale ones
     same = residual_diagnostics(raw, raw)
     assert same["raw_residual_histogram"] is same["residual_histogram"]
     assert same["raw_residual_vs_fitted"] is same["residual_vs_fitted"]
+    # the report's series add the analysis scale's P-P plot
+    report = report_diagnostics(raw, logged)
+    assert list(report) == names + ["pp_plot"]
+    assert report["residual_histogram"] == series["residual_histogram"]
+    assert report["pp_plot"].max_abs_deviation == pp_plot(residuals(logged)).max_abs_deviation
 
 
 def test_intercept_only_residuals_center(two_by_two):

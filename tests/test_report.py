@@ -4,11 +4,15 @@ import argparse
 import json
 import re
 
+import numpy as np
 import pytest
 
 from losanova import ValidationError, generate, render_report, write_csv
 from losanova.cli import _build_bundle
-from losanova.diagnostics import HistogramData, PPPlotData, ResidualSpread
+from losanova.diagnostics import (
+    HistogramData, PPPlotData, ResidualSpread, apply_transform, pp_plot, residuals,
+)
+from losanova.ingest import ingest_csv
 from losanova.plots import render_plot
 from losanova.posthoc import HomogeneousSubsets, Subset
 from losanova.power import PowerResult
@@ -103,6 +107,13 @@ def test_json_report_full_precision(bundle):
     assert parsed["diagnostics"]["pp_plot"]["kind"] == "pp"
 
 
+def test_report_pp_plot_is_of_the_analysis_scale(bundle, cohort_csv):
+    logged = apply_transform(ingest_csv(cohort_csv), "logarithmic")
+    pp = bundle.diagnostics["pp_plot"]
+    assert pp.max_abs_deviation == pp_plot(residuals(logged)).max_abs_deviation
+    assert np.array_equal(pp.theoretical, pp_plot(residuals(logged)).theoretical)
+
+
 def test_rendered_tables_are_deterministic(bundle, cohort_csv):
     again = _build_bundle(_args(cohort_csv))
     for fmt in ("text", "csv", "json"):
@@ -191,3 +202,68 @@ def test_unsupported_plot_type(tmp_path):
     with pytest.raises(ValidationError, match="cannot plot a tuple"):
         render_plot(((0.0, 1.0), (1.0, 2.0)), path)
     assert not path.exists()
+
+
+def _per_point_circles(canvas, x, y) -> list[tuple[str, str]]:
+    """The point coordinates as the renderer once wrote them: thinned by a Python
+    index list, then one ``canvas.px``/``canvas.py`` call and f-string per point."""
+    from losanova.plots import _MAX_POINTS
+
+    n = len(x)
+    if n > _MAX_POINTS:
+        idx = [round(i * (n - 1) / (_MAX_POINTS - 1)) for i in range(_MAX_POINTS)]
+        x, y = x[idx], y[idx]
+    return [(f"{canvas.px(xi):.2f}", f"{canvas.py(yi):.2f}")
+            for xi, yi in zip(x.tolist(), y.tolist())]
+
+
+def _svg_circles(path) -> list[tuple[str, str]]:
+    return re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"[^>]*class="pt"', path.read_text())
+
+
+@pytest.mark.parametrize("v", [
+    -0.0, 0.0, -0.004, -0.005, 0.005, 0.015, 0.025, 0.125, 0.375, 1.005, 2.675, 70.005,
+    424.995, 1e16, -1e-300, float("inf"), float("nan"),
+])
+def test_point_template_formats_as_num(v):
+    from losanova.plots import _num
+
+    assert "%.2f" % v == _num(v)
+
+
+def _near_rounding_points(rng, n, lo, hi, origin, pixels_per_unit, pixels):
+    """Data in [lo, hi], lo at pixel ``origin``, whose pixels land a few ulps
+    from ``pixels``; the first two points are lo and hi."""
+    v = lo + (pixels - origin) / pixels_per_unit * (hi - lo)
+    for _ in range(3):
+        v = np.nextafter(v, rng.choice([-np.inf, np.inf], n))
+    v = np.clip(v, lo, hi)
+    v[:2] = lo, hi
+    return v
+
+
+@pytest.mark.parametrize("n", [3, 4999, 5000, 5001, 8000, 82718])
+def test_point_clouds_match_the_per_point_formula(n, tmp_path):
+    from losanova.plots import _Canvas
+
+    # pixels within a few ulps of where two-decimal rounding turns, so that a
+    # change in the pixel arithmetic or its order shows in the text
+    rng = np.random.default_rng(n)
+    frac = np.array([0.005, 0.015, 0.125, 0.375, 0.995])[np.arange(n) % 5]
+    x_pixels = 70.0 + np.arange(n) % 549 + frac  # px(x) = 70 + 550 (x - lo) / (hi - lo)
+    y_pixels = 425.0 - np.arange(n) % 384 - frac  # py(y) = 425 - 385 (y - lo) / (hi - lo)
+    fitted = _near_rounding_points(rng, n, 0.3, 1.7, 70.0, 550.0, x_pixels)
+    res = _near_rounding_points(rng, n, -1.3, 0.9, 425.0, -385.0, y_pixels)
+    res[2::7] = -0.0
+    spread = ResidualSpread(fitted=fitted, residuals=res, funnel_ratio=None)
+    render_plot(spread, tmp_path / "s.svg")
+    assert _svg_circles(tmp_path / "s.svg") == _per_point_circles(
+        _Canvas((0.3, 1.7), (-1.3, 0.9), "", ""), fitted, res)
+
+    empirical = _near_rounding_points(rng, n, 0.0, 1.0, 70.0, 550.0, x_pixels)
+    theoretical = _near_rounding_points(rng, n, 0.0, 1.0, 425.0, -385.0, y_pixels)
+    theoretical[3::7] = -0.0
+    pp = PPPlotData(empirical=empirical, theoretical=theoretical, max_abs_deviation=0.0)
+    render_plot(pp, tmp_path / "p.svg")
+    assert _svg_circles(tmp_path / "p.svg") == _per_point_circles(
+        _Canvas((0.0, 1.0), (0.0, 1.0), "", ""), empirical, theoretical)
