@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "anova": ("AnovaTable", "df_check", "significance_summary", "type3_anova"),
     "diagnostics": (
-        "apply_transform", "back_transform", "pp_plot", "report_diagnostics",
+        "apply_transform", "pp_plot", "report_diagnostics",
         "residual_diagnostics", "residual_histogram", "residual_vs_fitted", "residuals",
         "sd_mean_regression",
     ),
@@ -43,7 +43,7 @@ _EXPORTS = {
         "marginal_means", "scheffe_from_stats", "scheffe_pairwise",
     ),
     "power": (
-        "EffectId", "PowerResult", "PowerSpec", "all_effects", "effect_dfs",
+        "PowerResult", "PowerSpec", "all_effects", "effect_dfs",
         "min_replications", "oc_table", "phi_squared", "plan_all_effects", "power_of_test",
     ),
     "report": ("ReportBundle", "render_report", "write_report_dir"),

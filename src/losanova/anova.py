@@ -164,21 +164,12 @@ def df_check(cells: CellTable, max_order: int | None = None) -> list[tuple[str, 
 class EffectVerdict:
     source: str
     p: float
-    significant_strict: bool
-    significant_loose: bool
+    significant: bool
 
 
-def significance_summary(
-    table: AnovaTable, alpha_strict: float = 0.01, alpha_loose: float = 0.05
-) -> list[EffectVerdict]:
-    """Label every testable row significant/not at the two alpha levels."""
-    if not 0 < alpha_strict <= alpha_loose < 1:
-        raise ValidationError("need 0 < alpha_strict <= alpha_loose < 1")
-    out = []
-    for row in table.rows:
-        if row.p is None:
-            continue
-        out.append(
-            EffectVerdict(row.source, row.p, row.p < alpha_strict, row.p < alpha_loose)
-        )
-    return out
+def significance_summary(table: AnovaTable, alpha: float) -> list[EffectVerdict]:
+    """Label every testable row significant or not at level ``alpha``."""
+    if not 0 < alpha < 1:
+        raise ValidationError("alpha must be in (0, 1)")
+    return [EffectVerdict(row.source, row.p, row.p < alpha)
+            for row in table.rows if row.p is not None]

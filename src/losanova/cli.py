@@ -150,8 +150,7 @@ def _cmd_anova(args) -> int:
     table = type3_anova(analysis, max_order=args.max_order)
     print(f"response: {analysis.response_name}")
     print(_table_text(*anova_rows(table)), end="")
-    verdicts = significance_summary(table, args.alpha, max(args.alpha, 0.05))
-    significant = [v.source for v in verdicts if v.significant_strict]
+    significant = [v.source for v in significance_summary(table, args.alpha) if v.significant]
     print(f"\nsignificant at alpha={args.alpha:g}: {', '.join(significant) or 'none'}")
     return 0
 
@@ -194,12 +193,11 @@ def _funnel_text(spread) -> str:
 
 
 def _cmd_diagnose(args) -> int:
-    from .diagnostics import report_diagnostics, residual_diagnostics
+    from .diagnostics import pp_plot, residual_diagnostics
     from .report import _table_text, transform_rows
 
     raw, analysis, rec, chosen = _load_analysis(args)
-    # the P-P plot is printed only for a transformed model
-    series = (residual_diagnostics if chosen == "none" else report_diagnostics)(raw, analysis)
+    series = residual_diagnostics(raw, analysis)
     hist_raw = series["raw_residual_histogram"]
     print(f"raw-scale model: funnel ratio {_funnel_text(series['raw_residual_vs_fitted'])}")
     print(f"raw residual histogram: {len(hist_raw.counts)} bins, N={hist_raw.n}")
@@ -208,10 +206,14 @@ def _cmd_diagnose(args) -> int:
         print(f"transform recommendation unavailable: {reason}")
     else:
         print(_table_text(*transform_rows(rec)), end="")
-    if chosen != "none":
+    if chosen != "none":  # the P-P plot is printed only for a transformed model
+        spread = series["residual_vs_fitted"]
+        try:
+            pp = f"{pp_plot(spread.residuals, spread.fitted).max_abs_deviation:.4f}"
+        except ValidationError:  # no residual spread, as in the funnel ratio
+            pp = "undefined"
         print(f"\ntransformed model ({analysis.response_name}): funnel ratio "
-              f"{_funnel_text(series['residual_vs_fitted'])}, "
-              f"P-P max deviation {series['pp_plot'].max_abs_deviation:.4f}")
+              f"{_funnel_text(spread)}, P-P max deviation {pp}")
     return 0
 
 

@@ -20,13 +20,13 @@ from .distributions import normal_cdf
 from .errors import ValidationError
 from .model import CellTable, Dataset
 
-# forward map, inverse map and response-name pattern of each transform
+# map and response-name pattern of each transform
 _MAPS = {
-    "none": (lambda y: y, lambda v: v, "{}"),
-    "square_root": (np.sqrt, lambda v: v**2, "sqrt({})"),
-    "logarithmic": (np.log10, lambda v: 10.0**v, "log10({})"),
-    "reciprocal_square_root": (lambda y: 1.0 / np.sqrt(y), lambda v: 1.0 / v**2, "1/sqrt({})"),
-    "reciprocal": (lambda y: 1.0 / y, lambda v: 1.0 / v, "1/({})"),
+    "none": (lambda y: y, "{}"),
+    "square_root": (np.sqrt, "sqrt({})"),
+    "logarithmic": (np.log10, "log10({})"),
+    "reciprocal_square_root": (lambda y: 1.0 / np.sqrt(y), "1/sqrt({})"),
+    "reciprocal": (lambda y: 1.0 / y, "1/({})"),
 }
 TRANSFORMS = tuple(_MAPS)
 
@@ -123,9 +123,10 @@ def residual_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
 def report_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
     """The report's residual series: ``residual_diagnostics``' four, then the
     analysis scale's normal P-P plot, which raises ``ValidationError`` when
-    the residuals have no variance."""
+    the residuals have no spread beyond rounding."""
     e = residuals(analysis)
-    return {**_residual_series(raw, analysis, e), "pp_plot": pp_plot(e)}
+    return {**_residual_series(raw, analysis, e),
+            "pp_plot": pp_plot(e, analysis.cells.means[analysis.codes])}
 
 
 def _residual_series(raw: Dataset, analysis: Dataset, e: np.ndarray) -> dict[str, object]:
@@ -167,12 +168,20 @@ def residual_histogram(e: np.ndarray, bins: int | None = None) -> HistogramData:
     return HistogramData(tuple(float(b) for b in edges), tuple(int(c) for c in counts))
 
 
+def _rounding_sd(e: np.ndarray, fitted) -> float:
+    """The largest residual sd that is rounding, not spread: a cell mean summed
+    in sequence over at most N = ``e.size`` responses is off by up to about N
+    ulps of the largest fitted value, and so is each residual taken from it."""
+    return e.size * np.finfo(float).eps * float(np.abs(fitted).max())
+
+
 def residual_vs_fitted(e: np.ndarray, fitted: np.ndarray) -> ResidualSpread:
     """Residuals against fitted values, ordered by fitted value.
 
     The funnel statistic compares residual spread between the top and bottom
     fitted-value quartiles; a ratio well above 1 is the increasing-variance
-    signature that motivates a variance-stabilizing transform.
+    signature that motivates a variance-stabilizing transform. It is None
+    when the bottom quartile has no spread beyond rounding.
     """
     e = np.asarray(e, dtype=float)
     fitted = np.asarray(fitted, dtype=float)
@@ -192,24 +201,26 @@ def residual_vs_fitted(e: np.ndarray, fitted: np.ndarray) -> ResidualSpread:
             with np.errstate(over="ignore", invalid="ignore"):
                 sd_low = float(low.std(ddof=1))
                 sd_high = float(high.std(ddof=1))
-            if sd_low > 0 and math.isfinite(sd_low) and math.isfinite(sd_high):
+            if (sd_low > _rounding_sd(e, fitted) and math.isfinite(sd_low)
+                    and math.isfinite(sd_high)):
                 funnel = sd_high / sd_low
     return ResidualSpread(fitted=fitted[order], residuals=e[order], funnel_ratio=funnel)
 
 
-def pp_plot(e: np.ndarray) -> PPPlotData:
-    """Normal P-P coordinates of the residuals.
+def pp_plot(e: np.ndarray, fitted: np.ndarray) -> PPPlotData:
+    """Normal P-P coordinates of the residuals ``e`` of the ``fitted`` values.
 
     Residuals are standardized by their own mean and (population) sd; the
     empirical cumulative proportion (i - 0.5)/N is paired with the normal CDF
     at the i-th sorted standardized residual. ``max_abs_deviation`` is the
     largest gap between the two coordinates, a Kolmogorov-style summary.
+    Residuals with no spread beyond rounding raise ``ValidationError``.
     """
     e = np.asarray(e, dtype=float)
     if e.size == 0:
         raise ValidationError("no residuals")
     sd = float(e.std(ddof=0))
-    if sd == 0:
+    if sd <= _rounding_sd(e, fitted):
         raise ValidationError("residuals have zero variance; P-P plot undefined")
     z = np.sort((e - e.mean()) / sd)
     n = e.size
@@ -265,8 +276,8 @@ def sd_mean_regression(cells: CellTable) -> TransformRecommendation:
 
 
 def apply_transform(d: Dataset, transform: str) -> Dataset:
-    """A new dataset with transformed responses; the transform is recorded on
-    the dataset so results can be mapped back to the original scale."""
+    """A new dataset with transformed responses and a response name that
+    says so, e.g. "log10(los)"."""
     if transform not in TRANSFORMS:
         raise ValidationError(f"unknown transform {transform!r}; one of {TRANSFORMS}")
     if transform == "none":
@@ -274,19 +285,10 @@ def apply_transform(d: Dataset, transform: str) -> Dataset:
     y = d.responses
     if (y <= 0).any():
         raise ValidationError(f"transform {transform!r} requires strictly positive responses")
-    forward, _, name = _MAPS[transform]
+    forward, name = _MAPS[transform]
     return Dataset(
         layout=d.layout,
         codes=d.codes,
         responses=forward(y),
         response_name=name.format(d.response_name),
-        transform=transform,
     )
-
-
-def back_transform(values, transform: str):
-    """Map transformed-scale values back to the raw response scale."""
-    if transform not in _MAPS:
-        raise ValidationError(f"unknown transform {transform!r}")
-    out = _MAPS[transform][1](np.asarray(values, dtype=float))
-    return float(out) if np.isscalar(values) else out

@@ -182,16 +182,12 @@ class Dataset:
     flat cell index of each observation (layout cell order), and
     ``responses``. The constructor copies both and builds ``cells``, the
     dataset's ``CellTable``.
-
-    ``transform`` records the scale of the responses ("none" for raw data);
-    it is set by ``diagnostics.apply_transform`` so results can be mapped back.
     """
 
     layout: FactorLayout
     codes: np.ndarray
     responses: np.ndarray
     response_name: str = "response"
-    transform: str = "none"
     cells: CellTable = field(init=False, repr=False)
 
     def __post_init__(self):

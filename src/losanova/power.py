@@ -25,17 +25,16 @@ from .linmod import Term, effect_label, full_factorial_terms
 from .model import FactorLayout
 
 
-# a main effect or interaction is a model term; the planning names stay public
-EffectId = Term
+# ``bench/run.py`` reads this name; nothing in the package calls it.
 all_effects = full_factorial_terms
 
 
-def parse_effect(layout: FactorLayout, text: str) -> EffectId:
+def parse_effect(layout: FactorLayout, text: str) -> Term:
     """Parse "season" or "gender*season" (separator '*', whitespace ignored)."""
     names = [part.strip() for part in text.split("*") if part.strip()]
     if not names:
         raise ValidationError(f"cannot parse effect from {text!r}")
-    return EffectId(tuple(layout.factor_index(name) for name in names))
+    return Term(tuple(layout.factor_index(name) for name in names))
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class PowerSpec:
     """
 
     layout: FactorLayout
-    effect: EffectId
+    effect: Term
     min_diff: float
     sigma2: float
     alpha: float
@@ -78,7 +77,7 @@ class PowerResult:
     power: float
 
 
-def effect_dfs(layout: FactorLayout, effect: EffectId, n: int) -> tuple[int, int]:
+def effect_dfs(layout: FactorLayout, effect: Term, n: int) -> tuple[int, int]:
     """(numerator, denominator) df for a balanced design with n per cell."""
     if n < 2:
         raise ValidationError("n must be >= 2")
@@ -125,7 +124,7 @@ def _power_at(layout, effect, min_diff, sigma2, alpha, n) -> PowerResult:
 
 def min_replications(
     layout: FactorLayout,
-    effect: EffectId,
+    effect: Term,
     min_diff: float,
     sigma2: float,
     alpha: float,
@@ -169,7 +168,7 @@ def min_replications(
 
 @dataclass(frozen=True)
 class EffectPlan:
-    effect: EffectId
+    effect: Term
     label: str
     result: PowerResult
 
@@ -196,7 +195,7 @@ def plan_all_effects(
 ) -> ReplicationPlan:
     """Run ``min_replications`` for every main effect and interaction."""
     plans = []
-    for effect in all_effects(layout):
+    for effect in full_factorial_terms(layout):
         result = min_replications(
             layout, effect, min_diff, sigma2, alpha, target_power, n_max
         )
@@ -206,7 +205,7 @@ def plan_all_effects(
 
 def oc_table(
     layout: FactorLayout,
-    effect: EffectId,
+    effect: Term,
     min_diff: float,
     sigma2: float,
     alpha: float,

@@ -15,15 +15,17 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .anova import AnovaTable
-from .diagnostics import HistogramData, PPPlotData, ResidualSpread, TransformRecommendation
 from .errors import ValidationError
-from .linmod import CoefficientTable
-from .model import CellTable
-from .posthoc import HomogeneousSubsets, ScheffeComparison
-from .power import PowerResult
+
+if TYPE_CHECKING:  # annotations only: rendering a table loads no analysis module
+    from .anova import AnovaTable
+    from .diagnostics import TransformRecommendation
+    from .linmod import CoefficientTable
+    from .model import CellTable
+    from .posthoc import HomogeneousSubsets, ScheffeComparison
+    from .power import PowerResult
 
 
 def _strip_leading_zero(s: str) -> str:
@@ -248,6 +250,8 @@ def _frequency_json(cells: CellTable) -> dict:
 
 
 def _series_json(obj) -> dict:
+    from .diagnostics import HistogramData, PPPlotData, ResidualSpread
+
     if isinstance(obj, HistogramData):
         return {"kind": "histogram", "edges": list(obj.edges), "counts": list(obj.counts)}
     if isinstance(obj, ResidualSpread):
@@ -344,7 +348,8 @@ def write_report_dir(bundle: ReportBundle, outdir: str | Path) -> list[str]:
 
     Returns the relative paths of all artifacts written.
     """
-    from . import plots  # local import: plots has no other reason to load here
+    from . import plots  # local imports: a table-only command loads neither
+    from .diagnostics import HistogramData, PPPlotData, ResidualSpread
 
     outdir = Path(outdir)
     tables = outdir / "tables"

@@ -113,7 +113,6 @@ class CohortSpec:
     coefficients: tuple[TermCoefficient, ...]
     error_sd: float
     seed: int
-    round_days: bool = False
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.cell_probabilities)
@@ -185,7 +184,4 @@ def generate(spec: CohortSpec) -> Dataset:
     codes = np.minimum(codes, len(cells) - 1)
     z = normal_quantile(np.clip(u_noise, 2.0**-55, None))
     log_response = eta[codes] + spec.error_sd * z
-    los = 10.0**log_response
-    if spec.round_days:
-        los = np.maximum(np.rint(los), 1.0)
-    return Dataset(layout, codes, los, response_name="los")
+    return Dataset(layout, codes, 10.0**log_response, response_name="los")

@@ -367,23 +367,26 @@ def _published_anova_table():
 
 
 def test_significance_summary_reference_pattern():
-    verdicts = significance_summary(_published_anova_table(), 0.01, 0.05)
-    strict = {v.source for v in verdicts if v.significant_strict}
-    loose = {v.source for v in verdicts if v.significant_loose}
+    table = _published_anova_table()
+    strict = {v.source for v in significance_summary(table, 0.01) if v.significant}
+    verdicts = significance_summary(table, 0.05)
+    loose = {v.source for v in verdicts if v.significant}
     assert strict == {
         "Corrected Model", "Intercept", "age_group", "season", "gender",
         "age_group * gender",
     }
     assert loose == strict | {"season * gender"}  # p = .041 clears 0.05 only
-    assert {v.source for v in verdicts if not v.significant_loose} == {
+    assert {v.source for v in verdicts if not v.significant} == {
         "age_group * season", "age_group * season * gender",
     }
 
 
 def test_significance_summary_nothing_significant():
     rows = [AnovaRow("f", 1.0, 1, 1.0, 0.5, 1.0), AnovaRow("Error", 10.0, 10, 1.0)]
-    verdicts = significance_summary(AnovaTable(tuple(rows)), 0.01, 0.05)
-    assert all(not v.significant_loose for v in verdicts)
+    for alpha in (0.01, 0.05):
+        verdicts = significance_summary(AnovaTable(tuple(rows)), alpha)
+        assert [v.source for v in verdicts] == ["f"]
+        assert all(not v.significant for v in verdicts)
 
 
 def test_published_f_column_consistency():

@@ -283,31 +283,25 @@ def test_forced_transform_diagnose_of_huge_finite_responses(tmp_path, capsys):
 
 def test_diagnose_without_transform_of_residual_free_cells(tmp_path, capsys):
     # every row equals its cell mean: the raw-scale residuals are all zero, and
-    # their P-P plot, which diagnose prints only for a transformed model, is undefined
+    # the log10 ones rounding noise of about 1e-16. Neither has a funnel ratio
+    # or a P-P plot, which diagnose prints only for a transformed model.
     path = _cohort_file(tmp_path / "flat.csv", lambda i: (i + 1.0,) * 3)
-    unavailable = ("transform recommendation unavailable: need at least 3 cells with "
-                   "n >= 2, positive mean and sd > 0; got 0")
-    assert cli_main(["diagnose", "--input", str(path), "--transform", "none"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
+    head = [
         "raw-scale model: funnel ratio undefined",
         "raw residual histogram: 1 bins, N=120",
-        unavailable,
+        ("transform recommendation unavailable: need at least 3 cells with "
+         "n >= 2, positive mean and sd > 0; got 0"),
     ]
-    assert cli_main(["report", "--input", str(path), "--transform", "none"]) == 1
-    assert capsys.readouterr().err == (
-        "error: residuals have zero variance; P-P plot undefined\n")
-    # the log10 residuals are rounding noise, which has a P-P plot
-    assert cli_main(["diagnose", "--input", str(path), "--transform", "log10"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[:4] == [
-        "raw-scale model: funnel ratio undefined",
-        "raw residual histogram: 1 bins, N=120",
-        unavailable,
-        "",
-    ]
-    assert re.fullmatch(r"transformed model \(log10\(los\)\): funnel ratio \S+, "
-                        r"P-P max deviation \d\.\d{4}", out[4])
-    assert len(out) == 5
+    tail = {"none": [], "log10": [
+        "", "transformed model (log10(los)): funnel ratio undefined, P-P max deviation undefined",
+    ]}
+    for transform in ("none", "log10"):
+        argv = ["--input", str(path), "--transform", transform]
+        assert cli_main(["diagnose", *argv]) == 0
+        assert capsys.readouterr().out.splitlines() == head + tail[transform]
+        assert cli_main(["report", *argv]) == 1
+        assert capsys.readouterr().err == (
+            "error: residuals have zero variance; P-P plot undefined\n")
 
 
 def test_diagnose_accepts_an_empty_cell(tmp_path, capsys):
@@ -402,7 +396,9 @@ def test_numerical_failure_exits_2(cohort_csv, capsys, monkeypatch):
 
 def test_help_exits_zero(capsys):
     assert cli_main(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out.lower() or True
+    out = capsys.readouterr().out
+    for command in ("power", "synth", "anova", "posthoc", "diagnose", "report"):
+        assert command in out, command
 
 
 def _src_env() -> dict:
@@ -493,13 +489,25 @@ def test_commands_that_only_parse_load_no_analysis_module(argv, code):
         f"{code} False", "False losanova losanova.cli losanova.errors"]
 
 
+def _fresh_loaded(*argv: str) -> tuple[str, set[str]]:
+    """A fresh ``cli_main`` run's exit status line and its loaded ``losanova`` modules."""
+    status, loaded = _fresh(_FRESH_CLI + _LOADED, *argv).splitlines()
+    return status, set(loaded.split()[1:])  # after the numpy flag
+
+
 def test_fresh_synth_loads_no_analysis_module(tmp_path):
-    out = _fresh(_FRESH_CLI + _LOADED, "synth", "--n", "200", "--out", str(tmp_path / "c.csv"))
-    status, loaded = out.splitlines()
+    status, loaded = _fresh_loaded("synth", "--n", "200", "--out", str(tmp_path / "c.csv"))
     assert status == "0 False"
     assert not {f"losanova.{m}" for m in (
         "anova", "linmod", "diagnostics", "posthoc", "power", "report", "plots",
-    )} & set(loaded.split())
+    )} & loaded
+
+
+def test_fresh_power_loads_no_analysis_module():
+    status, loaded = _fresh_loaded("power", "--levels", "4,2,5", "--min-diff", "1",
+                                   "--sigma2", "9.41", "--effect", "season", "--n", "10")
+    assert status == "0 True"
+    assert not {f"losanova.{m}" for m in ("anova", "diagnostics", "posthoc", "plots")} & loaded
 
 
 def test_package_exports_are_their_submodules_objects():

@@ -10,7 +10,6 @@ from losanova import (
     FactorLayout,
     ValidationError,
     apply_transform,
-    back_transform,
     build_dataset,
     build_design,
     normal_cdf,
@@ -75,7 +74,8 @@ def test_residual_diagnostics_series(cohort_layout):
     report = report_diagnostics(raw, logged)
     assert list(report) == names + ["pp_plot"]
     assert report["residual_histogram"] == series["residual_histogram"]
-    assert report["pp_plot"].max_abs_deviation == pp_plot(residuals(logged)).max_abs_deviation
+    assert report["pp_plot"].max_abs_deviation == pp_plot(
+        residuals(logged), logged.cells.means[logged.codes]).max_abs_deviation
 
 
 def test_intercept_only_residuals_center(two_by_two):
@@ -151,7 +151,7 @@ def test_funnel_undefined_when_an_sd_overflows():
 def test_series_are_read_only_float_arrays():
     e = np.array([0.3, -1.0, 0.7])
     spread = residual_vs_fitted(e, np.array([2.0, 1.0, 3.0]))
-    pp = pp_plot(e)
+    pp = pp_plot(e, np.array([2.0, 1.0, 3.0]))
     assert np.array_equal(spread.fitted, [1.0, 2.0, 3.0])
     assert np.array_equal(spread.residuals, [-1.0, 0.3, 0.7])
     for series in (spread.fitted, spread.residuals, pp.empirical, pp.theoretical):
@@ -161,7 +161,7 @@ def test_series_are_read_only_float_arrays():
 # --- P-P plot ----------------------------------------------------------------------
 
 def test_pp_two_point_case():
-    pp = pp_plot(np.array([-1.0, 1.0]))
+    pp = pp_plot(np.array([-1.0, 1.0]), np.zeros(2))
     assert np.array_equal(pp.empirical, [0.25, 0.75])
     assert pp.theoretical[0] == pytest.approx(normal_cdf(-1.0))
     assert pp.theoretical[1] == pytest.approx(normal_cdf(1.0))
@@ -169,20 +169,36 @@ def test_pp_two_point_case():
 
 def test_pp_normal_sample_close_to_line():
     rng = np.random.default_rng(14)
-    pp = pp_plot(rng.normal(2.0, 3.0, size=10_000))
+    pp = pp_plot(rng.normal(2.0, 3.0, size=10_000), np.zeros(10_000))
     assert pp.max_abs_deviation < 0.02
     assert all(b >= a for a, b in zip(pp.theoretical, pp.theoretical[1:]))
 
 
 def test_pp_skewed_sample_departs():
     rng = np.random.default_rng(15)
-    pp = pp_plot(rng.lognormal(0.0, 1.0, size=10_000))
+    pp = pp_plot(rng.lognormal(0.0, 1.0, size=10_000), np.zeros(10_000))
     assert pp.max_abs_deviation > 0.05
 
 
 def test_pp_rejects_constant():
     with pytest.raises(ValidationError):
-        pp_plot(np.ones(5))
+        pp_plot(np.ones(5), np.zeros(5))
+
+
+def test_rounding_noise_has_no_spread(cohort_layout):
+    # log10 of cells without spread leaves residuals of rounding size, not zeros
+    rows = [(cohort_layout.cell_names(cell), i + 1.0)
+            for i, cell in enumerate(cohort_layout.cells()) for _ in range(3)]
+    logged = apply_transform(build_dataset(cohort_layout, rows), "logarithmic")
+    e, fitted = residuals(logged), logged.cells.means[logged.codes]
+    assert 0 < np.abs(e).max() < 1e-14
+    assert residual_vs_fitted(e, fitted).funnel_ratio is None
+    with pytest.raises(ValidationError, match="zero variance"):
+        pp_plot(e, fitted)
+    # spread far below the responses' size but above their rounding still counts
+    spread = np.tile([-1e-9, 0.0, 1e-9], cohort_layout.n_cells)
+    assert residual_vs_fitted(spread, fitted).funnel_ratio == pytest.approx(1.0)
+    assert pp_plot(spread, fitted).max_abs_deviation > 0
 
 
 # --- sd/mean regression ----------------------------------------------------------------
@@ -327,19 +343,7 @@ def _raw_dataset(values, layout=None):
 def test_log_transform_anchors():
     d = apply_transform(_raw_dataset([1.0, 10.0, 100.0]), "logarithmic")
     assert d.responses.tolist() == [0.0, 1.0, 2.0]
-    assert d.transform == "logarithmic"
     assert d.response_name == "log10(los)"
-
-
-def test_back_transform_round_trip():
-    values = np.array([0.3, 1.0, 2.5, 84.0, 1234.5])
-    d = _raw_dataset(list(values))
-    for transform in ("none", "square_root", "logarithmic",
-                      "reciprocal_square_root", "reciprocal"):
-        t = apply_transform(d, transform)
-        rt = back_transform(t.responses, transform)
-        assert np.allclose(rt, values, rtol=1e-12)
-    assert back_transform(2.0, "logarithmic") == pytest.approx(100.0)
 
 
 def test_none_transform_is_identity():

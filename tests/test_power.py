@@ -12,7 +12,6 @@ import pytest
 from scipy import stats
 
 from losanova import (
-    EffectId,
     FactorLayout,
     PowerSpec,
     ReplicationSearchError,
@@ -24,6 +23,7 @@ from losanova import (
     plan_all_effects,
     power_of_test,
 )
+from losanova.linmod import Term
 from losanova.power import effect_label, parse_effect
 
 
@@ -162,7 +162,7 @@ def test_oc_table_reference_phis(planning_layout):
 
 def test_power_monotonicity_properties():
     layout = FactorLayout([("f1", ("a", "b", "c")), ("f2", ("u", "v"))])
-    effect = EffectId((0,))
+    effect = Term((0,))
     rng = np.random.default_rng(31)
     for _ in range(20):
         d = float(rng.uniform(0.2, 2.0))
@@ -188,7 +188,7 @@ def test_effect_parsing(planning_layout):
     with pytest.raises(ValidationError):
         parse_effect(planning_layout, "weekday")
     with pytest.raises(ValidationError):
-        EffectId((1, 1))
+        Term((1, 1))
 
 
 def test_spec_validation(planning_layout):

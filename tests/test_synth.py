@@ -102,13 +102,6 @@ def test_raw_scale_lognormal_structure():
     assert ratios.std() / ratios.mean() < 0.5
 
 
-def test_round_days_flag():
-    d = generate(reference_cohort_spec(n=300, seed=3, round_days=True))
-    values = d.responses
-    assert np.allclose(values, np.rint(values))
-    assert values.min() >= 1.0
-
-
 def test_spec_validation():
     layout = default_layout()
     probs = tuple(1.0 / layout.n_cells for _ in range(layout.n_cells))
@@ -126,5 +119,4 @@ def test_spec_validation():
 def test_generated_dataset_is_raw_scale():
     d = generate(reference_cohort_spec(n=100, seed=1))
     assert d.response_name == "los"
-    assert d.transform == "none"
     assert (d.responses > 0).all()
