@@ -1,18 +1,19 @@
 """Type III sums-of-squares ANOVA for crossed fixed-effects factorial designs.
 
-The full model is fitted once under sum-to-zero (deviation) coding. Each
-effect's Type III SS is then its hypothesis SS on that fit,
+A Type III hypothesis says that an effect's contrasts of the unweighted
+marginal means of the cell means are zero, whatever the coding (Searle,
+Speed & Milliken, Am. Stat. 34, 1980). The model is fitted once, under
+reference coding, giving estimates b and the unscaled covariance
+V = (X'WX)^-1 of the cell-level design X. For an effect, C is the Kronecker
+product over the factors of [I, -1] for its factors and 1'/k for the others
+(1'/k for all of them gives the intercept), and with L = C X its SS is
 
-    SS(E) = b_E' (V_EE)^-1 b_E,
+    SS = (Lb)' (L V L')^-1 (Lb).
 
-where b_E are the effect's estimates and V_EE their block of the unscaled
-covariance (X'WX)^-1 (Searle, Linear Models for Unbalanced Data, 1987). The
-intercept row is the same with the constant column alone. In exact
-arithmetic this equals the reduced-versus-full comparison SSE(full model
-minus that effect's columns) - SSE(full model), with every other term --
-including higher-order interactions -- present in both models, but it needs
-no refit and no difference of two large error sums of squares. This
-reproduces the between-subjects-table semantics of the major statistics
+This equals the reduced-versus-full comparison SSE(sum-to-zero coded model
+minus the effect's columns) - SSE(model), with every other term present in
+both, but needs no refit and no difference of two large error sums of
+squares. It reproduces the between-subjects tables of the major statistics
 packages on designs with all cells occupied and is directly checkable
 against a brute-force least-squares oracle.
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .distributions import f_sf
 from .errors import ValidationError
-from .linmod import build_design, effect_label, full_factorial_terms, linalg, ols_fit
+from .linmod import build_design, cell_kron, effect_label, full_factorial_terms, linalg, ols_fit
 from .model import CellTable, Dataset
 
 
@@ -93,7 +94,7 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
             "rescale or log-transform the response"
         )
     terms = full_factorial_terms(layout, max_order)
-    full = build_design(d, terms, coding="deviation")
+    full = build_design(d, terms)
     fit = ols_fit(full, cells)
     sse_full = fit.sse
     df_error = df["Error"]
@@ -103,11 +104,14 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     corrected_total_ss = within_ss + float((counts * (means - grand_mean) ** 2).sum())
     corrected_model_ss = corrected_total_ss - sse_full
 
-    def hypothesis_ss(term) -> float:
-        cols = [i for i, c in enumerate(full.columns) if c.term == term]
-        b = fit.estimates[cols]
-        return float(b @ linalg.solve(fit.cov_unscaled[np.ix_(cols, cols)], b,
-                                      assume_a="pos"))
+    def contrast_ss(factors) -> float:
+        L = cell_kron(
+            layout.shape, factors,
+            lambda k: np.hstack([np.eye(k - 1), -np.ones((k - 1, 1))]),
+            lambda k: np.ones((1, k)) / k,
+        ) @ full.cell_values
+        lb = L @ fit.estimates
+        return float(lb @ linalg.solve(L @ fit.cov_unscaled @ L.T, lb, assume_a="pos"))
 
     def row(source: str, ss: float) -> AnovaRow:
         ms = ss / df[source]
@@ -116,9 +120,10 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
 
     rows = [
         row("Corrected Model", corrected_model_ss),
-        row("Intercept", hypothesis_ss(None)),
+        row("Intercept", contrast_ss(())),
     ]
-    rows.extend(row(effect_label(layout, term), hypothesis_ss(term)) for term in terms)
+    rows.extend(row(effect_label(layout, term), contrast_ss(term.factor_indices))
+                for term in terms)
 
     rows.append(AnovaRow("Error", sse_full, df_error, mse))
     rows.append(AnovaRow("Total", total_ss, df["Total"]))

@@ -53,8 +53,6 @@ def _planning_layout(levels_text: str, factors_text: str | None):
     from .model import FactorLayout
 
     counts = _parse_int_list(levels_text, "--levels")
-    if len(counts) < 1:
-        raise ValidationError("--levels needs at least one factor")
     if factors_text:
         names = [part.strip() for part in factors_text.split(",") if part.strip()]
         if len(names) != len(counts):
@@ -69,8 +67,9 @@ def _planning_layout(levels_text: str, factors_text: str | None):
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers; an empty field is an error, not skipped."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValidationError(f"cannot parse {flag} {text!r}") from None
 
@@ -209,7 +208,7 @@ def _cmd_diagnose(args) -> int:
     if chosen != "none":  # the P-P plot is printed only for a transformed model
         spread = series["residual_vs_fitted"]
         try:
-            pp = f"{pp_plot(spread.residuals, spread.fitted).max_abs_deviation:.4f}"
+            pp = f"{pp_plot(spread.residuals).max_abs_deviation:.4f}"
         except ValidationError:  # no residual spread, as in the funnel ratio
             pp = "undefined"
         print(f"\ntransformed model ({analysis.response_name}): funnel ratio "
@@ -228,7 +227,7 @@ def _build_bundle(args):
     raw, analysis, rec, chosen = _load_analysis(args)
     rec, _ = _recommendation(raw, rec)
     table = type3_anova(analysis)
-    design = build_design(analysis, full_factorial_terms(analysis.layout), "reference")
+    design = build_design(analysis, full_factorial_terms(analysis.layout))
     fit = ols_fit(design, analysis.cells, alpha=args.alpha)
     model = significant_model(fit, args.alpha, analysis.response_name)
     diagnostics = report_diagnostics(raw, analysis)

@@ -123,10 +123,9 @@ def residual_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
 def report_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
     """The report's residual series: ``residual_diagnostics``' four, then the
     analysis scale's normal P-P plot, which raises ``ValidationError`` when
-    the residuals have no spread beyond rounding."""
+    the residuals have no spread."""
     e = residuals(analysis)
-    return {**_residual_series(raw, analysis, e),
-            "pp_plot": pp_plot(e, analysis.cells.means[analysis.codes])}
+    return {**_residual_series(raw, analysis, e), "pp_plot": pp_plot(e)}
 
 
 def _residual_series(raw: Dataset, analysis: Dataset, e: np.ndarray) -> dict[str, object]:
@@ -168,20 +167,13 @@ def residual_histogram(e: np.ndarray, bins: int | None = None) -> HistogramData:
     return HistogramData(tuple(float(b) for b in edges), tuple(int(c) for c in counts))
 
 
-def _rounding_sd(e: np.ndarray, fitted) -> float:
-    """The largest residual sd that is rounding, not spread: a cell mean summed
-    in sequence over at most N = ``e.size`` responses is off by up to about N
-    ulps of the largest fitted value, and so is each residual taken from it."""
-    return e.size * np.finfo(float).eps * float(np.abs(fitted).max())
-
-
 def residual_vs_fitted(e: np.ndarray, fitted: np.ndarray) -> ResidualSpread:
     """Residuals against fitted values, ordered by fitted value.
 
     The funnel statistic compares residual spread between the top and bottom
     fitted-value quartiles; a ratio well above 1 is the increasing-variance
     signature that motivates a variance-stabilizing transform. It is None
-    when the bottom quartile has no spread beyond rounding.
+    when the bottom quartile has no spread.
     """
     e = np.asarray(e, dtype=float)
     fitted = np.asarray(fitted, dtype=float)
@@ -201,26 +193,25 @@ def residual_vs_fitted(e: np.ndarray, fitted: np.ndarray) -> ResidualSpread:
             with np.errstate(over="ignore", invalid="ignore"):
                 sd_low = float(low.std(ddof=1))
                 sd_high = float(high.std(ddof=1))
-            if (sd_low > _rounding_sd(e, fitted) and math.isfinite(sd_low)
-                    and math.isfinite(sd_high)):
+            if sd_low > 0 and math.isfinite(sd_low) and math.isfinite(sd_high):
                 funnel = sd_high / sd_low
     return ResidualSpread(fitted=fitted[order], residuals=e[order], funnel_ratio=funnel)
 
 
-def pp_plot(e: np.ndarray, fitted: np.ndarray) -> PPPlotData:
-    """Normal P-P coordinates of the residuals ``e`` of the ``fitted`` values.
+def pp_plot(e: np.ndarray) -> PPPlotData:
+    """Normal P-P coordinates of the residuals ``e``.
 
     Residuals are standardized by their own mean and (population) sd; the
     empirical cumulative proportion (i - 0.5)/N is paired with the normal CDF
     at the i-th sorted standardized residual. ``max_abs_deviation`` is the
     largest gap between the two coordinates, a Kolmogorov-style summary.
-    Residuals with no spread beyond rounding raise ``ValidationError``.
+    Residuals with no spread raise ``ValidationError``.
     """
     e = np.asarray(e, dtype=float)
     if e.size == 0:
         raise ValidationError("no residuals")
     sd = float(e.std(ddof=0))
-    if sd <= _rounding_sd(e, fitted):
+    if sd == 0:
         raise ValidationError("residuals have zero variance; P-P plot undefined")
     z = np.sort((e - e.mean()) / sd)
     n = e.size

@@ -2,13 +2,13 @@
 construction, fitting via pivoted QR (never via explicit cross-product
 inversion), coefficient inference, and prediction.
 
-Two coding schemes are supported. ``reference`` coding emits one 0/1 dummy
-per non-reference level with the LAST level of each factor as the redundant
-reference, so a four-level season factor becomes season(1)..season(3) and the
-final level is the all-zeros row. ``deviation`` coding is sum-to-zero: the
-last level is coded -1 in every column of its factor. Either way a k-level
-factor contributes exactly k-1 columns, and interaction columns are
-elementwise products of their parents' columns.
+Designs use reference coding: one 0/1 dummy per non-reference level, with
+the LAST level of each factor as the redundant reference, so a four-level
+season factor becomes season(1)..season(3) and the final level is the
+all-zeros row. A k-level factor contributes exactly k-1 columns, and
+interaction columns are elementwise products of their parents' columns.
+Every column is a function of the cell, so each term's block of the
+cell-level matrix is a Kronecker product over the factors (``cell_kron``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .errors import RankDeficiencyError, ValidationError
 from .model import CellTable, Dataset, FactorLayout
 
 linalg = LazyModule("scipy.linalg")
-
-Coding = Literal["reference", "deviation"]
 
 # relative tolerance on the pivoted-QR diagonal for the rank decision
 _RANK_RTOL = 1e-10
@@ -77,21 +75,22 @@ def full_factorial_terms(layout: FactorLayout, max_order: int | None = None) -> 
     ]
 
 
-def _coding_basis(n_levels: int, coding: Coding) -> np.ndarray:
-    """(n_levels, n_levels-1) row-per-level coding matrix."""
-    basis = np.zeros((n_levels, n_levels - 1))
-    basis[: n_levels - 1, :] = np.eye(n_levels - 1)
-    if coding == "deviation":
-        basis[n_levels - 1, :] = -1.0
-    elif coding != "reference":
-        raise ValidationError(f"unknown coding scheme {coding!r}")
-    return basis
-
-
-@dataclass(frozen=True)
-class DesignColumn:
-    label: str
-    term: Term | None  # None marks the intercept
+def cell_kron(
+    shape: Sequence[int],
+    factors: Sequence[int],
+    inside: Callable[[int], np.ndarray],
+    outside: Callable[[int], np.ndarray],
+) -> np.ndarray:
+    """Kronecker product over the factors of ``shape``, in layout order, of
+    ``inside(k)`` for the listed factors and ``outside(k)`` for the others (k
+    levels each): with levels along each factor's rows (or columns), the
+    product's rows (or columns) run over the cells in layout cell order."""
+    out = np.ones((1, 1))
+    for i, k in enumerate(shape):
+        m = inside(k) if i in factors else outside(k)
+        # np.kron(out, m), without np.kron's per-call overhead
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(len(out) * len(m), -1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,15 +103,14 @@ class DesignMatrix:
     """
 
     layout: FactorLayout
-    coding: Coding
     terms: tuple[Term, ...]
-    columns: tuple[DesignColumn, ...]
+    labels: tuple[str, ...]
     cell_values: np.ndarray
     n_rows: int
 
     def __post_init__(self):
         cell_values = np.asarray(self.cell_values, dtype=float)
-        if cell_values.shape != (self.layout.n_cells, len(self.columns)):
+        if cell_values.shape != (self.layout.n_cells, len(self.labels)):
             raise ValidationError("design values do not match the declared columns")
         cell_values.setflags(write=False)
         object.__setattr__(self, "cell_values", cell_values)
@@ -122,56 +120,42 @@ class DesignMatrix:
         return self.cell_values.shape[1]
 
 
-def _term_columns(
-    layout: FactorLayout, coding: Coding, term: Term
-) -> list[tuple[str, list[tuple[int, int]]]]:
-    """Labels and (factor, coded column) pairs for one term, in block order."""
-    per_factor = [range(layout.n_levels(fi) - 1) for fi in term.factor_indices]
-    out = []
-    for combo in itertools.product(*per_factor):
-        label = " * ".join(
-            f"{layout.names[fi]}({ci + 1})" for fi, ci in zip(term.factor_indices, combo)
-        )
-        out.append((label, list(zip(term.factor_indices, combo))))
-    return out
+def _term_labels(layout: FactorLayout, term: Term) -> list[str]:
+    """Column labels of one term, in block order."""
+    return [
+        " * ".join(f"{layout.names[fi]}({ci})" for fi, ci in zip(term.factor_indices, combo))
+        for combo in itertools.product(
+            *(range(1, layout.n_levels(fi)) for fi in term.factor_indices))
+    ]
 
 
 def encode_cells(
-    layout: FactorLayout, terms: Sequence[Term], coding: Coding
-) -> tuple[np.ndarray, list[DesignColumn]]:
+    layout: FactorLayout, terms: Sequence[Term]
+) -> tuple[np.ndarray, list[str]]:
     """Model-matrix columns for every layout cell, one row per cell in layout
-    cell order."""
-    level_matrix = np.indices(layout.shape).reshape(layout.n_factors, -1).T
-    n = level_matrix.shape[0]
-    factor_codes = {}
+    cell order, and their labels: the intercept, then each term's block,
+    the Kronecker product of ``eye(k)[:, :-1]`` over its factors and
+    ``ones((k, 1))`` over the others."""
+    blocks = [
+        cell_kron(layout.shape, factors, lambda k: np.eye(k)[:, :-1], lambda k: np.ones((k, 1)))
+        for factors in [(), *(term.factor_indices for term in terms)]
+    ]
+    labels = ["Intercept"]
     for term in terms:
-        for fi in term.factor_indices:
-            if fi not in factor_codes:
-                basis = _coding_basis(layout.n_levels(fi), coding)
-                factor_codes[fi] = basis[level_matrix[:, fi]]
-
-    columns = [DesignColumn("Intercept", None)]
-    blocks = [np.ones((n, 1))]
-    for term in terms:
-        for label, parts in _term_columns(layout, coding, term):
-            col = np.ones(n)
-            for fi, ci in parts:
-                col = col * factor_codes[fi][:, ci]
-            columns.append(DesignColumn(label, term))
-            blocks.append(col[:, None])
-    return np.hstack(blocks), columns
+        labels.extend(_term_labels(layout, term))
+    return np.hstack(blocks), labels
 
 
-def build_design(d: Dataset, terms: Sequence[Term], coding: Coding = "reference") -> DesignMatrix:
+def build_design(d: Dataset, terms: Sequence[Term]) -> DesignMatrix:
     """Design matrix for a dataset: intercept, then one block per term.
 
     Rank deficiency (from empty cells or an over-specified formula) is not
     detected here; it surfaces at fit time.
     """
     terms = tuple(terms)
-    cell_values, columns = encode_cells(d.layout, terms, coding)
+    cell_values, labels = encode_cells(d.layout, terms)
     return DesignMatrix(
-        layout=d.layout, coding=coding, terms=terms, columns=tuple(columns),
+        layout=d.layout, terms=terms, labels=tuple(labels),
         cell_values=cell_values, n_rows=d.n,
     )
 
@@ -210,10 +194,10 @@ class FitResult:
     """An OLS fit: coefficients, one fitted value per cell, and error moments.
 
     Every observation's fitted value is its cell's entry of ``cell_fitted``
-    (layout cell order). The design (and with it the coding scheme)
-    travels with the fit, so ``predict`` can never be called with mismatched
-    coding. ``cov_unscaled`` is the read-only (X'WX)^-1 in design column
-    order, where W holds the observation counts.
+    (layout cell order). The design travels with the fit, so ``predict``
+    can never be called with another design. ``cov_unscaled`` is the
+    read-only (X'WX)^-1 in design column order, where W holds the
+    observation counts.
     """
 
     design: DesignMatrix
@@ -230,7 +214,6 @@ class FitResult:
         cls,
         layout: FactorLayout,
         terms: Sequence[Term],
-        coding: Coding,
         values: dict[str, float],
         alpha: float = 0.05,
     ) -> "FitResult":
@@ -239,25 +222,24 @@ class FitResult:
         Labels absent from ``values`` get a zero coefficient; unknown labels
         are rejected. Inference fields and ``cov_unscaled`` are NaN.
         """
-        cell_values, columns = encode_cells(layout, tuple(terms), coding)
+        cell_values, labels = encode_cells(layout, tuple(terms))
         design = DesignMatrix(
-            layout=layout, coding=coding, terms=tuple(terms),
-            columns=tuple(columns), cell_values=cell_values, n_rows=0,
+            layout=layout, terms=tuple(terms),
+            labels=tuple(labels), cell_values=cell_values, n_rows=0,
         )
-        known = {c.label for c in columns}
-        unknown = set(values) - known
+        unknown = set(values) - set(labels)
         if unknown:
             raise ValidationError(f"unknown coefficient labels: {sorted(unknown)}")
-        estimates = np.array([values.get(c.label, 0.0) for c in columns])
+        estimates = np.array([values.get(label, 0.0) for label in labels])
         nan = float("nan")
         table = CoefficientTable(
             rows=tuple(
-                CoefficientRow(c.label, float(b), nan, nan, nan, nan, nan)
-                for c, b in zip(columns, estimates)
+                CoefficientRow(label, float(b), nan, nan, nan, nan, nan)
+                for label, b in zip(labels, estimates)
             ),
             alpha=alpha,
         )
-        cov_unscaled = np.full((len(columns), len(columns)), nan)
+        cov_unscaled = np.full((len(labels), len(labels)), nan)
         cov_unscaled.setflags(write=False)
         return cls(design, table, estimates, cov_unscaled, cell_values @ estimates,
                    nan, 0, nan)
@@ -294,7 +276,7 @@ def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult
     diag = np.abs(np.diag(r))
     rank = int((diag > _RANK_RTOL * diag[0]).sum()) if diag.size else 0
     if rank < p:
-        dependent = [X.columns[piv[i]].label for i in range(rank, p)]
+        dependent = [X.labels[piv[i]] for i in range(rank, p)]
         raise RankDeficiencyError(dependent)
 
     qty = q.T @ (means * root)
@@ -320,16 +302,16 @@ def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult
     if df_error > 0:
         se = np.sqrt(mse * np.diag(cov_unscaled))
         t_crit = t_quantile(1.0 - alpha / 2.0, df_error)
-        for col, b, s in zip(X.columns, estimates, se):
+        for label, b, s in zip(X.labels, estimates, se):
             t = b / s if s > 0 else nan
             p_val = 2.0 * t_cdf(-abs(t), df_error) if math.isfinite(t) else nan
             rows.append(
-                CoefficientRow(col.label, float(b), float(s), float(t), float(p_val),
+                CoefficientRow(label, float(b), float(s), float(t), float(p_val),
                                float(b - t_crit * s), float(b + t_crit * s))
             )
     else:
-        for col, b in zip(X.columns, estimates):
-            rows.append(CoefficientRow(col.label, float(b), nan, nan, nan, nan, nan))
+        for label, b in zip(X.labels, estimates):
+            rows.append(CoefficientRow(label, float(b), nan, nan, nan, nan, nan))
 
     return FitResult(
         design=X,

@@ -132,14 +132,15 @@ class CellTable:
         cls, layout: FactorLayout, codes: np.ndarray, responses: np.ndarray
     ) -> "CellTable":
         """Cell moments of coded responses, computed two-pass: the means
-        first, then the squared deviations from them. Responses too large to
-        square give an infinite or NaN moment, without a warning; the
-        analyses that need the moments check them."""
+        first, each corrected by the mean of its responses' deviations from
+        it (so a cell of equal responses has exactly their value as its
+        mean), then the squared deviations from the means. Responses too
+        large to square give an infinite or NaN moment, without a warning;
+        the analyses that need the moments check them."""
         n_cells = layout.n_cells
         counts = np.bincount(codes, minlength=n_cells)
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = np.bincount(codes, weights=responses, minlength=n_cells)
-            means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
+            means = _cell_means(codes, responses, counts)
             m2 = np.bincount(codes, weights=(responses - means[codes]) ** 2, minlength=n_cells)
         return cls(layout, counts, means, m2)
 
@@ -152,9 +153,9 @@ class CellTable:
         listed factors in the order given.
 
         Each cell counts as a weighted observation of its parent cell: counts
-        and count-weighted means add up, and m2 pools as
-        sum(m2_c) + sum(n_c * (mean_c - mean)^2) (Chan, Golub & LeVeque,
-        Am. Stat. 37, 1983).
+        and count-weighted means add up, the means get ``from_columns``'
+        correction pass, and m2 pools as sum(m2_c) + sum(n_c * (mean_c -
+        mean)^2) (Chan, Golub & LeVeque, Am. Stat. 37, 1983).
         """
         if not factors:
             raise ValidationError("a margin needs at least one factor")
@@ -167,11 +168,27 @@ class CellTable:
         n_cells = layout.n_cells
         counts = np.bincount(parent, weights=self.counts, minlength=n_cells)
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = np.bincount(parent, weights=self.counts * self.means, minlength=n_cells)
-            means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
+            means = _cell_means(parent, self.means, counts, self.counts)
             between = self.counts * (self.means - means[parent]) ** 2
             m2 = np.bincount(parent, weights=self.m2 + between, minlength=n_cells)
         return CellTable(layout, counts, means, m2)
+
+
+def _cell_means(codes, values, counts, weights=None) -> np.ndarray:
+    """Each cell's (``weights``-weighted) mean of ``values``: the sum over the
+    count, plus the mean of the values' deviations from that. Empty cells get
+    0, and a cell whose deviations sum to a non-finite value keeps its sum
+    over its count."""
+    def total(v):
+        return np.bincount(codes, weights=v if weights is None else weights * v,
+                           minlength=counts.size)
+
+    occupied = counts > 0
+    means = np.divide(total(values), counts, out=np.zeros(counts.size), where=occupied)
+    gaps = total(values - means[codes])
+    np.add(means, gaps / np.where(occupied, counts, 1), out=means,
+           where=occupied & np.isfinite(gaps))
+    return means
 
 
 @dataclass(frozen=True, eq=False)

@@ -128,6 +128,8 @@ class CohortSpec:
             raise ValidationError("n must be at least the number of cells")
         if not self.error_sd >= 0:
             raise ValidationError("error_sd must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "cell_probabilities", probs)
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 

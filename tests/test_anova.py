@@ -55,13 +55,17 @@ def _oracle_sse(X, y):
     return float(r @ r)
 
 
-def brute_force_type3(d):
+def brute_force_type3(d, terms=None):
+    """Each term's SSE(model without the term's sum-to-zero columns) -
+    SSE(model), and the model's SSE. Terms are tuples of factor indices; the
+    default is the full factorial."""
     shape = d.layout.shape
-    terms = [
-        combo
-        for order in range(1, len(shape) + 1)
-        for combo in itertools.combinations(range(len(shape)), order)
-    ]
+    if terms is None:
+        terms = [
+            combo
+            for order in range(1, len(shape) + 1)
+            for combo in itertools.combinations(range(len(shape)), order)
+        ]
     X_full, owners = _oracle_design(d.level_matrix, shape, terms)
     sse_full = _oracle_sse(X_full, d.responses)
     out = {}
@@ -74,11 +78,11 @@ def brute_force_type3(d):
 def _sequential_ss(d, terms):
     """Type I SS via incremental fits (balanced-case oracle)."""
     included = []
-    sse_prev = ols_fit(build_design(d, [], "deviation"), d.cells).sse
+    sse_prev = ols_fit(build_design(d, []), d.cells).sse
     out = {}
     for term in terms:
         included.append(term)
-        sse = ols_fit(build_design(d, included, "deviation"), d.cells).sse
+        sse = ols_fit(build_design(d, included), d.cells).sse
         out[term] = sse_prev - sse
         sse_prev = sse
     return out
@@ -122,21 +126,54 @@ def test_unbalanced_2x2_matches_brute_force(two_by_two):
     assert table.row("Error").ss == pytest.approx(sse_full, rel=1e-10)
 
 
+def _assert_matches_oracle(d, max_order):
+    terms = [t.factor_indices for t in full_factorial_terms(d.layout, max_order)]
+    table = type3_anova(d, max_order)
+    oracle, sse = brute_force_type3(d, terms)
+    assert [r.source for r in table.effect_rows] == [_label(d.layout, t) for t in terms]
+    for term, ss_ref in oracle.items():
+        got = table.row(_label(d.layout, term)).ss
+        assert got == pytest.approx(ss_ref, rel=1e-8, abs=1e-9), (max_order, term)
+    assert table.row("Error").ss == pytest.approx(sse, rel=1e-10)
+
+
+_ORACLE_LAYOUTS = [
+    FactorLayout([("a", ("a1", "a2")), ("b", ("b1", "b2"))]),
+    FactorLayout([("a", ("a1", "a2")), ("b", ("b1", "b2", "b3")), ("c", ("c1", "c2"))]),
+]
+
+
 def test_random_unbalanced_designs_match_oracle():
-    layouts = [
-        FactorLayout([("a", ("a1", "a2")), ("b", ("b1", "b2"))]),
-        FactorLayout([("a", ("a1", "a2")), ("b", ("b1", "b2", "b3")), ("c", ("c1", "c2"))]),
-    ]
     rng = np.random.default_rng(99)
     for trial in range(12):
-        layout = layouts[trial % 2]
+        layout = _ORACLE_LAYOUTS[trial % 2]
         d = random_dataset(layout, int(rng.integers(30, 61)), seed=1000 + trial,
                            min_per_cell=1)
-        table = type3_anova(d)
-        oracle, _ = brute_force_type3(d)
-        for term, ss_ref in oracle.items():
-            got = table.row(_label(layout, term)).ss
-            assert got == pytest.approx(ss_ref, rel=1e-8, abs=1e-9)
+        for max_order in range(1, layout.n_factors + 1):
+            _assert_matches_oracle(d, max_order)
+
+
+def test_reduced_models_with_empty_cells_match_oracle():
+    # 14 to 30 observations over 12 cells leave some cells empty; a reduced
+    # model is tested when every cell its terms span is occupied and the
+    # oracle's design has full rank
+    layout = _ORACLE_LAYOUTS[1]
+    rng = np.random.default_rng(314)
+    checked = set()
+    for trial in range(60):
+        d = random_dataset(layout, int(rng.integers(14, 31)), seed=5000 + trial)
+        if (d.cells.counts > 0).all():
+            continue
+        for max_order in (1, 2):
+            terms = [t.factor_indices for t in full_factorial_terms(layout, max_order)]
+            if any((d.cells.margin(*t).counts == 0).any() for t in terms):
+                continue
+            X, _ = _oracle_design(d.level_matrix, layout.shape, terms)
+            if np.linalg.matrix_rank(X) < X.shape[1]:
+                continue
+            _assert_matches_oracle(d, max_order)
+            checked.add((trial, max_order))
+    assert len({order for _, order in checked}) == 2 and len(checked) >= 40
 
 
 def _mp_gap_sse(X, counts, means):

@@ -364,6 +364,26 @@ def test_power_custom_factor_names(capsys):
     assert "ward * shift" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--levels", "4,,5"), ("--n", "10,,20")])
+def test_power_rejects_an_empty_list_field(flag, value, capsys):
+    # an empty field used to be skipped, so --levels 4,,5 planned two factors
+    lists = {"--levels": "4,2,5", "--n": "10,20", flag: value}
+    code = cli_main(["power", "--levels", lists["--levels"], "--min-diff", "1",
+                     "--sigma2", "9.41", "--effect", "season", "--n", lists["--n"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: cannot parse {flag} '{value}'"
+
+
+def test_synth_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "cohort.csv"
+    code = cli_main(["synth", "--n", "100", "--seed", "-1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == "error: seed must be >= 0, got -1"
+    assert not out.exists()
+
+
 def test_anova_max_order(cohort_csv, capsys):
     code = cli_main(["anova", "--input", str(cohort_csv), "--transform", "log10",
                      "--max-order", "1"])

@@ -40,7 +40,7 @@ def test_saturated_model_zero_residuals(two_by_two):
 
 def _full_factorial_residuals(d):
     """The residuals of a reference-coded full factorial least-squares fit."""
-    X = build_design(d, full_factorial_terms(d.layout), "reference")
+    X = build_design(d, full_factorial_terms(d.layout))
     return d.responses - ols_fit(X, d.cells).cell_fitted[d.codes]
 
 
@@ -75,12 +75,12 @@ def test_residual_diagnostics_series(cohort_layout):
     assert list(report) == names + ["pp_plot"]
     assert report["residual_histogram"] == series["residual_histogram"]
     assert report["pp_plot"].max_abs_deviation == pp_plot(
-        residuals(logged), logged.cells.means[logged.codes]).max_abs_deviation
+        residuals(logged)).max_abs_deviation
 
 
 def test_intercept_only_residuals_center(two_by_two):
     d = random_dataset(two_by_two, 25, seed=4)
-    fit = ols_fit(build_design(d, [], "reference"), d.cells)
+    fit = ols_fit(build_design(d, []), d.cells)
     e = d.responses - fit.cell_fitted[d.codes]
     assert float(e.sum()) == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(e, d.responses - d.responses.mean())
@@ -88,7 +88,7 @@ def test_intercept_only_residuals_center(two_by_two):
 
 def test_residuals_match_prediction_oracle(two_by_two):
     d = random_dataset(two_by_two, 30, seed=6)
-    fit = ols_fit(build_design(d, [Term((0,)), Term((1,))], "reference"), d.cells)
+    fit = ols_fit(build_design(d, [Term((0,)), Term((1,))]), d.cells)
     e = d.responses - fit.cell_fitted[d.codes]
     for i, (levels, y) in enumerate(zip(d.level_matrix, d.responses)):
         yhat = predict(fit, d.layout.cell_names(levels))
@@ -151,7 +151,7 @@ def test_funnel_undefined_when_an_sd_overflows():
 def test_series_are_read_only_float_arrays():
     e = np.array([0.3, -1.0, 0.7])
     spread = residual_vs_fitted(e, np.array([2.0, 1.0, 3.0]))
-    pp = pp_plot(e, np.array([2.0, 1.0, 3.0]))
+    pp = pp_plot(e)
     assert np.array_equal(spread.fitted, [1.0, 2.0, 3.0])
     assert np.array_equal(spread.residuals, [-1.0, 0.3, 0.7])
     for series in (spread.fitted, spread.residuals, pp.empirical, pp.theoretical):
@@ -161,7 +161,7 @@ def test_series_are_read_only_float_arrays():
 # --- P-P plot ----------------------------------------------------------------------
 
 def test_pp_two_point_case():
-    pp = pp_plot(np.array([-1.0, 1.0]), np.zeros(2))
+    pp = pp_plot(np.array([-1.0, 1.0]))
     assert np.array_equal(pp.empirical, [0.25, 0.75])
     assert pp.theoretical[0] == pytest.approx(normal_cdf(-1.0))
     assert pp.theoretical[1] == pytest.approx(normal_cdf(1.0))
@@ -169,36 +169,36 @@ def test_pp_two_point_case():
 
 def test_pp_normal_sample_close_to_line():
     rng = np.random.default_rng(14)
-    pp = pp_plot(rng.normal(2.0, 3.0, size=10_000), np.zeros(10_000))
+    pp = pp_plot(rng.normal(2.0, 3.0, size=10_000))
     assert pp.max_abs_deviation < 0.02
     assert all(b >= a for a, b in zip(pp.theoretical, pp.theoretical[1:]))
 
 
 def test_pp_skewed_sample_departs():
     rng = np.random.default_rng(15)
-    pp = pp_plot(rng.lognormal(0.0, 1.0, size=10_000), np.zeros(10_000))
+    pp = pp_plot(rng.lognormal(0.0, 1.0, size=10_000))
     assert pp.max_abs_deviation > 0.05
 
 
 def test_pp_rejects_constant():
     with pytest.raises(ValidationError):
-        pp_plot(np.ones(5), np.zeros(5))
+        pp_plot(np.ones(5))
 
 
 def test_rounding_noise_has_no_spread(cohort_layout):
-    # log10 of cells without spread leaves residuals of rounding size, not zeros
+    # log10 of cells without spread leaves exactly zero residuals
     rows = [(cohort_layout.cell_names(cell), i + 1.0)
             for i, cell in enumerate(cohort_layout.cells()) for _ in range(3)]
     logged = apply_transform(build_dataset(cohort_layout, rows), "logarithmic")
     e, fitted = residuals(logged), logged.cells.means[logged.codes]
-    assert 0 < np.abs(e).max() < 1e-14
+    assert np.abs(e).max() == 0
     assert residual_vs_fitted(e, fitted).funnel_ratio is None
     with pytest.raises(ValidationError, match="zero variance"):
-        pp_plot(e, fitted)
-    # spread far below the responses' size but above their rounding still counts
+        pp_plot(e)
+    # spread far below the responses' size still counts
     spread = np.tile([-1e-9, 0.0, 1e-9], cohort_layout.n_cells)
     assert residual_vs_fitted(spread, fitted).funnel_ratio == pytest.approx(1.0)
-    assert pp_plot(spread, fitted).max_abs_deviation > 0
+    assert pp_plot(spread).max_abs_deviation > 0
 
 
 # --- sd/mean regression ----------------------------------------------------------------

@@ -41,26 +41,19 @@ def _cell_row(X, level_names):
 
 def test_reference_coding_rows(cohort_layout):
     d = random_dataset(cohort_layout, 60, seed=0)
-    X = build_design(d, [Term((1,))], "reference")
+    X = build_design(d, [Term((1,))])
     spring = _cell_row(X, ("male", "spring", "1"))
     assert spring.tolist() == [1.0, 1.0, 0.0, 0.0]  # intercept + season(1..3)
     winter = _cell_row(X, ("male", "winter", "1"))
     assert winter.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
-def test_deviation_coding_rows(cohort_layout):
-    d = random_dataset(cohort_layout, 60, seed=0)
-    X = build_design(d, [Term((1,))], "deviation")
-    winter = _cell_row(X, ("male", "winter", "1"))
-    assert winter.tolist() == [1.0, -1.0, -1.0, -1.0]
-
-
 def test_full_model_has_40_columns(cohort_layout):
     d = random_dataset(cohort_layout, 60, seed=0)
-    X = build_design(d, full_factorial_terms(cohort_layout), "reference")
+    X = build_design(d, full_factorial_terms(cohort_layout))
     # 1 + (1+3+4) + (3+4+12) + 12
     assert X.n_columns == 40
-    labels = [c.label for c in X.columns]
+    labels = list(X.labels)
     assert labels[0] == "Intercept"
     assert "season(1)" in labels and "gender(1) * season(3) * age_group(4)" in labels
 
@@ -68,9 +61,8 @@ def test_full_model_has_40_columns(cohort_layout):
 def test_column_count_is_levels_minus_one():
     layout = FactorLayout([("f", ("a", "b", "c", "d", "e"))])
     d = build_dataset(layout, [(("a",), 1.0), (("e",), 2.0)])
-    for coding in ("reference", "deviation"):
-        X = build_design(d, [Term((0,))], coding)
-        assert X.n_columns == 5  # intercept + 4
+    X = build_design(d, [Term((0,))])
+    assert X.n_columns == 5  # intercept + 4
 
 
 # --- fitting ------------------------------------------------------------------
@@ -78,7 +70,7 @@ def test_column_count_is_levels_minus_one():
 def test_perfect_fit_zero_residuals():
     layout = FactorLayout([("f", ("a", "b"))])
     d = build_dataset(layout, [(("a",), 3.0), (("a",), 3.0), (("b",), 7.0), (("b",), 7.0)])
-    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.cells)
+    fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
     assert np.allclose(d.responses - fit.cell_fitted[d.codes], 0.0, atol=1e-12)
     assert fit.df_error == 2
     assert fit.sse == pytest.approx(0.0, abs=1e-20)
@@ -88,7 +80,7 @@ def test_two_group_closed_form():
     layout = FactorLayout([("g", ("g1", "g2"))])
     rows = [(("g1",), 1.0), (("g1",), 2.0), (("g1",), 3.0), (("g2",), 4.0), (("g2",), 6.0)]
     d = build_dataset(layout, rows)
-    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.cells)
+    fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
     intercept = fit.coefficients.row("Intercept")
     slope = fit.coefficients.row("g(1)")
     # reference level is g2, so the intercept is the g2 mean
@@ -104,7 +96,7 @@ def test_two_group_closed_form():
 
 def test_intercept_only_model(cohort_layout):
     d = random_dataset(cohort_layout, 40, seed=5)
-    fit = ols_fit(build_design(d, [], "reference"), d.cells)
+    fit = ols_fit(build_design(d, []), d.cells)
     y = d.responses
     assert fit.coefficients.row("Intercept").estimate == pytest.approx(float(y.mean()))
     assert fit.sse == pytest.approx(float(((y - y.mean()) ** 2).sum()))
@@ -112,7 +104,7 @@ def test_intercept_only_model(cohort_layout):
 
 def test_residual_orthogonality(cohort_layout):
     d = random_dataset(cohort_layout, 300, seed=9)
-    X = build_design(d, full_factorial_terms(cohort_layout, 2), "deviation")
+    X = build_design(d, full_factorial_terms(cohort_layout, 2))
     fit = ols_fit(X, d.cells)
     e = d.responses - fit.cell_fitted[d.codes]
     norm_e = np.linalg.norm(e)
@@ -127,7 +119,7 @@ def test_nesting_never_increases_sse(cohort_layout):
         d = random_dataset(cohort_layout, 150, seed=seed, min_per_cell=2)
         sse_prev = math.inf
         for order in (1, 2, 3):
-            X = build_design(d, full_factorial_terms(cohort_layout, order), "deviation")
+            X = build_design(d, full_factorial_terms(cohort_layout, order))
             fit = ols_fit(X, d.cells)
             assert fit.sse <= sse_prev + 1e-9
             sse_prev = fit.sse
@@ -137,7 +129,7 @@ def test_one_factor_fit_recovers_cell_means():
     layout = FactorLayout([("f", ("a", "b", "c"))])
     rows = [(("a",), 1.0), (("a",), 3.0), (("b",), 10.0), (("b",), 14.0), (("c",), 7.0)]
     d = build_dataset(layout, rows)
-    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.cells)
+    fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
     assert predict(fit, ("a",)) == pytest.approx(2.0)
     assert predict(fit, ("b",)) == pytest.approx(12.0)
     assert predict(fit, ("c",)) == pytest.approx(7.0)
@@ -155,7 +147,7 @@ def test_rank_deficiency_names_columns():
     too_few = [(("a1", "b1"), 1.0), (("a2", "b2"), 2.0)]
     for data in (rows, too_few):
         d = build_dataset(layout, data)
-        X = build_design(d, full_factorial_terms(layout), "reference")
+        X = build_design(d, full_factorial_terms(layout))
         with pytest.raises(RankDeficiencyError) as exc_info:
             ols_fit(X, d.cells)
         assert len(exc_info.value.dependent_columns) >= 1
@@ -164,19 +156,18 @@ def test_rank_deficiency_names_columns():
 def test_fit_rejects_another_datasets_cells(cohort_layout):
     d = random_dataset(cohort_layout, 60, seed=1)
     other = random_dataset(cohort_layout, 61, seed=2)
-    X = build_design(d, [Term((0,))], "reference")
+    X = build_design(d, [Term((0,))])
     with pytest.raises(ValidationError, match="61 observations"):
         ols_fit(X, other.cells)
 
 
-def _row_level_design(layout, levels, order, coding):
-    """Observation-level model matrix from level indices, in build_design's
-    column order, coded independently of the library."""
+def _row_level_design(layout, levels, order):
+    """Observation-level reference-coded model matrix from level indices, in
+    build_design's column order, coded independently of the library."""
     n = levels.shape[0]
     codes = []
     for f, k in enumerate(layout.shape):
-        basis = np.vstack([np.eye(k - 1), -np.ones(k - 1) if coding == "deviation"
-                           else np.zeros(k - 1)])
+        basis = np.vstack([np.eye(k - 1), np.zeros(k - 1)])
         codes.append(basis[levels[:, f]])
     cols = [np.ones(n)]
     for size in range(1, order + 1):
@@ -186,14 +177,14 @@ def _row_level_design(layout, levels, order, coding):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("coding", ["reference", "deviation"])
+@pytest.mark.parametrize("coding", ["reference"])
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
     # unbalanced, with many singleton cells (70 observations over 40 cells)
     d = random_dataset(cohort_layout, 70, seed=100 + order, min_per_cell=1)
     terms = full_factorial_terms(cohort_layout, order)
-    fit = ols_fit(build_design(d, terms, coding), d.cells)
-    X = _row_level_design(cohort_layout, d.level_matrix, order, coding)
+    fit = ols_fit(build_design(d, terms), d.cells)
+    X = _row_level_design(cohort_layout, d.level_matrix, order)
     y = d.responses
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     fitted = X @ beta
@@ -209,17 +200,17 @@ def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
     # loses the SSE to cancellation, the two-pass cell m2 keeps it
     rng = np.random.default_rng(200 + order)
     shifted = Dataset(cohort_layout, d.codes, 1e6 + rng.normal(size=d.n))
-    fit = ols_fit(build_design(shifted, terms, coding), shifted.cells)
+    fit = ols_fit(build_design(shifted, terms), shifted.cells)
     y = shifted.responses
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     r = y - X @ beta
     assert fit.sse == pytest.approx(float(r @ r), rel=1e-9)
 
 
-@pytest.mark.parametrize("coding", ["reference", "deviation"])
+@pytest.mark.parametrize("coding", ["reference"])
 def test_cov_unscaled_is_read_only_inverse_cross_product(cohort_layout, coding):
     d = random_dataset(cohort_layout, 120, seed=31, min_per_cell=1)
-    X = build_design(d, full_factorial_terms(cohort_layout), coding)
+    X = build_design(d, full_factorial_terms(cohort_layout))
     fit = ols_fit(X, d.cells)
     xtwx = X.cell_values.T @ (X.cell_values * d.cells.counts[:, None])
     np.testing.assert_allclose(fit.cov_unscaled, np.linalg.inv(xtwx), rtol=1e-10)
@@ -231,7 +222,7 @@ def test_ci_matches_t_quantile(cohort_layout):
     from losanova import t_quantile
 
     d = random_dataset(cohort_layout, 200, seed=21)
-    fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1), "reference"),
+    fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1)),
                   d.cells, alpha=0.05)
     t_crit = t_quantile(0.975, fit.df_error)
     for row in fit.coefficients.rows:
@@ -251,7 +242,7 @@ def test_large_t_p_value_matches_mpmath():
     noise = [2.0 + math.sin(1.7 * k) / 3.0 for k in range(21)]
     rows = [(("g1",), v) for v in noise] + [(("g2",), 1.0 + v) for v in noise]
     d = build_dataset(layout, rows)
-    fit = ols_fit(build_design(d, [Term((0,))], "reference"), d.cells)
+    fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
     row = fit.coefficients.row("g(1)")
     with mpmath.workdps(50):
         groups = [[mpmath.mpf(v) for v in noise], [mpmath.mpf(1.0 + v) for v in noise]]
@@ -282,7 +273,7 @@ PUBLISHED_VALUES = {
 @pytest.fixture
 def published_fit():
     return FitResult.from_coefficients(
-        default_layout(), PUBLISHED_TERMS, "reference", PUBLISHED_VALUES
+        default_layout(), PUBLISHED_TERMS, PUBLISHED_VALUES
     )
 
 
@@ -307,7 +298,7 @@ def test_predict_manual_expansion(published_fit):
 def test_from_coefficients_rejects_unknown_labels():
     with pytest.raises(ValidationError, match="unknown"):
         FitResult.from_coefficients(
-            default_layout(), PUBLISHED_TERMS, "reference", {"bogus(9)": 1.0}
+            default_layout(), PUBLISHED_TERMS, {"bogus(9)": 1.0}
         )
 
 
@@ -367,7 +358,7 @@ def test_equation_string_format():
 
 def test_significant_model_on_real_fit(cohort_layout):
     d = random_dataset(cohort_layout, 150, seed=2)
-    fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1), "reference"),
+    fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1)),
                   d.cells)
     model = significant_model(fit, 0.05, response_name="y")
     assert model.equation.startswith("y = ")

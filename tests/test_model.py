@@ -114,6 +114,22 @@ def test_cell_moments_of_huge_responses_overflow_without_warning(two_by_two):
     assert cells.margin("a").counts.tolist() == [7, 2]
 
 
+@pytest.mark.parametrize("log10", [False, True])
+def test_cells_of_equal_responses_have_exact_means(cohort_layout, log10):
+    # 40 constant cells of 3 to 10^5 responses: each mean is the responses'
+    # value, so the residuals and within-cell sums of squares are exactly 0
+    rng = np.random.default_rng(8)
+    sizes = np.geomspace(3, 1e5, cohort_layout.n_cells).astype(np.int64)
+    values = rng.uniform(1.0, 60.0, cohort_layout.n_cells)
+    if log10:
+        values = np.log10(values)
+    codes = np.repeat(np.arange(cohort_layout.n_cells), sizes)
+    d = Dataset(cohort_layout, codes, values[codes])
+    assert np.array_equal(d.cells.means, values)
+    assert np.array_equal(d.cells.m2, np.zeros(cohort_layout.n_cells))
+    assert np.array_equal(d.responses - d.cells.means[d.codes], np.zeros(d.n))
+
+
 def test_cohort_layout_has_40_cells(cohort_layout):
     assert cohort_layout.n_cells == 40
     d = random_dataset(cohort_layout, 4000, seed=1)

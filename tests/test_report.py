@@ -110,7 +110,7 @@ def test_json_report_full_precision(bundle):
 def test_report_pp_plot_is_of_the_analysis_scale(bundle, cohort_csv):
     logged = apply_transform(ingest_csv(cohort_csv), "logarithmic")
     pp = bundle.diagnostics["pp_plot"]
-    again = pp_plot(residuals(logged), logged.cells.means[logged.codes])
+    again = pp_plot(residuals(logged))
     assert pp.max_abs_deviation == again.max_abs_deviation
     assert np.array_equal(pp.theoretical, again.theoretical)
 
