@@ -34,7 +34,7 @@ _EXPORTS = {
     "ingest": ("bin_age", "ingest_csv", "season_from_date", "write_csv"),
     "linmod": (
         "CoefficientTable", "DesignMatrix", "FitResult", "Term", "build_design",
-        "full_factorial_terms", "ols_fit", "predict", "significant_model",
+        "coefficient_table", "full_factorial_terms", "ols_fit", "significant_model",
         "significant_terms",
     ),
     "model": ("CellTable", "Dataset", "FactorLayout", "build_dataset"),

@@ -24,13 +24,15 @@ corrected-model SS; no such additivity is assumed anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import f_sf
 from .errors import ValidationError
-from .linmod import build_design, cell_kron, effect_label, full_factorial_terms, linalg, ols_fit
+from .linmod import (
+    FitResult, build_design, cell_kron, effect_label, full_factorial_terms, linalg, ols_fit,
+)
 from .model import CellTable, Dataset
 
 
@@ -46,10 +48,15 @@ class AnovaRow:
 
 @dataclass(frozen=True)
 class AnovaTable:
-    """Between-subjects test table: one row per source."""
+    """Between-subjects test table: one row per source.
+
+    ``fit`` is the fit whose contrasts the rows test; a table built by hand
+    from published rows has none.
+    """
 
     rows: tuple[AnovaRow, ...]
     response_name: str = "response"
+    fit: FitResult | None = field(default=None, repr=False, compare=False)
 
     def row(self, source: str) -> AnovaRow:
         for r in self.rows:
@@ -76,8 +83,12 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     """Between-subjects table with Type III SS for all effects up to
     ``max_order`` (defaults to the full factorial).
 
-    Estimability and every df come from ``df_check`` on the cell counts;
-    every sum of squares comes from one fit to the dataset's cell table.
+    Every df comes from ``df_check`` on the cell counts, and every sum of
+    squares from one fit to the dataset's cell table, which the table keeps
+    as ``fit``. For the full model ``df_check``'s occupancy test decides
+    estimability. Below it, occupied term margins are necessary but not
+    sufficient: empty cells can still leave the design rank deficient, and
+    then the fit raises ``RankDeficiencyError``.
     """
     layout = d.layout
     cells = d.cells
@@ -128,7 +139,7 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     rows.append(AnovaRow("Error", sse_full, df_error, mse))
     rows.append(AnovaRow("Total", total_ss, df["Total"]))
     rows.append(AnovaRow("Corrected Total", corrected_total_ss, df["Corrected Total"]))
-    return AnovaTable(tuple(rows), response_name=d.response_name)
+    return AnovaTable(tuple(rows), response_name=d.response_name, fit=fit)
 
 
 def df_check(cells: CellTable, max_order: int | None = None) -> list[tuple[str, int]]:
@@ -136,7 +147,9 @@ def df_check(cells: CellTable, max_order: int | None = None) -> list[tuple[str, 
 
     Valid when every cell spanned by a model term is occupied and at least
     one error df remains (both checked); rows appear in the same order as
-    ``type3_anova`` output.
+    ``type3_anova`` output. Occupancy makes the full model estimable; a
+    model below it can pass and still be rank deficient, which only the
+    fit's rank check detects.
     """
     layout = cells.layout
     terms = full_factorial_terms(layout, max_order)

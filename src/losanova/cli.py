@@ -220,16 +220,14 @@ def _build_bundle(args):
     """The ``report.ReportBundle`` of the full pipeline on ``--input``."""
     from .anova import type3_anova
     from .diagnostics import report_diagnostics
-    from .linmod import build_design, full_factorial_terms, ols_fit, significant_model
+    from .linmod import coefficient_table, significant_model
     from .posthoc import homogeneous_subsets, marginal_means, scheffe_from_stats
     from .report import ReportBundle
 
     raw, analysis, rec, chosen = _load_analysis(args)
     rec, _ = _recommendation(raw, rec)
     table = type3_anova(analysis)
-    design = build_design(analysis, full_factorial_terms(analysis.layout))
-    fit = ols_fit(design, analysis.cells, alpha=args.alpha)
-    model = significant_model(fit, args.alpha, analysis.response_name)
+    coefficients = coefficient_table(table.fit, args.alpha)
     diagnostics = report_diagnostics(raw, analysis)
 
     scheffe = {}
@@ -258,8 +256,8 @@ def _build_bundle(args):
         parameters=parameters,
         cells=analysis.cells,
         anova=table,
-        coefficients=fit.coefficients,
-        equation=model.equation,
+        coefficients=coefficients,
+        equation=significant_model(coefficients, analysis.response_name),
         scheffe=scheffe,
         subsets=subsets,
         diagnostics=diagnostics,

@@ -1,6 +1,6 @@
 """Ordinary least squares on coded factorial designs: design-matrix
 construction, fitting via pivoted QR (never via explicit cross-product
-inversion), coefficient inference, and prediction.
+inversion), and coefficient inference on a fit.
 
 Designs use reference coding: one 0/1 dummy per non-reference level, with
 the LAST level of each factor as the redundant reference, so a four-level
@@ -95,7 +95,7 @@ def cell_kron(
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Coded model matrix plus the metadata needed to recode new observations.
+    """Coded model matrix: one labelled column per coded effect.
 
     Every column is a function of the cell, so the matrix is stored as one
     coded row per layout cell (``cell_values``, in layout cell order);
@@ -103,7 +103,6 @@ class DesignMatrix:
     """
 
     layout: FactorLayout
-    terms: tuple[Term, ...]
     labels: tuple[str, ...]
     cell_values: np.ndarray
     n_rows: int
@@ -152,11 +151,9 @@ def build_design(d: Dataset, terms: Sequence[Term]) -> DesignMatrix:
     Rank deficiency (from empty cells or an over-specified formula) is not
     detected here; it surfaces at fit time.
     """
-    terms = tuple(terms)
     cell_values, labels = encode_cells(d.layout, terms)
     return DesignMatrix(
-        layout=d.layout, terms=terms, labels=tuple(labels),
-        cell_values=cell_values, n_rows=d.n,
+        layout=d.layout, labels=tuple(labels), cell_values=cell_values, n_rows=d.n,
     )
 
 
@@ -191,17 +188,15 @@ class CoefficientTable:
 
 @dataclass(frozen=True)
 class FitResult:
-    """An OLS fit: coefficients, one fitted value per cell, and error moments.
+    """An OLS fit: coefficient estimates, one fitted value per cell, and error
+    moments.
 
     Every observation's fitted value is its cell's entry of ``cell_fitted``
-    (layout cell order). The design travels with the fit, so ``predict``
-    can never be called with another design. ``cov_unscaled`` is the
-    read-only (X'WX)^-1 in design column order, where W holds the
-    observation counts.
+    (layout cell order). ``cov_unscaled`` is the read-only (X'WX)^-1 in
+    design column order, where W holds the observation counts.
     """
 
     design: DesignMatrix
-    coefficients: CoefficientTable
     estimates: np.ndarray
     cov_unscaled: np.ndarray
     cell_fitted: np.ndarray
@@ -209,43 +204,8 @@ class FitResult:
     df_error: int
     mse: float
 
-    @classmethod
-    def from_coefficients(
-        cls,
-        layout: FactorLayout,
-        terms: Sequence[Term],
-        values: dict[str, float],
-        alpha: float = 0.05,
-    ) -> "FitResult":
-        """Assemble a prediction-only fit from published coefficient values.
 
-        Labels absent from ``values`` get a zero coefficient; unknown labels
-        are rejected. Inference fields and ``cov_unscaled`` are NaN.
-        """
-        cell_values, labels = encode_cells(layout, tuple(terms))
-        design = DesignMatrix(
-            layout=layout, terms=tuple(terms),
-            labels=tuple(labels), cell_values=cell_values, n_rows=0,
-        )
-        unknown = set(values) - set(labels)
-        if unknown:
-            raise ValidationError(f"unknown coefficient labels: {sorted(unknown)}")
-        estimates = np.array([values.get(label, 0.0) for label in labels])
-        nan = float("nan")
-        table = CoefficientTable(
-            rows=tuple(
-                CoefficientRow(label, float(b), nan, nan, nan, nan, nan)
-                for label, b in zip(labels, estimates)
-            ),
-            alpha=alpha,
-        )
-        cov_unscaled = np.full((len(labels), len(labels)), nan)
-        cov_unscaled.setflags(write=False)
-        return cls(design, table, estimates, cov_unscaled, cell_values @ estimates,
-                   nan, 0, nan)
-
-
-def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult:
+def ols_fit(X: DesignMatrix, cells: CellTable) -> FitResult:
     """Least-squares fit of the responses summarised by ``cells`` on the
     design, solved by pivoted QR.
 
@@ -257,9 +217,7 @@ def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult
     count-weighted gaps: sum(m2) + sum(n_c (mean_c - fitted_c)^2).
 
     Raises ``RankDeficiencyError`` naming the dependent columns when the
-    design is not full rank. Standard errors come from the unscaled
-    covariance diagonal times the mean squared error; with zero error df the
-    inference fields are NaN.
+    design is not full rank. ``coefficient_table`` gives the inference.
     """
     n, p = cells.n, X.n_columns
     if cells.layout != X.layout or n != X.n_rows:
@@ -297,10 +255,28 @@ def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult
     cov_unscaled[np.ix_(piv, piv)] = cov_unscaled_piv
     cov_unscaled.setflags(write=False)
 
+    return FitResult(
+        design=X,
+        estimates=estimates,
+        cov_unscaled=cov_unscaled,
+        cell_fitted=cell_fitted,
+        sse=sse,
+        df_error=df_error,
+        mse=mse,
+    )
+
+
+def coefficient_table(fit: FitResult, alpha: float = 0.05) -> CoefficientTable:
+    """Wald inference per coefficient at confidence level 1 - ``alpha``.
+
+    Standard errors come from the unscaled covariance diagonal times the
+    mean squared error; with zero error df the inference fields are NaN.
+    """
+    X, estimates, df_error = fit.design, fit.estimates, fit.df_error
     nan = float("nan")
     rows = []
     if df_error > 0:
-        se = np.sqrt(mse * np.diag(cov_unscaled))
+        se = np.sqrt(fit.mse * np.diag(fit.cov_unscaled))
         t_crit = t_quantile(1.0 - alpha / 2.0, df_error)
         for label, b, s in zip(X.labels, estimates, se):
             t = b / s if s > 0 else nan
@@ -312,24 +288,7 @@ def ols_fit(X: DesignMatrix, cells: CellTable, alpha: float = 0.05) -> FitResult
     else:
         for label, b in zip(X.labels, estimates):
             rows.append(CoefficientRow(label, float(b), nan, nan, nan, nan, nan))
-
-    return FitResult(
-        design=X,
-        coefficients=CoefficientTable(tuple(rows), alpha=alpha),
-        estimates=estimates,
-        cov_unscaled=cov_unscaled,
-        cell_fitted=cell_fitted,
-        sse=sse,
-        df_error=df_error,
-        mse=mse,
-    )
-
-
-def predict(fit: FitResult, level_names: Sequence[str]) -> float:
-    """Model prediction for one factor-level combination: its cell's fitted value."""
-    layout = fit.design.layout
-    cell = layout.resolve_cell(level_names)
-    return float(fit.cell_fitted[np.ravel_multi_index(cell, layout.shape)])
+    return CoefficientTable(tuple(rows), alpha=alpha)
 
 
 def significant_terms(table: CoefficientTable, alpha: float) -> CoefficientTable:
@@ -357,17 +316,7 @@ def equation_string(table: CoefficientTable, response_name: str = "response") ->
     return f"{response_name} = {rhs}"
 
 
-@dataclass(frozen=True)
-class SignificantModel:
-    """The significance-filtered coefficient listing and its rendered formula."""
-
-    table: CoefficientTable
-    equation: str
-
-
-def significant_model(
-    fit: FitResult, alpha: float, response_name: str = "response"
-) -> SignificantModel:
-    """Terms of the fit that pass the significance filter, as table + formula."""
-    table = significant_terms(fit.coefficients, alpha)
-    return SignificantModel(table, equation_string(table, response_name))
+def significant_model(coefficients: CoefficientTable, response_name: str = "response") -> str:
+    """The fitted-model formula of the coefficients that pass the significance
+    filter at the table's own ``alpha``."""
+    return equation_string(significant_terms(coefficients, coefficients.alpha), response_name)

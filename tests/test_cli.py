@@ -184,6 +184,42 @@ def test_report_stdout_json(cohort_csv, capsys):
     assert parsed["parameters"]["n_observations"] == 8000
 
 
+def test_report_fits_once_and_passes_alpha_through(cohort_csv, tmp_path, monkeypatch):
+    import losanova.anova as anova_mod
+    import losanova.linmod as linmod_mod
+    from scipy.special import stdtrit
+
+    calls = []
+    fit = linmod_mod.ols_fit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(anova_mod, "ols_fit", counted)
+    monkeypatch.setattr(linmod_mod, "ols_fit", counted)
+    outdir = tmp_path / "report"
+    argv = ["report", "--input", str(cohort_csv), "--alpha", "0.01", "--out", str(outdir)]
+    assert cli_main(argv) == 0
+    assert len(calls) == 1  # the Type III fit serves the coefficient table too
+
+    tables = outdir / "tables"
+    coefficients = json.loads((tables / "coefficients.json").read_text())
+    anova = json.loads((tables / "anova.json").read_text())
+    df = next(r["df"] for r in anova["rows"] if r["source"] == "Error")
+    t_crit = float(stdtrit(df, 0.995))
+    assert coefficients["alpha"] == 0.01
+    rows = coefficients["rows"]
+    for row in rows:
+        b, se = row["estimate"], row["se"]
+        assert row["ci_low"] == pytest.approx(b - t_crit * se, rel=1e-12, abs=0)
+        assert row["ci_high"] == pytest.approx(b + t_crit * se, rel=1e-12, abs=0)
+    listed = re.findall(r"\[(.*?)\]", coefficients["equation"])
+    assert listed == [r["parameter"] for r in rows
+                      if r["parameter"] != "Intercept" and r["p"] <= 0.01]
+    assert any(0.01 < r["p"] <= 0.05 for r in rows)  # so the level shows in the listing
+
+
 @pytest.mark.parametrize("command", [
     ["power", "--levels", "4,2,5", "--min-diff", "1", "--sigma2", "9.41",
      "--effect", "season", "--n", "10"],
@@ -313,6 +349,29 @@ def test_diagnose_accepts_an_empty_cell(tmp_path, capsys):
     assert "N=117" in capsys.readouterr().out
     assert cli_main(["report", "--input", str(path)]) == 1
     assert "empty" in capsys.readouterr().err
+
+
+def test_occupied_margins_do_not_make_a_reduced_model_estimable(tmp_path, capsys):
+    # one gender per season x age_group cell, male where the level indices
+    # sum to an even number: every two-factor margin is occupied, yet the
+    # 28-column order-2 design has only 20 distinct cell rows
+    def cell_values(i):
+        g, s, a = i // 20, i // 5 % 4, i % 5
+        if (g == 0) != ((s + a) % 2 == 0):
+            return ()
+        return tuple(2.0 + s + 0.5 * a + 0.25 * k for k in range(4))
+
+    path = _cohort_file(tmp_path / "parity.csv", cell_values)
+    argv = ["anova", "--input", str(path), "--transform", "none"]
+    assert cli_main([*argv, "--max-order", "1"]) == 0
+    assert "response: los" in capsys.readouterr().out
+    # df_check passes; the fit's rank check refuses
+    assert cli_main([*argv, "--max-order", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: design matrix is rank deficient")
+    # the full model's empty cells fail df_check first
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: every cell spanned by a model term must be occupied")
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""Design coding, QR least squares, inference, prediction, significance filter."""
+"""Design coding, QR least squares, inference, the published model, significance filter."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,18 +16,17 @@ from losanova import (
     build_design,
     full_factorial_terms,
     ols_fit,
-    predict,
     significant_terms,
 )
 from losanova.linmod import (
     CoefficientRow,
     CoefficientTable,
-    FitResult,
     Term,
+    coefficient_table,
     equation_string,
     significant_model,
 )
-from losanova.synth import default_layout
+from losanova.synth import cell_mean, reference_cohort_spec
 
 from conftest import random_dataset
 
@@ -81,8 +81,9 @@ def test_two_group_closed_form():
     rows = [(("g1",), 1.0), (("g1",), 2.0), (("g1",), 3.0), (("g2",), 4.0), (("g2",), 6.0)]
     d = build_dataset(layout, rows)
     fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
-    intercept = fit.coefficients.row("Intercept")
-    slope = fit.coefficients.row("g(1)")
+    table = coefficient_table(fit)
+    intercept = table.row("Intercept")
+    slope = table.row("g(1)")
     # reference level is g2, so the intercept is the g2 mean
     assert intercept.estimate == pytest.approx(5.0)
     assert slope.estimate == pytest.approx(2.0 - 5.0)
@@ -98,7 +99,7 @@ def test_intercept_only_model(cohort_layout):
     d = random_dataset(cohort_layout, 40, seed=5)
     fit = ols_fit(build_design(d, []), d.cells)
     y = d.responses
-    assert fit.coefficients.row("Intercept").estimate == pytest.approx(float(y.mean()))
+    assert coefficient_table(fit).row("Intercept").estimate == pytest.approx(float(y.mean()))
     assert fit.sse == pytest.approx(float(((y - y.mean()) ** 2).sum()))
 
 
@@ -130,9 +131,7 @@ def test_one_factor_fit_recovers_cell_means():
     rows = [(("a",), 1.0), (("a",), 3.0), (("b",), 10.0), (("b",), 14.0), (("c",), 7.0)]
     d = build_dataset(layout, rows)
     fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
-    assert predict(fit, ("a",)) == pytest.approx(2.0)
-    assert predict(fit, ("b",)) == pytest.approx(12.0)
-    assert predict(fit, ("c",)) == pytest.approx(7.0)
+    np.testing.assert_allclose(fit.cell_fitted, [2.0, 12.0, 7.0])
 
 
 def test_rank_deficiency_names_columns():
@@ -192,7 +191,7 @@ def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
     se = np.sqrt(sse / (d.n - X.shape[1]) * np.diag(np.linalg.inv(X.T @ X)))
     assert fit.df_error == d.n - X.shape[1]
     np.testing.assert_allclose(fit.estimates, beta, rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose([r.se for r in fit.coefficients.rows], se, rtol=1e-9)
+    np.testing.assert_allclose([r.se for r in coefficient_table(fit).rows], se, rtol=1e-9)
     np.testing.assert_allclose(fit.cell_fitted[d.codes], fitted, rtol=1e-9)
     assert fit.sse == pytest.approx(sse, rel=1e-9)
 
@@ -222,10 +221,9 @@ def test_ci_matches_t_quantile(cohort_layout):
     from losanova import t_quantile
 
     d = random_dataset(cohort_layout, 200, seed=21)
-    fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1)),
-                  d.cells, alpha=0.05)
+    fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1)), d.cells)
     t_crit = t_quantile(0.975, fit.df_error)
-    for row in fit.coefficients.rows:
+    for row in coefficient_table(fit, 0.05).rows:
         assert row.ci_low == pytest.approx(row.estimate - t_crit * row.se, rel=1e-12)
         assert row.ci_high == pytest.approx(row.estimate + t_crit * row.se, rel=1e-12)
         assert row.p == pytest.approx(
@@ -243,7 +241,7 @@ def test_large_t_p_value_matches_mpmath():
     rows = [(("g1",), v) for v in noise] + [(("g2",), 1.0 + v) for v in noise]
     d = build_dataset(layout, rows)
     fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
-    row = fit.coefficients.row("g(1)")
+    row = coefficient_table(fit).row("g(1)")
     with mpmath.workdps(50):
         groups = [[mpmath.mpf(v) for v in noise], [mpmath.mpf(1.0 + v) for v in noise]]
         means = [sum(g) / 21 for g in groups]
@@ -255,51 +253,31 @@ def test_large_t_p_value_matches_mpmath():
         assert row.p == pytest.approx(float(p), rel=1e-10, abs=0.0)
 
 
-# --- prediction with published coefficients ------------------------------------
+# --- the published model -----------------------------------------------------
 
-PUBLISHED_TERMS = [Term((2,)), Term((1,)), Term((1, 2)), Term((0, 2))]
-PUBLISHED_VALUES = {
-    "Intercept": 0.573,
-    "age_group(2)": 0.161,
-    "age_group(3)": 0.091,
-    "season(1)": -0.037,
-    "season(2)": -0.032,
-    "season(2) * age_group(2)": -0.056,
-    "gender(1) * age_group(3)": 0.133,
-    "gender(1) * age_group(4)": 0.053,
-}
+def _published_mean(level_names):
+    """The synthetic cohort's log-scale cell mean: the sum of the published
+    coefficients whose terms match the cell."""
+    spec = reference_cohort_spec()
+    return cell_mean(spec, spec.layout.resolve_cell(level_names))
 
 
-@pytest.fixture
-def published_fit():
-    return FitResult.from_coefficients(
-        default_layout(), PUBLISHED_TERMS, PUBLISHED_VALUES
-    )
+def test_predict_reference_cell():
+    assert _published_mean(("female", "winter", "5")) == pytest.approx(0.573)
 
 
-def test_predict_reference_cell(published_fit):
-    assert predict(published_fit, ("female", "winter", "5")) == pytest.approx(0.573)
+def test_predict_single_term():
+    assert _published_mean(("female", "winter", "2")) == pytest.approx(0.734)
 
 
-def test_predict_single_term(published_fit):
-    assert predict(published_fit, ("female", "winter", "2")) == pytest.approx(0.734)
-
-
-def test_predict_manual_expansion(published_fit):
+def test_predict_manual_expansion():
     # male, summer, age group 2: intercept + age2 + summer + age2*summer
     expected = 0.573 + 0.161 - 0.032 - 0.056
-    assert predict(published_fit, ("male", "summer", "2")) == pytest.approx(expected)
+    assert _published_mean(("male", "summer", "2")) == pytest.approx(expected)
     # male, autumn, age group 3: intercept + age3 + age3*male
-    assert predict(published_fit, ("male", "autumn", "3")) == pytest.approx(
+    assert _published_mean(("male", "autumn", "3")) == pytest.approx(
         0.573 + 0.091 + 0.133
     )
-
-
-def test_from_coefficients_rejects_unknown_labels():
-    with pytest.raises(ValidationError, match="unknown"):
-        FitResult.from_coefficients(
-            default_layout(), PUBLISHED_TERMS, {"bogus(9)": 1.0}
-        )
 
 
 # --- significance filter --------------------------------------------------------
@@ -360,6 +338,11 @@ def test_significant_model_on_real_fit(cohort_layout):
     d = random_dataset(cohort_layout, 150, seed=2)
     fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1)),
                   d.cells)
-    model = significant_model(fit, 0.05, response_name="y")
-    assert model.equation.startswith("y = ")
-    assert model.table.labels[0] == "Intercept"
+    for alpha in (0.01, 0.05, 0.5):
+        table = coefficient_table(fit, alpha)
+        equation = significant_model(table, response_name="y")
+        assert equation.startswith("y = ")
+        # the filter runs at the table's own alpha
+        assert re.findall(r"\[(.*?)\]", equation) == [
+            r.label for r in table.rows if r.label != "Intercept" and r.p <= alpha
+        ]
