@@ -5,8 +5,9 @@ noncentral F.
 The central F and t and the incomplete beta are thin wrappers over
 ``scipy.special``: domain errors raise ``ValidationError``, and a NaN from
 scipy raises ``NumericalError``. The noncentral F stays in-house, as a
-Poisson mixture of ``betainc`` terms over a window ``pdtrik`` chooses,
-because ``scipy.special.ncfdtr`` (scipy 1.17.1) returns NaN at 65 of the
+Poisson mixture of ``betainc`` terms over a window from the Poisson Chernoff
+bounds, evaluating only the terms not saturated at 1 or 0, because
+``scipy.special.ncfdtr`` (scipy 1.17.1) returns NaN at 65 of the
 4,312 points of the planning OC sweep, all at noncentralities over 1,285,
 where the type II error underflows to 0.0. The normal CDF and
 quantile apply ``math`` per element, because ``synth``'s seeded stream runs
@@ -31,6 +32,9 @@ _TAIL_BOUND = 5e-13
 # past this lam, rounding moves each log-space Poisson weight (terms of size
 # h log h, h = lam/2) by over 1e-5, and the window holds over 10^6 terms
 _MAX_LAM = 1e10
+# incomplete-beta terms at or past these count as exactly 1 or 0
+_ONE = 1.0 - 2.0**-53
+_ZERO = 2.0**-53
 
 
 def _defined(value, name: str, *args) -> float:
@@ -197,9 +201,18 @@ def _poisson(j, half: float):
 
 def _window(half: float) -> np.ndarray:
     """The j = lo..hi that leave out at most ``_TAIL_BOUND`` of the
-    Poisson(half) mass on each side, from scipy's inverse Poisson CDF."""
-    lo = max(0, math.floor(special.pdtrik(_TAIL_BOUND, half)))
-    hi = math.ceil(special.pdtrik(1.0 - _TAIL_BOUND, half))
+    Poisson(half) mass on each side.
+
+    lo and hi come from the Chernoff bounds P(X <= h - t) <= exp(-t^2/2h)
+    and P(X >= h + t) <= exp(-t^2 / (2(h + t/3))), solved for t in closed
+    form. They are bounds, not scipy's quantiles (``pdtrik``): the window is
+    about 8% longer (463 terms against 429 at h = 900), but it takes about
+    3 us where the two ``pdtrik`` calls took 11 us (2-CPU x86 machine), and
+    ``noncentral_f_cdf`` skips the saturated terms it adds."""
+    log_bound = -math.log(_TAIL_BOUND)
+    lo = max(0, math.floor(half - math.sqrt(2.0 * half * log_bound)))
+    third = log_bound / 3.0
+    hi = math.ceil(half + third + math.sqrt(third * third + 2.0 * half * log_bound))
     return np.arange(lo, hi + 1, dtype=float)
 
 
@@ -207,16 +220,21 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
     """CDF of the noncentral F distribution with noncentrality lam.
 
     The Poisson(lam/2) mixture of I_y(nu1/2 + j, nu2/2), y = nu1 x/(nu1 x + nu2),
-    summed in one ``betainc`` call over the ``_window`` of j, with weights in
-    log space so extreme noncentralities stay in range. Nonincreasing in lam
-    for fixed x; reduces exactly to ``f_cdf`` at lam = 0.
+    over the ``_window`` of j. I_y falls as j grows, so ``betainc`` on every
+    isqrt(window)-th j finds the terms at 1 to double precision, whose mass
+    comes from one ``pdtr`` call, and those at 0, which are dropped; one
+    ``betainc`` call and log-space weights cover the terms between, so
+    extreme noncentralities stay in range. Nonincreasing in lam for fixed x;
+    reduces exactly to ``f_cdf`` at lam = 0.
 
     Within 2e-12 of a 50-digit evaluation up to lam = 5e3; beyond, rounding of
     the log-space weights grows with lam (up to 1.4e-11 at lam = 2e4). The window
-    holds about 14.26 sqrt(lam/2) terms, so ``_MAX_LAM`` is what bounds memory:
-    at lam = 1e10 it is about 1.0e6 terms, and one call takes about 0.4 s on a
-    2-CPU x86 machine, in a process that peaks at about 86 MB of RSS. A lam
-    over ``_MAX_LAM`` raises ``NumericalError``.
+    holds about 15 sqrt(lam/2) terms, so ``_MAX_LAM`` is what bounds memory:
+    at lam = 1e10 it is about 1.06e6 terms. At the noncentral mean there, with
+    nu1 = 3 and nu2 = 10, no term saturates and one call takes about 0.4 s on
+    a 2-CPU x86 machine, in a process that peaks at about 89 MB of RSS; 1%
+    above or below the mean it takes about 3 ms with nu2 = 4e6. A lam over
+    ``_MAX_LAM`` raises ``NumericalError``.
     """
     if not (nu1 > 0 and nu2 > 0):
         raise ValidationError("noncentral_f_cdf requires nu1 > 0 and nu2 > 0")
@@ -236,5 +254,21 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
 
     half = lam / 2.0
     j = _window(half)
+    a, b = nu1 / 2.0, nu2 / 2.0
     y = nu1 * x / (nu1 * x + nu2)
-    return min(float(_poisson(j, half) @ special.betainc(nu1 / 2.0 + j, nu2 / 2.0, y)), 1.0)
+    # I_y(a + j, b) falls as j grows: probe every step-th term, count the
+    # terms up to the last probe at 1 as 1 and those from the first probe at
+    # 0 on as 0, and sum weights times betainc only over the terms between.
+    # The terms below the window are at 1 too when the first probe is, so
+    # the mass of the terms at 1 is the Poisson CDF at the last of them.
+    step = math.isqrt(j.size)
+    probes = special.betainc(a + j[::step], b, y)
+    (ones,) = (probes >= _ONE).nonzero()
+    (zeros,) = (probes <= _ZERO).nonzero()
+    start = int(ones[-1]) * step + 1 if ones.size else 0
+    stop = int(zeros[0]) * step if zeros.size else j.size
+    total = special.pdtr(j[start - 1], half) if start else 0.0
+    if start < stop:
+        live = j[start:stop]
+        total += _poisson(live, half) @ special.betainc(a + live, b, y)
+    return min(float(total), 1.0)

@@ -49,7 +49,8 @@ class FactorLayout:
                 raise ValidationError(f"factor {name!r} has duplicate level names")
         object.__setattr__(self, "factors", normalized)
 
-    @property
+    # cached in the instance dict, which eq, hash and repr do not read
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.factors)
 
@@ -57,11 +58,11 @@ class FactorLayout:
     def n_factors(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(levels) for _, levels in self.factors)
 
-    @property
+    @cached_property
     def n_cells(self) -> int:
         return math.prod(self.shape)
 
@@ -69,7 +70,7 @@ class FactorLayout:
         return self.factors[self.factor_index(factor)][1]
 
     def n_levels(self, factor: int | str) -> int:
-        return len(self.levels(factor))
+        return self.shape[self.factor_index(factor)]
 
     def factor_index(self, factor: int | str) -> int:
         if isinstance(factor, int):

@@ -86,23 +86,24 @@ def effect_dfs(layout: FactorLayout, effect: Term, n: int) -> tuple[int, int]:
     return nu1, nu2
 
 
+def _phi_squared(spec: PowerSpec, nu1: int) -> float:
+    shape = spec.layout.shape
+    m = math.prod(shape[i] for i in range(len(shape)) if i not in spec.effect.factor_indices)
+    # a product, not **, so a huge min_diff gives inf instead of OverflowError
+    return spec.n * m * (spec.min_diff * spec.min_diff) / (2.0 * spec.sigma2 * (nu1 + 1))
+
+
 def phi_squared(spec: PowerSpec) -> float:
     """Standardized effect size phi^2 for a difference of ``min_diff`` between
     two level means of the effect."""
     nu1, _ = effect_dfs(spec.layout, spec.effect, spec.n)
-    m = math.prod(
-        spec.layout.n_levels(i)
-        for i in range(spec.layout.n_factors)
-        if i not in spec.effect.factor_indices
-    )
-    # a product, not **, so a huge min_diff gives inf instead of OverflowError
-    return spec.n * m * (spec.min_diff * spec.min_diff) / (2.0 * spec.sigma2 * (nu1 + 1))
+    return _phi_squared(spec, nu1)
 
 
 def power_of_test(spec: PowerSpec) -> PowerResult:
     """Exact power of the effect's F test via the noncentral F distribution."""
     nu1, nu2 = effect_dfs(spec.layout, spec.effect, spec.n)
-    phi2 = phi_squared(spec)
+    phi2 = _phi_squared(spec, nu1)
     lam = (nu1 + 1) * phi2
     crit = f_quantile(1.0 - spec.alpha, nu1, nu2)
     beta = noncentral_f_cdf(crit, nu1, nu2, lam)

@@ -541,6 +541,53 @@ def test_noncentral_f_window_leaves_out_at_most_the_tail_bound():
         assert below <= bound and special.pdtrc(hi, h) <= bound, lam
 
 
+def _whole_window_sum(x, nu1, nu2, lam):
+    """The mixture summed over every term of ``_window``, none skipped, and
+    the terms themselves."""
+    from scipy import special
+
+    from losanova import distributions
+
+    h = lam / 2.0
+    j = distributions._window(h)
+    terms = special.betainc(nu1 / 2.0 + j, nu2 / 2.0, nu1 * x / (nu1 * x + nu2))
+    return float(distributions._poisson(j, h) @ terms), terms
+
+
+def test_noncentral_f_skip_matches_the_whole_window_sum():
+    # the probe skips terms at 1 or 0 and nothing else, so the result is the
+    # whole-window sum to rounding; seeded points plus an all-1 and an all-0 one
+    rng = np.random.default_rng(20261019)
+    points = [(1e30, 1, 2.0, 50.0), (1e-3, 60, 4e6, 50.0)]
+    for _ in range(300):
+        nu1 = int(rng.integers(1, 61))
+        nu2 = math.exp(rng.uniform(math.log(2.0), math.log(4e6)))
+        lam = math.expm1(rng.uniform(0.0, math.log1p(100.0)))
+        x = (nu1 + lam) / nu1 * math.exp(rng.uniform(-1.5, 1.5))
+        points.append((x, nu1, nu2, lam))
+    kinds = set()
+    for x, nu1, nu2, lam in points:
+        whole, terms = _whole_window_sum(x, nu1, nu2, lam)
+        assert abs(noncentral_f_cdf(x, nu1, nu2, lam) - whole) <= 1e-13, (x, nu1, nu2, lam)
+        ones, zeros = terms >= 1.0 - 2.0**-53, terms <= 2.0**-53
+        kinds.add("all 1" if ones.all() else "all 0" if zeros.all() else
+                  "some 1" if ones.any() else "some 0" if zeros.any() else "none")
+    assert kinds == {"all 1", "all 0", "some 1", "some 0", "none"}
+
+
+def test_noncentral_f_window_slack_stays_small():
+    # the Chernoff window is longer than scipy's quantile window, by a bounded margin
+    from scipy import special
+
+    from losanova import distributions
+
+    bound = distributions._TAIL_BOUND
+    for h in np.logspace(2.0, math.log10(distributions._MAX_LAM / 2.0), 400):
+        quantile_terms = (math.ceil(special.pdtrik(1.0 - bound, h))
+                          - max(0, math.floor(special.pdtrik(bound, h))) + 1)
+        assert distributions._window(h).size <= 1.1 * quantile_terms + 20, h
+
+
 def test_noncentral_f_huge_lambda_in_range():
     # about 320,000 terms around the mode, in one window
     lam = 1e9

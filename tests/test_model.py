@@ -1,6 +1,8 @@
 """Core domain model: layouts, datasets, cell tables and their margins."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -45,6 +47,21 @@ def test_layout_validation():
         FactorLayout([("a", ("x", "x"))])
     with pytest.raises(ValidationError):
         FactorLayout([("a", ("x", "y")), ("a", ("u", "v"))])
+
+
+def test_layout_cached_properties_are_invisible():
+    def fresh():
+        return FactorLayout([("season", ("spring", "summer", "autumn", "winter")),
+                             ("gender", ("male", "female"))])
+
+    used = fresh()
+    assert (used.shape, used.n_cells, used.names) == ((4, 2), 8, ("season", "gender"))
+    assert used.n_levels("gender") == 2 and used.n_levels(0) == 4
+    for layout in (used, pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
+        assert layout == fresh() and fresh() == layout
+        assert hash(layout) == hash(fresh())
+        assert repr(layout) == repr(fresh())
+        assert (layout.shape, layout.n_cells, layout.names) == ((4, 2), 8, ("season", "gender"))
 
 
 def test_minimal_construction(two_by_two):

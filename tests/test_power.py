@@ -138,6 +138,27 @@ def test_plan_all_effects_structure(planning_layout):
             assert below.power < 0.95
 
 
+# minimum n per effect (season, gender, age_group, season * gender,
+# season * age_group, gender * age_group, season * gender * age_group) at
+# D = 1 and sigma^2 = 9.41, as the Poisson-window sum over every term gave them
+PLANNING_GRID = {
+    (0.01, 0.80): (30, 12, 40, 59, 223, 79, 444),
+    (0.01, 0.90): (37, 15, 49, 73, 270, 98, 539),
+    (0.01, 0.95): (43, 17, 58, 86, 312, 115, 622),
+    (0.01, 0.99): (57, 23, 75, 113, 397, 150, 793),
+    (0.05, 0.80): (21, 8, 29, 42, 164, 57, 327),
+    (0.05, 0.90): (27, 10, 37, 54, 206, 73, 412),
+    (0.05, 0.95): (33, 13, 44, 65, 244, 88, 487),
+    (0.05, 0.99): (45, 18, 60, 89, 322, 119, 644),
+}
+
+
+def test_planning_grid_pinned(planning_layout):
+    for (alpha, target), expected in PLANNING_GRID.items():
+        plan = plan_all_effects(planning_layout, 1.0, 9.41, alpha, target)
+        assert tuple(p.result.n for p in plan.effects) == expected, (alpha, target)
+
+
 def test_all_effects_tiny_layout_saturates():
     layout = FactorLayout([("a", ("x", "y")), ("b", ("u", "v")), ("c", ("p", "q"))])
     plan = plan_all_effects(layout, min_diff=50.0, sigma2=1.0, alpha=0.05, target_power=0.9)
