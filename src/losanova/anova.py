@@ -189,5 +189,5 @@ def significance_summary(table: AnovaTable, alpha: float) -> list[EffectVerdict]
     """Label every testable row significant or not at level ``alpha``."""
     if not 0 < alpha < 1:
         raise ValidationError("alpha must be in (0, 1)")
-    return [EffectVerdict(row.source, row.p, row.p < alpha)
+    return [EffectVerdict(row.source, row.p, row.p <= alpha)
             for row in table.rows if row.p is not None]

@@ -117,18 +117,7 @@ def residual_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
     histogram and spread against the fitted values, then the analysis scale's
     histogram and spread. Without a transform (``raw is analysis``) each
     series is computed once."""
-    return _residual_series(raw, analysis, residuals(analysis))
-
-
-def report_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
-    """The report's residual series: ``residual_diagnostics``' four, then the
-    analysis scale's normal P-P plot, which raises ``ValidationError`` when
-    the residuals have no spread."""
     e = residuals(analysis)
-    return {**_residual_series(raw, analysis, e), "pp_plot": pp_plot(e)}
-
-
-def _residual_series(raw: Dataset, analysis: Dataset, e: np.ndarray) -> dict[str, object]:
     histogram = residual_histogram(e)
     spread = residual_vs_fitted(e, analysis.cells.means[analysis.codes])
     if raw is analysis:
@@ -145,24 +134,26 @@ def _residual_series(raw: Dataset, analysis: Dataset, e: np.ndarray) -> dict[str
     }
 
 
-def residual_histogram(e: np.ndarray, bins: int | None = None) -> HistogramData:
-    """Equal-width histogram spanning [min, max].
+def report_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
+    """The report's residual series: ``residual_diagnostics``' four, then the
+    analysis scale's normal P-P plot, which raises ``ValidationError`` when
+    the residuals have no spread."""
+    return {**residual_diagnostics(raw, analysis), "pp_plot": pp_plot(residuals(analysis))}
 
-    The automatic bin count is ceil(1 + log2 N) (Sturges' rule).
-    """
+
+def residual_histogram(e: np.ndarray) -> HistogramData:
+    """Equal-width histogram spanning [min, max], with ceil(1 + log2 N) bins
+    (Sturges' rule)."""
     e = np.asarray(e, dtype=float)
     if e.size == 0:
         raise ValidationError("no residuals to bin")
-    if bins is None:
-        bins = math.ceil(1.0 + math.log2(e.size))
-    if bins < 1:
-        raise ValidationError("bin count must be >= 1")
     lo, hi = float(e.min()), float(e.max())
     if lo == hi:
         # constant residuals: one unit-width bin centered on the value
         edges = np.array([lo - 0.5, lo + 0.5])
         counts = np.array([e.size])
     else:
+        bins = math.ceil(1.0 + math.log2(e.size))
         counts, edges = np.histogram(e, bins=bins, range=(lo, hi))
     return HistogramData(tuple(float(b) for b in edges), tuple(int(c) for c in counts))
 

@@ -210,10 +210,14 @@ def _window(half: float) -> np.ndarray:
     3 us where the two ``pdtrik`` calls took 11 us (2-CPU x86 machine), and
     ``noncentral_f_cdf`` skips the saturated terms it adds."""
     log_bound = -math.log(_TAIL_BOUND)
-    lo = max(0, math.floor(half - math.sqrt(2.0 * half * log_bound)))
     third = log_bound / 3.0
     hi = math.ceil(half + third + math.sqrt(third * third + 2.0 * half * log_bound))
-    return np.arange(lo, hi + 1, dtype=float)
+    return np.arange(_window_start(half), hi + 1, dtype=float)
+
+
+def _window_start(half: float) -> int:
+    """The first j of ``_window(half)``, for a finite ``half``."""
+    return max(0, math.floor(half - math.sqrt(2.0 * half * -math.log(_TAIL_BOUND))))
 
 
 def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
@@ -233,8 +237,10 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
     at lam = 1e10 it is about 1.06e6 terms. At the noncentral mean there, with
     nu1 = 3 and nu2 = 10, no term saturates and one call takes about 0.4 s on
     a 2-CPU x86 machine, in a process that peaks at about 89 MB of RSS; 1%
-    above or below the mean it takes about 3 ms with nu2 = 4e6. A lam over
-    ``_MAX_LAM`` raises ``NumericalError``.
+    above or below the mean it takes about 3 ms with nu2 = 4e6. Over
+    ``_MAX_LAM`` no window is built: the CDF is 0.0 when the window's first
+    term is at 0, as every term after it is then (and always at lam = inf),
+    and raises ``NumericalError`` otherwise.
     """
     if not (nu1 > 0 and nu2 > 0):
         raise ValidationError("noncentral_f_cdf requires nu1 > 0 and nu2 > 0")
@@ -249,13 +255,15 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
     if math.isinf(x):
         return 1.0
 
+    a, b = nu1 / 2.0, nu2 / 2.0
+    y = nu1 * x / (nu1 * x + nu2)
     if not lam <= _MAX_LAM:
+        if math.isinf(lam) or special.betainc(a + _window_start(lam / 2.0), b, y) <= _ZERO:
+            return 0.0
         raise NumericalError(f"noncentral F series cannot resolve its weights at lam = {lam}")
 
     half = lam / 2.0
     j = _window(half)
-    a, b = nu1 / 2.0, nu2 / 2.0
-    y = nu1 * x / (nu1 * x + nu2)
     # I_y(a + j, b) falls as j grows: probe every step-th term, count the
     # terms up to the last probe at 1 as 1 and those from the first probe at
     # 0 on as 0, and sum weights times betainc only over the terms between.

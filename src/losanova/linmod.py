@@ -45,16 +45,6 @@ class Term:
             raise ValidationError("term factor indices must be distinct")
         object.__setattr__(self, "factor_indices", tuple(sorted(idx)))
 
-    @property
-    def order(self) -> int:
-        return len(self.factor_indices)
-
-    @property
-    def kind(self) -> str:
-        if self.order == 1:
-            return "main"
-        return f"{self.order}-way interaction"
-
 
 def effect_label(layout: FactorLayout, term: Term) -> str:
     """The term's row name in tables: its factor names joined by " * "."""
@@ -128,13 +118,15 @@ def _term_labels(layout: FactorLayout, term: Term) -> list[str]:
     ]
 
 
-def encode_cells(
-    layout: FactorLayout, terms: Sequence[Term]
-) -> tuple[np.ndarray, list[str]]:
-    """Model-matrix columns for every layout cell, one row per cell in layout
-    cell order, and their labels: the intercept, then each term's block,
-    the Kronecker product of ``eye(k)[:, :-1]`` over its factors and
-    ``ones((k, 1))`` over the others."""
+def build_design(d: Dataset, terms: Sequence[Term]) -> DesignMatrix:
+    """Design matrix for a dataset: intercept, then one block per term.
+
+    Each block is the Kronecker product of ``eye(k)[:, :-1]`` over the term's
+    factors and ``ones((k, 1))`` over the others, one row per layout cell.
+    Rank deficiency (from empty cells or an over-specified formula) is not
+    detected here; it surfaces at fit time.
+    """
+    layout = d.layout
     blocks = [
         cell_kron(layout.shape, factors, lambda k: np.eye(k)[:, :-1], lambda k: np.ones((k, 1)))
         for factors in [(), *(term.factor_indices for term in terms)]
@@ -142,18 +134,8 @@ def encode_cells(
     labels = ["Intercept"]
     for term in terms:
         labels.extend(_term_labels(layout, term))
-    return np.hstack(blocks), labels
-
-
-def build_design(d: Dataset, terms: Sequence[Term]) -> DesignMatrix:
-    """Design matrix for a dataset: intercept, then one block per term.
-
-    Rank deficiency (from empty cells or an over-specified formula) is not
-    detected here; it surfaces at fit time.
-    """
-    cell_values, labels = encode_cells(d.layout, terms)
     return DesignMatrix(
-        layout=d.layout, labels=tuple(labels), cell_values=cell_values, n_rows=d.n,
+        layout=layout, labels=tuple(labels), cell_values=np.hstack(blocks), n_rows=d.n,
     )
 
 

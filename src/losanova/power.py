@@ -28,6 +28,9 @@ from .model import FactorLayout
 # ``bench/run.py`` reads this name; nothing in the package calls it.
 all_effects = full_factorial_terms
 
+# the replication search gives up past this many replications per cell
+_N_MAX = 100_000
+
 
 def parse_effect(layout: FactorLayout, text: str) -> Term:
     """Parse "season" or "gender*season" (separator '*', whitespace ignored)."""
@@ -86,24 +89,20 @@ def effect_dfs(layout: FactorLayout, effect: Term, n: int) -> tuple[int, int]:
     return nu1, nu2
 
 
-def _phi_squared(spec: PowerSpec, nu1: int) -> float:
+def phi_squared(spec: PowerSpec) -> float:
+    """Standardized effect size phi^2 for a difference of ``min_diff`` between
+    two level means of the effect."""
+    nu1, _ = effect_dfs(spec.layout, spec.effect, spec.n)
     shape = spec.layout.shape
     m = math.prod(shape[i] for i in range(len(shape)) if i not in spec.effect.factor_indices)
     # a product, not **, so a huge min_diff gives inf instead of OverflowError
     return spec.n * m * (spec.min_diff * spec.min_diff) / (2.0 * spec.sigma2 * (nu1 + 1))
 
 
-def phi_squared(spec: PowerSpec) -> float:
-    """Standardized effect size phi^2 for a difference of ``min_diff`` between
-    two level means of the effect."""
-    nu1, _ = effect_dfs(spec.layout, spec.effect, spec.n)
-    return _phi_squared(spec, nu1)
-
-
 def power_of_test(spec: PowerSpec) -> PowerResult:
     """Exact power of the effect's F test via the noncentral F distribution."""
     nu1, nu2 = effect_dfs(spec.layout, spec.effect, spec.n)
-    phi2 = _phi_squared(spec, nu1)
+    phi2 = phi_squared(spec)
     lam = (nu1 + 1) * phi2
     crit = f_quantile(1.0 - spec.alpha, nu1, nu2)
     beta = noncentral_f_cdf(crit, nu1, nu2, lam)
@@ -130,18 +129,15 @@ def min_replications(
     sigma2: float,
     alpha: float,
     target_power: float,
-    n_max: int = 100_000,
 ) -> PowerResult:
-    """Smallest n <= n_max whose power reaches ``target_power``.
+    """Smallest n <= ``_N_MAX`` whose power reaches ``target_power``.
 
     Power is nondecreasing in n, so an exponential scan brackets the crossing
     and bisection pins it down. Raises ``ReplicationSearchError`` (carrying
-    the best achieved result) when even n_max falls short.
+    the best achieved result) when even ``_N_MAX`` falls short.
     """
     if not 0 < target_power < 1:
         raise ValidationError("target_power must be in (0, 1)")
-    if n_max < 2:
-        raise ValidationError("n_max must be >= 2")
 
     def power_at(n: int) -> PowerResult:
         return _power_at(layout, effect, min_diff, sigma2, alpha, n)
@@ -152,9 +148,9 @@ def min_replications(
     hi_n = 2
     hi = lo
     while hi.power < target_power:
-        if hi_n >= n_max:
-            raise ReplicationSearchError(target_power, n_max, hi)
-        hi_n = min(hi_n * 2, n_max)
+        if hi_n >= _N_MAX:
+            raise ReplicationSearchError(target_power, _N_MAX, hi)
+        hi_n = min(hi_n * 2, _N_MAX)
         hi = power_at(hi_n)
     lo_n = hi_n // 2  # power(lo_n) < target, power(hi_n) >= target
     while hi_n - lo_n > 1:
@@ -192,14 +188,11 @@ def plan_all_effects(
     sigma2: float,
     alpha: float,
     target_power: float,
-    n_max: int = 100_000,
 ) -> ReplicationPlan:
     """Run ``min_replications`` for every main effect and interaction."""
     plans = []
     for effect in full_factorial_terms(layout):
-        result = min_replications(
-            layout, effect, min_diff, sigma2, alpha, target_power, n_max
-        )
+        result = min_replications(layout, effect, min_diff, sigma2, alpha, target_power)
         plans.append(EffectPlan(effect, effect_label(layout, effect), result))
     return ReplicationPlan(tuple(plans), target_power)
 

@@ -11,6 +11,8 @@ deterministic: identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -63,13 +65,9 @@ def _table_text(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _table_csv(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    def esc(cell: str) -> str:
-        if any(ch in cell for ch in ',"\n'):
-            return '"' + cell.replace('"', '""') + '"'
-        return cell
-    lines = [",".join(esc(c) for c in headers)]
-    lines.extend(",".join(esc(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([headers, *rows])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +81,9 @@ def anova_rows(t: AnovaTable) -> tuple[list[str], list[list[str]]]:
             r.source,
             fmt3(r.ss),
             str(r.df),
-            fmt3(r.ms) if r.ms is not None else "",
-            fmt3(r.f) if r.f is not None else "",
-            fmt3(r.p) if r.p is not None else "",
+            fmt3(r.ms),
+            fmt3(r.f),
+            fmt3(r.p),
         ])
     return headers, rows
 
@@ -292,37 +290,38 @@ class ReportBundle:
 def bundle_to_dict(bundle: ReportBundle) -> dict:
     out = {
         "parameters": bundle.parameters,
-        "frequency": _frequency_json(bundle.cells),
-        "anova": _anova_json(bundle.anova),
-        "coefficients": _coefficients_json(bundle.coefficients, bundle.equation),
-        "scheffe": {f: _scheffe_json(c) for f, c in bundle.scheffe.items()},
-        "subsets": {f: asdict(h) for f, h in bundle.subsets.items()},
+        "scheffe": {},
+        "subsets": {},
         "diagnostics": {name: _series_json(s) for name, s in bundle.diagnostics.items()},
     }
-    if bundle.transform_rec is not None:
-        out["transform_recommendation"] = asdict(bundle.transform_rec)
+    for _, path, _, _, json_obj in _bundle_sections(bundle):
+        parent = out[path[0]] if len(path) > 1 else out
+        parent[path[-1]] = json_obj
     return out
 
 
-def _bundle_sections(bundle: ReportBundle) -> list[tuple[str, list[str], list[list[str]], object]]:
-    """Each table of the bundle: name, headers, rendered rows, full-precision JSON."""
+def _bundle_sections(bundle: ReportBundle) -> list[tuple]:
+    """Each table of the bundle: its file name, its key path in the JSON
+    document, headers, rendered rows and full-precision JSON."""
     sections = [
-        ("frequency", *frequency_rows(bundle.cells), _frequency_json(bundle.cells)),
-        ("anova", *anova_rows(bundle.anova), _anova_json(bundle.anova)),
-        ("coefficients", *coefficient_rows(bundle.coefficients),
+        ("frequency", ("frequency",), *frequency_rows(bundle.cells),
+         _frequency_json(bundle.cells)),
+        ("anova", ("anova",), *anova_rows(bundle.anova), _anova_json(bundle.anova)),
+        ("coefficients", ("coefficients",), *coefficient_rows(bundle.coefficients),
          _coefficients_json(bundle.coefficients, bundle.equation)),
     ]
     for factor, comparisons in bundle.scheffe.items():
-        sections.append(
-            (f"scheffe_{factor}", *scheffe_rows(comparisons), _scheffe_json(comparisons))
-        )
+        sections.append((f"scheffe_{factor}", ("scheffe", factor),
+                         *scheffe_rows(comparisons), _scheffe_json(comparisons)))
     for factor, subsets in bundle.subsets.items():
         margin = bundle.cells.margin(factor)
         counts = dict(zip(margin.layout.levels(0), margin.counts.tolist()))
-        sections.append((f"subsets_{factor}", *subset_rows(subsets, counts), asdict(subsets)))
+        sections.append((f"subsets_{factor}", ("subsets", factor),
+                         *subset_rows(subsets, counts), asdict(subsets)))
     if bundle.transform_rec is not None:
         rec = bundle.transform_rec
-        sections.append(("transform", *transform_rows(rec), asdict(rec)))
+        sections.append(("transform", ("transform_recommendation",),
+                         *transform_rows(rec), asdict(rec)))
     return sections
 
 
@@ -333,7 +332,7 @@ def render_report(bundle: ReportBundle, format: str = "text") -> bytes:
     if format not in ("text", "csv"):
         raise ValidationError(f"unknown report format {format!r} (text/csv/json)")
     parts = []
-    for name, headers, rows, _ in _bundle_sections(bundle):
+    for name, _, headers, rows, _ in _bundle_sections(bundle):
         if format == "text":
             parts.append(f"== {name} ==\n{_table_text(headers, rows)}")
         else:
@@ -358,7 +357,7 @@ def write_report_dir(bundle: ReportBundle, outdir: str | Path) -> list[str]:
     plots_dir.mkdir(parents=True, exist_ok=True)
 
     artifacts: list[str] = []
-    for name, headers, rows, json_obj in _bundle_sections(bundle):
+    for name, _, headers, rows, json_obj in _bundle_sections(bundle):
         (tables / f"{name}.txt").write_text(_table_text(headers, rows), encoding="utf-8")
         (tables / f"{name}.csv").write_text(_table_csv(headers, rows), encoding="utf-8")
         (tables / f"{name}.json").write_text(

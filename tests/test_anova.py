@@ -426,6 +426,25 @@ def test_significance_summary_nothing_significant():
         assert all(not v.significant for v in verdicts)
 
 
+
+def test_significance_at_p_equal_alpha_agrees_everywhere():
+    # p == alpha is significant for the ANOVA verdict, the coefficient filter
+    # and the homogeneous subsets alike
+    from losanova.linmod import CoefficientRow, CoefficientTable, significant_terms
+    from losanova.posthoc import LevelSummary, ScheffeComparison, homogeneous_subsets
+
+    alpha = 0.05
+    table = AnovaTable((AnovaRow("f", 1.0, 1, 1.0, 4.0, alpha),
+                        AnovaRow("Error", 10.0, 10, 1.0)))
+    assert [v.significant for v in significance_summary(table, alpha)] == [True]
+    coefficients = CoefficientTable((CoefficientRow("Intercept", 1.0, 0.1, 10.0, 0.0, 0.8, 1.2),
+                                     CoefficientRow("f(1)", 1.0, 0.5, 2.0, alpha, 0.0, 2.0)))
+    assert significant_terms(coefficients, alpha).labels == ("Intercept", "f(1)")
+    pair = ScheffeComparison("f", "a", "b", -1.0, 0.5, alpha, -2.0, 0.0)
+    subsets = homogeneous_subsets([pair], [LevelSummary("a", 5, 1.0), LevelSummary("b", 5, 2.0)],
+                                  alpha)
+    assert [s.levels for s in subsets.subsets] == [("a",), ("b",)]
+
 def test_published_f_column_consistency():
     # with MSE = 17897.142/82678, every published F equals its MS / MSE
     mse = 17897.142 / 82678

@@ -67,24 +67,25 @@ def test_power_large_noncentrality(capsys):
     assert re.search(r"^2450\s", capsys.readouterr().out, re.M)
 
 
-def test_power_unresolvable_noncentrality_exits_2(capsys):
-    # lam ~ 2.5e28 is past what the series can resolve: fail fast, not hang
+def test_power_past_the_noncentrality_cap_has_power_1(capsys):
+    # lam ~ 2.5e28 is past the series' cap, but every term from the window's
+    # first on is at 0, so the answer is decided without building the window
     code = cli_main([
         "power", "--levels", "4,2,5", "--min-diff", "1e12", "--sigma2", "1e-3",
         "--effect", "season", "--n", "5",
     ])
-    assert code == 2
-    assert "cannot resolve its weights" in capsys.readouterr().err
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[2].split()[-2:] == ["0.0000", "1.0000"]
 
 
-def test_power_overflowing_min_diff_exits_2(capsys):
-    # min_diff^2 overflows to inf, so lam = inf: a numerical failure, not a traceback
+def test_power_overflowing_min_diff_has_power_1(capsys):
+    # min_diff^2 overflows to inf, so lam = inf: beta is 0, not a failure
     code = cli_main([
         "power", "--levels", "4,2,5", "--min-diff", "1e200", "--sigma2", "1",
         "--effect", "season", "--n", "5",
     ])
-    assert code == 2
-    assert "cannot resolve its weights" in capsys.readouterr().err
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[2].split()[-2:] == ["0.0000", "1.0000"]
 
 
 @pytest.mark.parametrize("min_diff, sigma2, name", [

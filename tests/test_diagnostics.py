@@ -99,9 +99,10 @@ def test_residuals_match_prediction_oracle(two_by_two):
 # --- histogram --------------------------------------------------------------------
 
 def test_histogram_hand_binned():
-    h = residual_histogram(np.array([-1.0, 0.0, 1.0]), bins=2)
-    assert h.edges == (-1.0, 0.0, 1.0)
-    assert h.counts == (1, 2)
+    # Sturges: ceil(1 + log2 3) = 3 equal-width bins over [0, 3]
+    h = residual_histogram(np.array([0.0, 0.5, 3.0]))
+    assert h.edges == (0.0, 1.0, 2.0, 3.0)
+    assert h.counts == (2, 0, 1)
 
 
 def test_histogram_constant_residuals():

@@ -594,6 +594,11 @@ def test_noncentral_f_huge_lambda_in_range():
     assert 0.0 <= noncentral_f_cdf((3.0 + lam) / 3.0, 3.0, 10.0, lam) <= 1.0
     from losanova import NumericalError
 
-    for lam in (1.0000001e10, 1e28, math.inf):
+    # past the cap, at the noncentral mean the terms are neither 0 nor 1
+    for lam in (1.0000001e10, 1e28):
+        mean = 10.0 * (3.0 + lam) / (3.0 * 8.0)
         with pytest.raises(NumericalError, match="cannot resolve its weights"):
-            noncentral_f_cdf(1.0, 3.0, 10.0, lam)
+            noncentral_f_cdf(mean, 3.0, 10.0, lam)
+    # far below the mean every term from the window's first on is 0
+    for lam in (1.0000001e10, 2.5e28, 1e300, math.inf):
+        assert noncentral_f_cdf(1.0, 3.0, 10.0, lam) == 0.0

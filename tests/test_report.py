@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from losanova import ValidationError, generate, render_report, write_csv
+from losanova import ValidationError, generate, render_report, write_csv, write_report_dir
 from losanova.cli import _build_bundle
 from losanova.diagnostics import (
     HistogramData, PPPlotData, ResidualSpread, apply_transform, pp_plot, residuals,
@@ -106,6 +106,23 @@ def test_json_report_full_precision(bundle):
     assert set(parsed["scheffe"]) == {"season", "age_group"}
     assert parsed["diagnostics"]["pp_plot"]["kind"] == "pp"
 
+
+
+def test_report_outputs_list_the_same_tables(bundle, tmp_path):
+    write_report_dir(bundle, tmp_path)
+    stems = {path.stem for path in (tmp_path / "tables").iterdir()}
+    document = json.loads(render_report(bundle, "json").decode())
+    keys = set()
+    for key, value in document.items():
+        if key in ("scheffe", "subsets"):
+            keys.update(f"{key}_{factor}" for factor in value)
+        elif key not in ("parameters", "diagnostics"):
+            keys.add({"transform_recommendation": "transform"}.get(key, key))
+    text = render_report(bundle, "text").decode()
+    csv = render_report(bundle, "csv").decode()
+    assert stems == keys
+    assert set(re.findall(r"^== (.+) ==$", text, re.M)) == keys | {"fitted model"}
+    assert set(re.findall(r"^\[(.+)\]$", csv, re.M)) == keys
 
 def test_report_pp_plot_is_of_the_analysis_scale(bundle, cohort_csv):
     logged = apply_transform(ingest_csv(cohort_csv), "logarithmic")
