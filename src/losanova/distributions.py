@@ -210,14 +210,10 @@ def _window(half: float) -> np.ndarray:
     3 us where the two ``pdtrik`` calls took 11 us (2-CPU x86 machine), and
     ``noncentral_f_cdf`` skips the saturated terms it adds."""
     log_bound = -math.log(_TAIL_BOUND)
+    lo = max(0, math.floor(half - math.sqrt(2.0 * half * log_bound)))
     third = log_bound / 3.0
     hi = math.ceil(half + third + math.sqrt(third * third + 2.0 * half * log_bound))
-    return np.arange(_window_start(half), hi + 1, dtype=float)
-
-
-def _window_start(half: float) -> int:
-    """The first j of ``_window(half)``, for a finite ``half``."""
-    return max(0, math.floor(half - math.sqrt(2.0 * half * -math.log(_TAIL_BOUND))))
+    return np.arange(lo, hi + 1, dtype=float)
 
 
 def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
@@ -258,7 +254,10 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
     a, b = nu1 / 2.0, nu2 / 2.0
     y = nu1 * x / (nu1 * x + nu2)
     if not lam <= _MAX_LAM:
-        if math.isinf(lam) or special.betainc(a + _window_start(lam / 2.0), b, y) <= _ZERO:
+        # the window's lower end, unfloored and in a form that cannot
+        # overflow: the terms below it are inside the tail bound already
+        lo = lam / 2.0 - math.sqrt(lam) * math.sqrt(-math.log(_TAIL_BOUND))
+        if math.isinf(lam) or special.betainc(a + lo, b, y) <= _ZERO:
             return 0.0
         raise NumericalError(f"noncentral F series cannot resolve its weights at lam = {lam}")
 

@@ -81,10 +81,11 @@ class PowerResult:
 
 
 def effect_dfs(layout: FactorLayout, effect: Term, n: int) -> tuple[int, int]:
-    """(numerator, denominator) df for a balanced design with n per cell."""
+    """(numerator, denominator) df for a balanced design with n per cell, for
+    an effect of ``layout``."""
     if n < 2:
         raise ValidationError("n must be >= 2")
-    nu1 = math.prod(layout.n_levels(i) - 1 for i in effect.factor_indices)
+    nu1 = math.prod(layout.shape[i] - 1 for i in effect.factor_indices)
     nu2 = layout.n_cells * (n - 1)
     return nu1, nu2
 

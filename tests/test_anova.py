@@ -426,7 +426,6 @@ def test_significance_summary_nothing_significant():
         assert all(not v.significant for v in verdicts)
 
 
-
 def test_significance_at_p_equal_alpha_agrees_everywhere():
     # p == alpha is significant for the ANOVA verdict, the coefficient filter
     # and the homogeneous subsets alike
@@ -444,6 +443,7 @@ def test_significance_at_p_equal_alpha_agrees_everywhere():
     subsets = homogeneous_subsets([pair], [LevelSummary("a", 5, 1.0), LevelSummary("b", 5, 2.0)],
                                   alpha)
     assert [s.levels for s in subsets.subsets] == [("a",), ("b",)]
+
 
 def test_published_f_column_consistency():
     # with MSE = 17897.142/82678, every published F equals its MS / MSE

@@ -88,6 +88,17 @@ def test_power_overflowing_min_diff_has_power_1(capsys):
     assert capsys.readouterr().out.splitlines()[2].split()[-2:] == ["0.0000", "1.0000"]
 
 
+def test_power_near_the_float_limit_has_power_1(capsys):
+    # lam ~ 2.5e307 is finite, but 2 (lam/2) log-bound, in the window's
+    # lower end, overflows: beta is still 0, not a traceback
+    code = cli_main([
+        "power", "--levels", "4,2,5", "--min-diff", "1e153", "--sigma2", "1",
+        "--effect", "season", "--n", "5",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[2].split()[-2:] == ["0.0000", "1.0000"]
+
+
 @pytest.mark.parametrize("min_diff, sigma2, name", [
     ("inf", "1", "min_diff"), ("1", "inf", "sigma2"), ("1", "nan", "sigma2"),
 ])

@@ -107,7 +107,6 @@ def test_json_report_full_precision(bundle):
     assert parsed["diagnostics"]["pp_plot"]["kind"] == "pp"
 
 
-
 def test_report_outputs_list_the_same_tables(bundle, tmp_path):
     write_report_dir(bundle, tmp_path)
     stems = {path.stem for path in (tmp_path / "tables").iterdir()}
@@ -123,6 +122,7 @@ def test_report_outputs_list_the_same_tables(bundle, tmp_path):
     assert stems == keys
     assert set(re.findall(r"^== (.+) ==$", text, re.M)) == keys | {"fitted model"}
     assert set(re.findall(r"^\[(.+)\]$", csv, re.M)) == keys
+
 
 def test_report_pp_plot_is_of_the_analysis_scale(bundle, cohort_csv):
     logged = apply_transform(ingest_csv(cohort_csv), "logarithmic")
