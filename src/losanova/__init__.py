@@ -24,7 +24,7 @@ _EXPORTS = {
         "sd_mean_regression",
     ),
     "distributions": (
-        "f_cdf", "f_quantile", "f_sf", "log_gamma", "noncentral_f_cdf", "normal_cdf",
+        "f_cdf", "f_quantile", "f_sf", "noncentral_f_cdf", "normal_cdf",
         "normal_quantile", "reg_inc_beta", "t_cdf", "t_quantile",
     ),
     "errors": (
@@ -39,8 +39,8 @@ _EXPORTS = {
     ),
     "model": ("CellTable", "Dataset", "FactorLayout", "build_dataset"),
     "posthoc": (
-        "HomogeneousSubsets", "LevelSummary", "ScheffeComparison", "homogeneous_subsets",
-        "marginal_means", "scheffe_from_stats", "scheffe_pairwise",
+        "HomogeneousSubsets", "ScheffeComparison", "homogeneous_subsets",
+        "marginal_means", "scheffe_pairwise",
     ),
     "power": (
         "PowerResult", "PowerSpec", "all_effects", "effect_dfs",

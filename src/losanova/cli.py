@@ -80,6 +80,9 @@ def _cmd_power(args) -> int:
 
     layout = _planning_layout(args.levels, args.factors)
     if args.all_effects:
+        for flag, value in (("--effect", args.effect), ("--n", args.n)):
+            if value is not None:
+                raise ValidationError(f"--all-effects cannot be combined with {flag}")
         plan = plan_all_effects(
             layout, args.min_diff, args.sigma2, args.alpha, args.target_power
         )
@@ -156,21 +159,18 @@ def _cmd_anova(args) -> int:
 
 def _cmd_posthoc(args) -> int:
     from .anova import type3_anova
-    from .posthoc import homogeneous_subsets, marginal_means, scheffe_from_stats
+    from .posthoc import homogeneous_subsets, marginal_means, scheffe_pairwise
     from .report import _table_text, scheffe_rows, subset_rows
 
     _, analysis, _, chosen = _load_analysis(args)
     table = type3_anova(analysis)
-    stats = marginal_means(analysis, args.factor)
-    comparisons = scheffe_from_stats(
-        args.factor, stats, table.ms_error, table.df_error, args.alpha
-    )
+    margin = marginal_means(analysis, args.factor)
+    comparisons = scheffe_pairwise(margin, table.ms_error, table.df_error, args.alpha)
     print(f"transform: {chosen}; response: {analysis.response_name}")
     print(_table_text(*scheffe_rows(comparisons)), end="")
-    subsets = homogeneous_subsets(comparisons, stats, args.alpha)
-    counts = {s.level: s.n for s in stats}
+    subsets = homogeneous_subsets(comparisons, margin, args.alpha)
     print()
-    print(_table_text(*subset_rows(subsets, counts)), end="")
+    print(_table_text(*subset_rows(subsets, margin)), end="")
     return 0
 
 
@@ -221,7 +221,7 @@ def _build_bundle(args):
     from .anova import type3_anova
     from .diagnostics import report_diagnostics
     from .linmod import coefficient_table, significant_model
-    from .posthoc import homogeneous_subsets, marginal_means, scheffe_from_stats
+    from .posthoc import homogeneous_subsets, marginal_means, scheffe_pairwise
     from .report import ReportBundle
 
     raw, analysis, rec, chosen = _load_analysis(args)
@@ -235,12 +235,10 @@ def _build_bundle(args):
     for name in analysis.layout.names:
         if analysis.layout.n_levels(name) < 3:
             continue
-        stats = marginal_means(analysis, name)
-        comparisons = scheffe_from_stats(
-            name, stats, table.ms_error, table.df_error, args.alpha
-        )
+        margin = marginal_means(analysis, name)
+        comparisons = scheffe_pairwise(margin, table.ms_error, table.df_error, args.alpha)
         scheffe[name] = comparisons
-        subsets[name] = homogeneous_subsets(comparisons, stats, args.alpha)
+        subsets[name] = homogeneous_subsets(comparisons, margin, args.alpha)
 
     parameters = {
         "input": str(args.input),

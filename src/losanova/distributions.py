@@ -1,6 +1,5 @@
 """Special functions and distributions underpinning every test in the package:
-log-gamma, regularized incomplete beta, normal, Student t, central F, and
-noncentral F.
+regularized incomplete beta, normal, Student t, central F, and noncentral F.
 
 The central F and t and the incomplete beta are thin wrappers over
 ``scipy.special``: domain errors raise ``ValidationError``, and a NaN from
@@ -42,13 +41,6 @@ def _defined(value, name: str, *args) -> float:
     if math.isnan(out := float(value)):
         raise NumericalError(f"{name} is undefined at {', '.join(map(repr, args))}")
     return out
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (x > 0) or math.isinf(x):
-        raise ValidationError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -238,8 +230,8 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
     term is at 0, as every term after it is then (and always at lam = inf),
     and raises ``NumericalError`` otherwise.
     """
-    if not (nu1 > 0 and nu2 > 0):
-        raise ValidationError("noncentral_f_cdf requires nu1 > 0 and nu2 > 0")
+    if not (0 < nu1 < math.inf and 0 < nu2 < math.inf):
+        raise ValidationError("noncentral_f_cdf requires finite nu1 > 0 and nu2 > 0")
     if not lam >= 0:
         raise ValidationError(f"noncentral_f_cdf requires lam >= 0, got {lam!r}")
     if math.isnan(x):
@@ -252,7 +244,7 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
         return 1.0
 
     a, b = nu1 / 2.0, nu2 / 2.0
-    y = nu1 * x / (nu1 * x + nu2)
+    y = 1.0 / (1.0 + nu2 / nu1 / x)  # nu1 * x / (nu1 * x + nu2), which can overflow
     if not lam <= _MAX_LAM:
         # the window's lower end, unfloored and in a form that cannot
         # overflow: the terms below it are inside the tail bound already

@@ -1,5 +1,10 @@
 """Scheffe pairwise multiple comparisons and homogeneous-subset construction.
 
+Post hoc reads a one-factor ``CellTable``: the margin of a dataset's cell
+table over the factor (``marginal_means``), or a table of published
+per-level counts and means, which needs no raw data:
+``CellTable(FactorLayout([(factor, levels)]), counts, means, zeros)``.
+
 For levels I, J of a k-level factor with marginal means m_I, m_J and counts
 n_I, n_J, against an error mean square from the fitted ANOVA:
 
@@ -24,20 +29,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .distributions import f_quantile, f_sf
 from .errors import ValidationError
-from .model import Dataset
+from .model import CellTable, Dataset
 
 SUBSET_SIGNIFICANCE_RULE = "minimum within-subset pairwise p (1.0 for singletons)"
-
-
-@dataclass(frozen=True)
-class LevelSummary:
-    """Marginal count and plain observation mean of one factor level."""
-
-    level: str
-    n: int
-    mean: float
 
 
 @dataclass(frozen=True)
@@ -67,100 +65,67 @@ class HomogeneousSubsets:
     significance_rule: str = SUBSET_SIGNIFICANCE_RULE
 
 
-def marginal_means(d: Dataset, factor: int | str) -> list[LevelSummary]:
-    """Per-level observation count and raw mean, in level order, from the
-    cell table's margin over the factor; an empty level's mean is NaN."""
-    margin = d.cells.margin(factor)
-    return [
-        LevelSummary(name, n, mean if n else math.nan)
-        for name, n, mean in zip(
-            margin.layout.levels(0), margin.counts.tolist(), margin.means.tolist()
+def marginal_means(d: Dataset, factor: int | str) -> CellTable:
+    """The one-factor margin of the dataset's cell table: each level's
+    observation count and raw mean, in level order."""
+    return d.cells.margin(factor)
+
+
+def _factor(margin: CellTable) -> tuple[str, tuple[str, ...]]:
+    """The name and levels of a one-factor cell table's factor."""
+    if margin.layout.n_factors != 1:
+        raise ValidationError(
+            f"post hoc needs a one-factor table, got {', '.join(margin.layout.names)}"
         )
-    ]
+    return margin.layout.factors[0]
 
 
-def scheffe_compare(
-    factor: str,
-    i: LevelSummary,
-    j: LevelSummary,
-    k: int,
-    mse: float,
-    df_error: float,
-    alpha: float,
-) -> ScheffeComparison:
-    """One Scheffe-adjusted pairwise comparison."""
-    if i.n <= 0 or j.n <= 0:
-        empty = i.level if i.n <= 0 else j.level
-        raise ValidationError(f"level {empty!r} of {factor!r} has no observations")
-    diff = i.mean - j.mean
-    se = math.sqrt(mse * (1.0 / i.n + 1.0 / j.n))
-    f_stat = diff * diff / ((k - 1) * se * se)
-    p = f_sf(f_stat, k - 1, df_error)
-    half_width = math.sqrt((k - 1) * f_quantile(1.0 - alpha, k - 1, df_error)) * se
-    return ScheffeComparison(
-        factor=factor,
-        level_i=i.level,
-        level_j=j.level,
-        diff=diff,
-        se=se,
-        p=p,
-        ci_low=diff - half_width,
-        ci_high=diff + half_width,
-    )
-
-
-def scheffe_from_stats(
-    factor: str,
-    level_stats: Sequence[LevelSummary],
+def scheffe_pairwise(
+    margin: CellTable,
     mse: float,
     df_error: float,
     alpha: float = 0.05,
 ) -> list[ScheffeComparison]:
-    """All ordered pairwise comparisons from per-level summary statistics.
+    """All ordered pairwise Scheffe comparisons of a one-factor cell table's
+    levels: (I, J) for each level I in order, then each other level J.
 
-    Exists separately from ``scheffe_pairwise`` so published marginal means
-    and counts can be analyzed without the raw data.
+    ``mse`` and ``df_error`` come from the fitted ANOVA on the same response
+    scale.
     """
-    if len(level_stats) < 2:
-        raise ValidationError("need at least two levels to compare")
+    factor, levels = _factor(margin)
     if not mse > 0:
         raise ValidationError("mse must be > 0")
     if not df_error > 0:
         raise ValidationError("df_error must be > 0")
     if not 0 < alpha < 1:
         raise ValidationError("alpha must be in (0, 1)")
-    k = len(level_stats)
-    out = []
-    for i in level_stats:
-        for j in level_stats:
-            if i.level != j.level:
-                out.append(scheffe_compare(factor, i, j, k, mse, df_error, alpha))
-    return out
-
-
-def scheffe_pairwise(
-    d: Dataset,
-    factor: int | str,
-    mse: float,
-    df_error: float,
-    alpha: float = 0.05,
-) -> list[ScheffeComparison]:
-    """All ordered pairwise Scheffe comparisons for one factor of a dataset.
-
-    ``mse`` and ``df_error`` come from the fitted ANOVA on the same response
-    scale.
-    """
-    fi = d.layout.factor_index(factor)
-    stats = marginal_means(d, fi)
-    return scheffe_from_stats(d.layout.names[fi], stats, mse, df_error, alpha)
+    n = margin.counts
+    if not (n > 0).all():
+        empty = levels[int(np.argmin(n > 0))]
+        raise ValidationError(f"level {empty!r} of {factor!r} has no observations")
+    k = len(levels)
+    i, j = (~np.eye(k, dtype=bool)).nonzero()
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = margin.means[i] - margin.means[j]
+        se = np.sqrt(mse * (1.0 / n[i] + 1.0 / n[j]))
+        f_stat = diff * diff / ((k - 1) * se * se)
+        half_width = math.sqrt((k - 1) * f_quantile(1.0 - alpha, k - 1, df_error)) * se
+        low, high = diff - half_width, diff + half_width
+    p = [f_sf(f, k - 1, df_error) for f in f_stat.tolist()]
+    return [
+        ScheffeComparison(factor, levels[a], levels[b], *row)
+        for a, b, *row in zip(i.tolist(), j.tolist(), diff.tolist(), se.tolist(), p,
+                              low.tolist(), high.tolist())
+    ]
 
 
 def homogeneous_subsets(
     comparisons: Sequence[ScheffeComparison],
-    level_means: Sequence[LevelSummary],
+    margin: CellTable,
     alpha: float = 0.05,
 ) -> HomogeneousSubsets:
-    """Maximal consecutive runs of mean-sorted levels with all pairwise p > alpha.
+    """Maximal consecutive runs of mean-sorted levels with all pairwise p > alpha,
+    with the levels and means of the one-factor cell table ``margin``.
 
     Every level lands in at least one subset (singletons are always valid),
     and no reported subset can be extended in either direction.
@@ -174,9 +139,8 @@ def homogeneous_subsets(
             raise ValidationError("comparisons mix factors")
         pairs[frozenset((c.level_i, c.level_j))] = c.p
 
-    ordered = sorted(level_means, key=lambda ls: ls.mean)
-    levels = [ls.level for ls in ordered]
-    means = {ls.level: ls.mean for ls in ordered}
+    means = dict(zip(_factor(margin)[1], margin.means.tolist()))
+    levels = sorted(means, key=means.__getitem__)
 
     def pair_p(a: str, b: str) -> float:
         key = frozenset((a, b))

@@ -117,7 +117,9 @@ def scheffe_rows(comparisons: Sequence[ScheffeComparison]) -> tuple[list[str], l
     return headers, rows
 
 
-def subset_rows(h: HomogeneousSubsets, counts: dict[str, int]) -> tuple[list[str], list[list[str]]]:
+def subset_rows(h: HomogeneousSubsets, margin: CellTable) -> tuple[list[str], list[list[str]]]:
+    """The subsets table; its N column reads the one-factor cell table ``margin``."""
+    counts = dict(zip(margin.layout.levels(0), margin.counts.tolist()))
     k = len(h.subsets)
     headers = [h.factor, "N", *[str(i + 1) for i in range(k)]]
     level_order = []
@@ -127,7 +129,7 @@ def subset_rows(h: HomogeneousSubsets, counts: dict[str, int]) -> tuple[list[str
                 level_order.append(lv)
     rows = []
     for lv in level_order:
-        cells = [lv, str(counts.get(lv, ""))]
+        cells = [lv, str(counts[lv])]
         for s in h.subsets:
             if lv in s.levels:
                 cells.append(fmt3(s.means[s.levels.index(lv)]))
@@ -314,10 +316,8 @@ def _bundle_sections(bundle: ReportBundle) -> list[tuple]:
         sections.append((f"scheffe_{factor}", ("scheffe", factor),
                          *scheffe_rows(comparisons), _scheffe_json(comparisons)))
     for factor, subsets in bundle.subsets.items():
-        margin = bundle.cells.margin(factor)
-        counts = dict(zip(margin.layout.levels(0), margin.counts.tolist()))
         sections.append((f"subsets_{factor}", ("subsets", factor),
-                         *subset_rows(subsets, counts), asdict(subsets)))
+                         *subset_rows(subsets, bundle.cells.margin(factor)), asdict(subsets)))
     if bundle.transform_rec is not None:
         rec = bundle.transform_rec
         sections.append(("transform", ("transform_recommendation",),

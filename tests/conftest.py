@@ -66,6 +66,16 @@ def count_table(layout, cell_counts):
     return CellTable(layout, counts.ravel(), zeros, zeros)
 
 
+def published_margin(factor, counts, means):
+    """One-factor cell table of published per-level counts and means (m2
+    zero), from {level: count} and {level: mean} mappings, in the counts'
+    level order."""
+    levels = tuple(counts)
+    zeros = np.zeros(len(levels))
+    return CellTable(FactorLayout([(factor, levels)]), [counts[lv] for lv in levels],
+                     [means[lv] for lv in levels], zeros)
+
+
 @pytest.fixture
 def two_by_two():
     return FactorLayout([("a", ("a1", "a2")), ("b", ("b1", "b2"))])

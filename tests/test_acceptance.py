@@ -45,11 +45,11 @@ from losanova import (
     type3_anova,
 )
 from losanova.cli import cli_main
-from losanova.posthoc import LevelSummary, homogeneous_subsets, scheffe_compare, scheffe_from_stats
+from losanova.posthoc import homogeneous_subsets, scheffe_pairwise
 from losanova.power import parse_effect
 from losanova.synth import REFERENCE_CELL_COUNTS, REFERENCE_TOTAL, reference_cohort_spec
 
-from conftest import count_table, random_dataset
+from conftest import count_table, published_margin, random_dataset
 from test_anova import _label, _sequential_ss, brute_force_type3
 
 PLANNING_LAYOUT = FactorLayout(
@@ -197,8 +197,7 @@ def test_criterion_05_standard_errors():
     for factor, table in PUBLISHED_SE.items():
         counts = AGE_COUNTS if factor == "age_group" else SEASON_COUNTS
         means = AGE_MEANS if factor == "age_group" else SEASON_MEANS
-        stats = [LevelSummary(lv, counts[lv], means[lv]) for lv in counts]
-        comparisons = scheffe_from_stats(factor, stats, MSE, DF_ERROR)
+        comparisons = scheffe_pairwise(published_margin(factor, counts, means), MSE, DF_ERROR)
         by_pair = {(c.level_i, c.level_j): c for c in comparisons}
         for (i, j), se in table.items():
             assert by_pair[(i, j)].se == pytest.approx(se, abs=1e-4), (i, j)
@@ -206,34 +205,32 @@ def test_criterion_05_standard_errors():
 
 @criterion(6, "Scheffe p and CI reconstruct the published borderline rows")
 def test_criterion_06_inference_rows():
-    age_1 = LevelSummary("1", AGE_COUNTS["1"], 0.0)
-    age_5 = LevelSummary("5", AGE_COUNTS["5"], 0.0199)
-    c = scheffe_compare("age_group", age_1, age_5, 5, MSE, DF_ERROR, alpha=0.05)
+    # only the compared pair's means enter its row; the others are left at 0
+    ages = published_margin("age_group", AGE_COUNTS,
+                            dict.fromkeys(AGE_COUNTS, 0.0) | {"1": 0.0, "5": 0.0199})
+    c = next(c for c in scheffe_pairwise(ages, MSE, DF_ERROR, alpha=0.05)
+             if (c.level_i, c.level_j) == ("1", "5"))
     assert c.p == pytest.approx(0.047, abs=0.005)
     assert c.ci_low == pytest.approx(-0.0396, abs=5e-4)
     assert c.ci_high == pytest.approx(-0.0002, abs=5e-4)
 
-    autumn = LevelSummary("autumn", SEASON_COUNTS["autumn"], 0.0089)
-    winter = LevelSummary("winter", SEASON_COUNTS["winter"], 0.0)
-    c = scheffe_compare("season", autumn, winter, 4, MSE, DF_ERROR, alpha=0.05)
+    seasons = published_margin(
+        "season", SEASON_COUNTS,
+        dict.fromkeys(SEASON_COUNTS, 0.0) | {"autumn": 0.0089, "winter": 0.0})
+    c = next(c for c in scheffe_pairwise(seasons, MSE, DF_ERROR, alpha=0.05)
+             if (c.level_i, c.level_j) == ("autumn", "winter"))
     assert c.p == pytest.approx(0.306, abs=0.01)
 
 
 @criterion(7, "homogeneous subsets: five age singletons; {winter, autumn} pair")
 def test_criterion_07_subsets():
-    age_stats = [LevelSummary(lv, AGE_COUNTS[lv], AGE_MEANS[lv]) for lv in AGE_COUNTS]
-    subsets = homogeneous_subsets(
-        scheffe_from_stats("age_group", age_stats, MSE, DF_ERROR, 0.05),
-        age_stats, alpha=0.05,
-    )
+    ages = published_margin("age_group", AGE_COUNTS, AGE_MEANS)
+    subsets = homogeneous_subsets(scheffe_pairwise(ages, MSE, DF_ERROR, 0.05), ages, alpha=0.05)
     assert [s.levels for s in subsets.subsets] == [("1",), ("5",), ("4",), ("2",), ("3",)]
 
-    season_stats = [
-        LevelSummary(lv, SEASON_COUNTS[lv], SEASON_MEANS[lv]) for lv in SEASON_COUNTS
-    ]
+    seasons = published_margin("season", SEASON_COUNTS, SEASON_MEANS)
     subsets = homogeneous_subsets(
-        scheffe_from_stats("season", season_stats, MSE, DF_ERROR, 0.05),
-        season_stats, alpha=0.05,
+        scheffe_pairwise(seasons, MSE, DF_ERROR, 0.05), seasons, alpha=0.05,
     )
     assert [s.levels for s in subsets.subsets] == [
         ("spring",), ("summer",), ("winter", "autumn"),

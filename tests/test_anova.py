@@ -22,7 +22,7 @@ from losanova.anova import AnovaRow, AnovaTable
 from losanova.linmod import Term, full_factorial_terms
 from losanova.synth import REFERENCE_CELL_COUNTS
 
-from conftest import count_table, random_dataset
+from conftest import count_table, published_margin, random_dataset
 
 
 # --- independent brute-force oracle (numpy only, own encoder) -----------------
@@ -430,7 +430,7 @@ def test_significance_at_p_equal_alpha_agrees_everywhere():
     # p == alpha is significant for the ANOVA verdict, the coefficient filter
     # and the homogeneous subsets alike
     from losanova.linmod import CoefficientRow, CoefficientTable, significant_terms
-    from losanova.posthoc import LevelSummary, ScheffeComparison, homogeneous_subsets
+    from losanova.posthoc import ScheffeComparison, homogeneous_subsets
 
     alpha = 0.05
     table = AnovaTable((AnovaRow("f", 1.0, 1, 1.0, 4.0, alpha),
@@ -440,8 +440,8 @@ def test_significance_at_p_equal_alpha_agrees_everywhere():
                                      CoefficientRow("f(1)", 1.0, 0.5, 2.0, alpha, 0.0, 2.0)))
     assert significant_terms(coefficients, alpha).labels == ("Intercept", "f(1)")
     pair = ScheffeComparison("f", "a", "b", -1.0, 0.5, alpha, -2.0, 0.0)
-    subsets = homogeneous_subsets([pair], [LevelSummary("a", 5, 1.0), LevelSummary("b", 5, 2.0)],
-                                  alpha)
+    margin = published_margin("f", {"a": 5, "b": 5}, {"a": 1.0, "b": 2.0})
+    subsets = homogeneous_subsets([pair], margin, alpha)
     assert [s.levels for s in subsets.subsets] == [("a",), ("b",)]
 
 

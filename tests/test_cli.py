@@ -57,6 +57,21 @@ def test_power_all_effects(capsys):
     assert "season * gender * age_group" in out
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (["--effect", "season"], "--effect"), (["--n", "10,20"], "--n"),
+])
+def test_power_all_effects_rejects_effect_and_n(extra, flag, capsys):
+    # --all-effects plans every effect at its smallest n; it used to ignore these
+    code = cli_main([
+        "power", "--levels", "4,2,5", "--min-diff", "1", "--sigma2", "9.41",
+        "--all-effects", *extra,
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: --all-effects cannot be combined with {flag}\n"
+
+
 def test_power_large_noncentrality(capsys):
     # lam ~ 1300 at n = 2450: the noncentral series must not fail spuriously
     code = cli_main([
@@ -142,6 +157,19 @@ def test_posthoc_command(cohort_csv, capsys):
     assert code == 0
     assert "(I) age_group" in out
     assert "sig." in out
+
+
+def test_posthoc_prints_the_report_tables(cohort_csv, tmp_path, capsys):
+    # posthoc and report reach Scheffe the same way, so their tables agree byte for byte
+    outdir = tmp_path / "report"
+    assert cli_main(["report", "--input", str(cohort_csv), "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    assert cli_main(["posthoc", "--input", str(cohort_csv), "--factor", "age_group"]) == 0
+    out = capsys.readouterr().out
+    _, body = out.split("\n", 1)
+    tables = outdir / "tables"
+    assert body == (tables / "scheffe_age_group.txt").read_text(encoding="utf-8") + "\n" \
+        + (tables / "subsets_age_group.txt").read_text(encoding="utf-8")
 
 
 def test_diagnose_command(cohort_csv, capsys):

@@ -15,14 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from losanova import (
     ValidationError,
     f_cdf,
     f_quantile,
     f_sf,
-    log_gamma,
     noncentral_f_cdf,
     normal_cdf,
     normal_quantile,
@@ -36,52 +34,6 @@ MC_F_CDF = (0.9407611, 7.465229582992742e-05, 20260809)      # f_cdf(2.5; 3, 360
 MC_F_QUANTILE = (3.787689741055858, 0.002254970308449501, 4)  # f_quantile(0.99; 3, 1680)
 MC_NCF_CDF = (0.6426421, 0.00015154313950409962, 77)          # ncf_cdf(2.0; 5, 40, 3.7)
 MC_NORMAL_CDF = (0.84132508, 3.653726724359577e-05, 123)      # normal_cdf(1.0)
-
-
-# --- log_gamma -------------------------------------------------------------
-
-def test_log_gamma_anchors():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-
-def test_log_gamma_recurrence_oracle():
-    # seed Gamma(1.3) by quadrature, then climb with Gamma(x+1) = x Gamma(x)
-    gamma_13, err = integrate.quad(
-        lambda t: t**0.3 * math.exp(-t), 0, 80, epsabs=1e-13, epsrel=1e-13
-    )
-    assert err < 1e-12
-    value = gamma_13
-    for k in range(9):
-        value *= 1.3 + k
-    assert log_gamma(10.3) == pytest.approx(math.log(value), rel=1e-10)
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, float("inf")):
-        with pytest.raises(ValidationError):
-            log_gamma(bad)
-
-
-def test_log_gamma_accuracy_range():
-    # relative accuracy across the supported range, against the rising
-    # recurrence from a quadrature seed in [1, 2]
-    for x in (1e-3, 0.37, 2.0, 10.3, 145.5, 1e6):
-        frac = x - math.floor(x) if x >= 1 else x
-        base = 1.0 + (frac if frac else 0.0)
-        seed, _ = integrate.quad(
-            lambda t, b=base: t ** (b - 1) * math.exp(-t), 0, 120,
-            epsabs=1e-13, epsrel=1e-13,
-        )
-        log_val = math.log(seed)
-        if x >= 1:
-            y = base
-            while y < x - 0.5:
-                log_val += math.log(y)
-                y += 1.0
-        else:
-            log_val -= math.log(x)  # Gamma(x) = Gamma(x+1)/x
-        assert log_gamma(x) == pytest.approx(log_val, rel=1e-10)
 
 
 # --- regularized incomplete beta -------------------------------------------
@@ -242,6 +194,10 @@ def test_ncf_large_lambda_matches_scipy():
 def test_ncf_domain():
     with pytest.raises(ValidationError):
         noncentral_f_cdf(1.0, 3.0, 10.0, -0.5)
+    # an infinite df would give a finite but wrong answer (1.0 and 0.0 here)
+    for nu1, nu2 in ((math.inf, 10.0), (3.0, math.inf)):
+        with pytest.raises(ValidationError, match="finite nu1 > 0 and nu2 > 0"):
+            noncentral_f_cdf(2.0, nu1, nu2, 5.0)
 
 
 # --- t ------------------------------------------------------------------------
@@ -602,3 +558,11 @@ def test_noncentral_f_huge_lambda_in_range():
     # far below the mean every term from the window's first on is 0
     for lam in (1.0000001e10, 2.5e28, 1e300, 1e308, math.inf):
         assert noncentral_f_cdf(1.0, 3.0, 10.0, lam) == 0.0
+
+
+def test_noncentral_f_at_the_float_limit():
+    # nu1 * x overflows here; y = nu1 x / (nu1 x + nu2) must still come out 1
+    for x in (1e308, 1.7e308):
+        assert noncentral_f_cdf(x, 3.0, 10.0, 5.0) == f_cdf(x, 3.0, 10.0) == 1.0
+    # and x * nu1 underflowing to 0 leaves y = 0, not a division by zero
+    assert noncentral_f_cdf(5e-324, 0.4, 10.0, 5.0) == 0.0
