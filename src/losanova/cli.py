@@ -256,6 +256,7 @@ def _build_bundle(args):
         anova=table,
         coefficients=coefficients,
         equation=significant_model(coefficients, analysis.response_name),
+        raw_response=raw.response_name,
         scheffe=scheffe,
         subsets=subsets,
         diagnostics=diagnostics,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,6 +47,7 @@ _SNAP_CONFIDENCE_RADIUS = 0.25
 class HistogramData:
     """Equal-width histogram: len(edges) == len(counts) + 1."""
 
+    kind: ClassVar[str] = "histogram"
     edges: tuple[float, ...]
     counts: tuple[int, ...]
 
@@ -67,6 +69,7 @@ class PPPlotData:
     """Empirical vs theoretical normal probabilities of sorted residuals, as
     read-only float64 arrays."""
 
+    kind: ClassVar[str] = "pp"
     empirical: np.ndarray
     theoretical: np.ndarray
     max_abs_deviation: float
@@ -85,6 +88,7 @@ class ResidualSpread:
     or its sd overflows.
     """
 
+    kind: ClassVar[str] = "residual_vs_fitted"
     fitted: np.ndarray
     residuals: np.ndarray
     funnel_ratio: float | None

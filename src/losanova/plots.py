@@ -2,10 +2,10 @@
 
 The emitter is dependency-free and writes no timestamps or other
 run-varying content, so identical series produce byte-identical files.
-The series type picks the picture: a histogram (bars), a residual spread
-(residuals against fitted values), P-P data (probability-probability points
-with the identity reference line), or homogeneous subsets (per-level means
-grouped by subset).
+The series' ``kind`` picks the picture, which names its own axes on the
+response scale it is given: a histogram (bars), a residual spread (residuals
+against fitted values), P-P data (probability-probability points with the
+identity reference line), or homogeneous subsets (per-level means by subset).
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import HistogramData, PPPlotData, ResidualSpread
 from .errors import ValidationError
-from .posthoc import HomogeneousSubsets
 
 _WIDTH = 640.0
 _HEIGHT = 480.0
@@ -88,17 +86,15 @@ class _Canvas:
                 f'<text x="{_num(left - 8)}" y="{_num(yp + 4)}" font-size="11" '
                 f'text-anchor="end">{y:.4g}</text>'
             )
-        if xlabel:
-            self.elements.append(
-                f'<text x="{_num((left + right) / 2)}" y="{_num(_HEIGHT - 12)}" '
-                f'font-size="12" text-anchor="middle">{_esc(xlabel)}</text>'
-            )
-        if ylabel:
-            cx, cy = 18.0, (top + bottom) / 2
-            self.elements.append(
-                f'<text x="{_num(cx)}" y="{_num(cy)}" font-size="12" text-anchor="middle" '
-                f'transform="rotate(-90 {_num(cx)} {_num(cy)})">{_esc(ylabel)}</text>'
-            )
+        self.elements.append(
+            f'<text x="{_num((left + right) / 2)}" y="{_num(_HEIGHT - 12)}" '
+            f'font-size="12" text-anchor="middle">{_esc(xlabel)}</text>'
+        )
+        cx, cy = 18.0, (top + bottom) / 2
+        self.elements.append(
+            f'<text x="{_num(cx)}" y="{_num(cy)}" font-size="12" text-anchor="middle" '
+            f'transform="rotate(-90 {_num(cx)} {_num(cy)})">{_esc(ylabel)}</text>'
+        )
 
     def to_svg(self) -> str:
         body = "\n".join(f"  {el}" for el in self.elements)
@@ -128,10 +124,11 @@ def _add_points(canvas: _Canvas, x: np.ndarray, y: np.ndarray, template: str) ->
                                                      canvas.py(y).tolist()))
 
 
-def _histogram_svg(h: HistogramData, xlabel, ylabel) -> str:
+def _histogram_svg(h, response: str) -> str:
     if not h.counts:
         raise ValidationError("empty histogram: nothing to plot")
-    canvas = _Canvas((h.edges[0], h.edges[-1]), (0.0, max(h.counts) or 1.0), xlabel, ylabel)
+    canvas = _Canvas((h.edges[0], h.edges[-1]), (0.0, max(h.counts) or 1.0),
+                     f"residual ({response})", "count")
     for i, count in enumerate(h.counts):
         x0, x1 = canvas.px(h.edges[i]), canvas.px(h.edges[i + 1])
         y0, y1 = canvas.py(count), canvas.py(0.0)
@@ -143,13 +140,13 @@ def _histogram_svg(h: HistogramData, xlabel, ylabel) -> str:
     return canvas.to_svg()
 
 
-def _spread_svg(spread: ResidualSpread, xlabel, ylabel) -> str:
+def _spread_svg(spread, response: str) -> str:
     x, y = spread.fitted, spread.residuals
     if len(x) == 0:
         raise ValidationError("empty series: nothing to plot")
     canvas = _Canvas(
         (float(np.min(x)), float(np.max(x))), (float(np.min(y)), float(np.max(y))),
-        xlabel, ylabel,
+        f"fitted {response}", "residual",
     )
     if canvas.y_lo < 0.0 < canvas.y_hi:
         yp = canvas.py(0.0)
@@ -163,10 +160,11 @@ def _spread_svg(spread: ResidualSpread, xlabel, ylabel) -> str:
     return canvas.to_svg()
 
 
-def _pp_svg(pp: PPPlotData, xlabel, ylabel) -> str:
+def _pp_svg(pp, response: str) -> str:
     if len(pp.empirical) == 0:
         raise ValidationError("empty series: nothing to plot")
-    canvas = _Canvas((0.0, 1.0), (0.0, 1.0), xlabel, ylabel)
+    canvas = _Canvas((0.0, 1.0), (0.0, 1.0),
+                     "observed cumulative probability", "expected normal probability")
     canvas.elements.append(
         f'<line x1="{_num(canvas.px(0.0))}" y1="{_num(canvas.py(0.0))}" '
         f'x2="{_num(canvas.px(1.0))}" y2="{_num(canvas.py(1.0))}" '
@@ -177,7 +175,7 @@ def _pp_svg(pp: PPPlotData, xlabel, ylabel) -> str:
     return canvas.to_svg()
 
 
-def _subset_means_svg(h: HomogeneousSubsets, xlabel, ylabel) -> str:
+def _subset_means_svg(h, response: str) -> str:
     if not h.subsets:
         raise ValidationError("empty series: nothing to plot")
     levels: list[tuple[str, float, int]] = []
@@ -187,9 +185,8 @@ def _subset_means_svg(h: HomogeneousSubsets, xlabel, ylabel) -> str:
                 levels.append((lv, m, si))
     means = [m for _, m, _ in levels]
     pad = (max(means) - min(means)) * 0.1 or 0.5
-    canvas = _Canvas(
-        (-0.5, len(levels) - 0.5), (min(means) - pad, max(means) + pad), xlabel, ylabel
-    )
+    canvas = _Canvas((-0.5, len(levels) - 0.5), (min(means) - pad, max(means) + pad),
+                     h.factor, f"mean {response}")
     for i, (lv, m, si) in enumerate(levels):
         color = _SUBSET_COLORS[si % len(_SUBSET_COLORS)]
         canvas.elements.append(
@@ -204,18 +201,19 @@ def _subset_means_svg(h: HomogeneousSubsets, xlabel, ylabel) -> str:
 
 
 _RENDERERS = {
-    HistogramData: _histogram_svg,
-    ResidualSpread: _spread_svg,
-    PPPlotData: _pp_svg,
-    HomogeneousSubsets: _subset_means_svg,
+    "histogram": _histogram_svg,
+    "residual_vs_fitted": _spread_svg,
+    "pp": _pp_svg,
+    "subsets": _subset_means_svg,
 }
 
 
-def render_plot(series, path: str | Path, xlabel: str = "", ylabel: str = "") -> None:
-    """Write one SVG of a HistogramData, ResidualSpread, PPPlotData or
-    HomogeneousSubsets; raises (writing nothing) for any other type or an
-    empty series."""
-    render = _RENDERERS.get(type(series))
+def render_plot(series, path: str | Path, response: str = "response") -> None:
+    """Write one SVG of a series whose ``kind`` is that of a HistogramData,
+    ResidualSpread, PPPlotData or HomogeneousSubsets, its axes labelled in
+    units of ``response``, the name of the scale the series is on. Raises
+    (writing nothing) for any other object or an empty series."""
+    render = _RENDERERS.get(getattr(series, "kind", None))
     if render is None:
         raise ValidationError(f"cannot plot a {type(series).__name__}")
-    Path(path).write_text(render(series, xlabel, ylabel), encoding="utf-8")
+    Path(path).write_text(render(series, response), encoding="utf-8")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -59,6 +59,7 @@ class Subset:
 
 @dataclass(frozen=True)
 class HomogeneousSubsets:
+    kind: ClassVar[str] = "subsets"
     factor: str
     alpha: float
     subsets: tuple[Subset, ...]

@@ -15,9 +15,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -249,26 +251,14 @@ def _frequency_json(cells: CellTable) -> dict:
     }
 
 
-def _series_json(obj) -> dict:
-    from .diagnostics import HistogramData, PPPlotData, ResidualSpread
-
-    if isinstance(obj, HistogramData):
-        return {"kind": "histogram", "edges": list(obj.edges), "counts": list(obj.counts)}
-    if isinstance(obj, ResidualSpread):
-        return {
-            "kind": "residual_vs_fitted",
-            "fitted": obj.fitted.tolist(),
-            "residuals": obj.residuals.tolist(),
-            "funnel_ratio": obj.funnel_ratio,
-        }
-    if isinstance(obj, PPPlotData):
-        return {
-            "kind": "pp",
-            "empirical": obj.empirical.tolist(),
-            "theoretical": obj.theoretical.tolist(),
-            "max_abs_deviation": obj.max_abs_deviation,
-        }
-    raise ValidationError(f"unknown diagnostic series {type(obj).__name__}")
+def _series_json(series) -> dict:
+    """A diagnostic series: its ``kind``, then every field, arrays and tuples as lists."""
+    out = {"kind": series.kind}
+    for f in fields(series):
+        value = getattr(series, f.name)
+        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else (
+            list(value) if isinstance(value, tuple) else value)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +273,7 @@ class ReportBundle:
     anova: AnovaTable
     coefficients: CoefficientTable
     equation: str
+    raw_response: str  # the untransformed response: the scale of the raw_ diagnostics
     scheffe: dict[str, list[ScheffeComparison]] = field(default_factory=dict)
     subsets: dict[str, HomogeneousSubsets] = field(default_factory=dict)
     diagnostics: dict[str, object] = field(default_factory=dict)
@@ -347,8 +338,7 @@ def write_report_dir(bundle: ReportBundle, outdir: str | Path) -> list[str]:
 
     Returns the relative paths of all artifacts written.
     """
-    from . import plots  # local imports: a table-only command loads neither
-    from .diagnostics import HistogramData, PPPlotData, ResidualSpread
+    from . import plots  # local import: a table-only command loads no plotting
 
     outdir = Path(outdir)
     tables = outdir / "tables"
@@ -365,20 +355,11 @@ def write_report_dir(bundle: ReportBundle, outdir: str | Path) -> list[str]:
         )
         artifacts.extend([f"tables/{name}.txt", f"tables/{name}.csv", f"tables/{name}.json"])
 
-    response = bundle.anova.response_name
-    axes = {
-        HistogramData: (f"residual ({response})", "count"),
-        ResidualSpread: (f"fitted {response}", "residual"),
-        PPPlotData: ("observed cumulative probability", "expected normal probability"),
-    }
-    # render_plot rejects a series of any other type
-    for name, series in bundle.diagnostics.items():
-        plots.render_plot(series, plots_dir / f"{name}.svg", *axes.get(type(series), ()))
+    subset_means = {f"subset_means_{factor}": s for factor, s in bundle.subsets.items()}
+    for name, series in {**bundle.diagnostics, **subset_means}.items():
+        response = bundle.raw_response if name.startswith("raw_") else bundle.anova.response_name
+        plots.render_plot(series, plots_dir / f"{name}.svg", response)
         artifacts.append(f"plots/{name}.svg")
-    for factor, subsets in bundle.subsets.items():
-        plots.render_plot(subsets, plots_dir / f"subset_means_{factor}.svg",
-                          xlabel=factor, ylabel=f"mean {response}")
-        artifacts.append(f"plots/subset_means_{factor}.svg")
 
     manifest = {"parameters": bundle.parameters, "artifacts": sorted(artifacts)}
     (outdir / "manifest.json").write_text(

@@ -1,6 +1,7 @@
 """Rendering: value formatting, table shapes, JSON round trips, SVG plots."""
 
 import argparse
+import dataclasses
 import json
 import re
 
@@ -107,6 +108,22 @@ def test_json_report_full_precision(bundle):
     assert parsed["diagnostics"]["pp_plot"]["kind"] == "pp"
 
 
+def test_json_diagnostics_hold_kind_and_every_field(bundle):
+    parsed = json.loads(render_report(bundle, "json").decode())["diagnostics"]
+    assert len(parsed) == 5 and parsed.keys() == bundle.diagnostics.keys()
+    for name, series in bundle.diagnostics.items():
+        names = [f.name for f in dataclasses.fields(series)]
+        assert parsed[name].keys() == {"kind", *names}
+        assert parsed[name]["kind"] == series.kind
+        for field_name in names:
+            got, want = parsed[name][field_name], getattr(series, field_name)
+            if want is None:
+                assert got is None
+                continue
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_report_outputs_list_the_same_tables(bundle, tmp_path):
     write_report_dir(bundle, tmp_path)
     stems = {path.stem for path in (tmp_path / "tables").iterdir()}
@@ -122,6 +139,26 @@ def test_report_outputs_list_the_same_tables(bundle, tmp_path):
     assert stems == keys
     assert set(re.findall(r"^== (.+) ==$", text, re.M)) == keys | {"fitted model"}
     assert set(re.findall(r"^\[(.+)\]$", csv, re.M)) == keys
+
+
+def _axis_labels(path) -> list[str]:
+    """The x and then the y axis label of an SVG plot."""
+    return re.findall(r'<text [^>]*font-size="12"[^>]*>([^<]*)</text>', path.read_text())
+
+
+def test_report_plots_label_the_scale_of_their_series(bundle, tmp_path):
+    assert bundle.parameters["transform_applied"] == "logarithmic"
+    write_report_dir(bundle, tmp_path)
+    x_labels = {path.stem: _axis_labels(path)[0] for path in (tmp_path / "plots").iterdir()}
+    assert x_labels == {
+        "raw_residual_histogram": "residual (los)",
+        "raw_residual_vs_fitted": "fitted los",
+        "residual_histogram": "residual (log10(los))",
+        "residual_vs_fitted": "fitted log10(los)",
+        "pp_plot": "observed cumulative probability",
+        "subset_means_age_group": "age_group",
+        "subset_means_season": "season",
+    }
 
 
 def test_report_pp_plot_is_of_the_analysis_scale(bundle, cohort_csv):
@@ -156,12 +193,12 @@ def test_frequency_table_text_totals(bundle):
 def test_histogram_svg_bars(tmp_path):
     h = HistogramData(edges=(-1.0, 0.0, 1.0), counts=(1, 2))
     path = tmp_path / "hist.svg"
-    render_plot(h, path, xlabel="residual", ylabel="count")
+    render_plot(h, path, "days")
     svg = path.read_text()
     bars = re.findall(r'class="bar" data-count="(\d+)"', svg)
     assert bars == ["1", "2"]
     assert 'xmlns="http://www.w3.org/2000/svg"' in svg
-    assert "residual" in svg
+    assert "residual (days)" in svg
 
 
 def test_histogram_bar_heights_proportional(tmp_path):
@@ -206,6 +243,21 @@ def test_scatter_and_subset_plots(tmp_path):
     svg = (tmp_path / "m.svg").read_text()
     assert svg.count('class="mean"') == 3
     assert 'data-subset="2"' in svg
+
+
+@pytest.mark.parametrize("series, labels", [
+    (HistogramData(edges=(0.0, 1.0), counts=(3,)), ["residual (los)", "count"]),
+    (ResidualSpread(fitted=(1.0, 2.0), residuals=(0.5, -0.5), funnel_ratio=None),
+     ["fitted los", "residual"]),
+    (PPPlotData(empirical=(0.25, 0.75), theoretical=(0.2, 0.8), max_abs_deviation=0.05),
+     ["observed cumulative probability", "expected normal probability"]),
+    (HomogeneousSubsets(factor="season", alpha=0.05,
+                        subsets=(Subset(("spring", "winter"), (0.59, 0.63), 0.3),)),
+     ["season", "mean los"]),
+])
+def test_plots_name_their_own_axes(series, labels, tmp_path):
+    render_plot(series, tmp_path / "p.svg", response="los")
+    assert _axis_labels(tmp_path / "p.svg") == labels
 
 
 def test_svg_deterministic(tmp_path):
