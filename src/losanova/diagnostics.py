@@ -121,28 +121,30 @@ def residual_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
     histogram and spread against the fitted values, then the analysis scale's
     histogram and spread. Without a transform (``raw is analysis``) each
     series is computed once."""
-    e = residuals(analysis)
-    histogram = residual_histogram(e)
-    spread = residual_vs_fitted(e, analysis.cells.means[analysis.codes])
-    if raw is analysis:
-        raw_histogram, raw_spread = histogram, spread
-    else:
-        e_raw = residuals(raw)
-        raw_histogram = residual_histogram(e_raw)
-        raw_spread = residual_vs_fitted(e_raw, raw.cells.means[raw.codes])
-    return {
-        "raw_residual_histogram": raw_histogram,
-        "raw_residual_vs_fitted": raw_spread,
-        "residual_histogram": histogram,
-        "residual_vs_fitted": spread,
-    }
+    return _residual_series(raw, analysis)[0]
 
 
 def report_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
     """The report's residual series: ``residual_diagnostics``' four, then the
     analysis scale's normal P-P plot, which raises ``ValidationError`` when
     the residuals have no spread."""
-    return {**residual_diagnostics(raw, analysis), "pp_plot": pp_plot(residuals(analysis))}
+    series, e = _residual_series(raw, analysis)
+    return {**series, "pp_plot": pp_plot(e)}
+
+
+def _residual_series(raw: Dataset, analysis: Dataset) -> tuple[dict[str, object], np.ndarray]:
+    """``residual_diagnostics``' series, and the analysis scale's residuals."""
+    e = residuals(analysis)
+    histogram = residual_histogram(e)
+    spread = residual_vs_fitted(e, analysis.codes, analysis.cells.means)
+    if raw is analysis:
+        raw_histogram, raw_spread = histogram, spread
+    else:
+        e_raw = residuals(raw)
+        raw_histogram = residual_histogram(e_raw)
+        raw_spread = residual_vs_fitted(e_raw, raw.codes, raw.cells.means)
+    return {"raw_residual_histogram": raw_histogram, "raw_residual_vs_fitted": raw_spread,
+            "residual_histogram": histogram, "residual_vs_fitted": spread}, e
 
 
 def residual_histogram(e: np.ndarray) -> HistogramData:
@@ -162,27 +164,30 @@ def residual_histogram(e: np.ndarray) -> HistogramData:
     return HistogramData(tuple(float(b) for b in edges), tuple(int(c) for c in counts))
 
 
-def residual_vs_fitted(e: np.ndarray, fitted: np.ndarray) -> ResidualSpread:
-    """Residuals against fitted values, ordered by fitted value.
+def residual_vs_fitted(e: np.ndarray, codes: np.ndarray, means: np.ndarray) -> ResidualSpread:
+    """Residuals against the fitted values ``means[codes]``, stably ordered by
+    fitted value: by the rank of each cell mean, a small integer that sorts fast.
 
     The funnel statistic compares residual spread between the top and bottom
     fitted-value quartiles; a ratio well above 1 is the increasing-variance
     signature that motivates a variance-stabilizing transform. It is None
     when the bottom quartile has no spread.
     """
-    e = np.asarray(e, dtype=float)
-    fitted = np.asarray(fitted, dtype=float)
-    if e.shape != fitted.shape or e.ndim != 1:
+    e, codes, means = np.asarray(e, dtype=float), np.asarray(codes), np.asarray(means, dtype=float)
+    if e.shape != codes.shape or e.ndim != 1:
         raise ValidationError("residuals and fitted values must be equal-length vectors")
     if e.size == 0:
         raise ValidationError("no residuals")
-    order = np.argsort(fitted, kind="stable")
+    _, rank = np.unique(means, return_inverse=True)
+    order = np.argsort(rank.astype(np.min_scalar_type(means.size - 1))[codes], kind="stable")
+    fitted = means[codes[order]]
 
     funnel = None
-    if np.unique(fitted).size > 1:
+    if fitted[0] != fitted[-1]:
         q1, q3 = np.percentile(fitted, [25.0, 75.0])
-        low = e[fitted <= q1]
-        high = e[fitted >= q3]
+        # the quartile groups in observation order, as the sd sums them
+        low = e[(means <= q1)[codes]]
+        high = e[(means >= q3)[codes]]
         if low.size >= 2 and high.size >= 2:
             # huge finite residuals overflow in the squares; no ratio then
             with np.errstate(over="ignore", invalid="ignore"):
@@ -190,7 +195,7 @@ def residual_vs_fitted(e: np.ndarray, fitted: np.ndarray) -> ResidualSpread:
                 sd_high = float(high.std(ddof=1))
             if sd_low > 0 and math.isfinite(sd_low) and math.isfinite(sd_high):
                 funnel = sd_high / sd_low
-    return ResidualSpread(fitted=fitted[order], residuals=e[order], funnel_ratio=funnel)
+    return ResidualSpread(fitted=fitted, residuals=e[order], funnel_ratio=funnel)
 
 
 def pp_plot(e: np.ndarray) -> PPPlotData:

@@ -255,6 +255,9 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
 
     half = lam / 2.0
     j = _window(half)
+    first = a + float(j[0])  # all terms are at 0 if it is, which needs y < its beta mean
+    if y * (first + b) < first and special.betainc(first, b, y) <= _ZERO:
+        return 0.0
     # I_y(a + j, b) falls as j grows: probe every step-th term, count the
     # terms up to the last probe at 1 as 1 and those from the first probe at
     # 0 on as 0, and sum weights times betainc only over the terms between.

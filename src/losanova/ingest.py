@@ -197,6 +197,7 @@ def _read_fast(
         return None  # numpy drops trailing NULs from byte fields
     if _may_end_in_quotes(data):
         return None  # numpy closes a quoted field the file cuts off
+    del data  # numpy reads the file itself
     widths = {column: _WIDTHS[column] for column, _, _ in parsers}
     # every column gets a field, so loadtxt rejects a row with a field too
     # many (usecols would let it pass); fields are named by position
@@ -239,6 +240,8 @@ def _may_end_in_quotes(data: bytes) -> bool:
     line break. A closing quote there (a quoted value ending in a comma or
     a line break) is a false alarm, which costs only the sequential read.
     """
+    if b'"' not in data:
+        return False
     at = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord('"'))
     starts = np.flatnonzero(np.diff(at, prepend=-2) != 1)
     odd = starts[np.diff(starts, append=at.size) % 2 == 1]

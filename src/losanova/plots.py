@@ -113,15 +113,16 @@ def _esc(text: str) -> str:
 
 
 def _add_points(canvas: _Canvas, x: np.ndarray, y: np.ndarray, template: str) -> None:
-    """One ``template % (px, py)`` element per point, thinned to at most
-    ``_MAX_POINTS``. numpy's elementwise arithmetic rounds as per-point Python
-    floats would, and ``%.2f`` formats as ``_num`` does."""
+    """``template % (px, py)`` per point, thinned to at most ``_MAX_POINTS``, in one
+    element joined as ``to_svg`` joins elements. numpy's elementwise arithmetic
+    rounds as per-point Python floats would, and ``%.2f`` formats as ``_num`` does."""
     n = len(x)
     if n > _MAX_POINTS:
         idx = np.rint(np.arange(_MAX_POINTS) * (n - 1) / (_MAX_POINTS - 1)).astype(np.intp)
         x, y = x[idx], y[idx]
-    canvas.elements.extend(template % p for p in zip(canvas.px(x).tolist(),
-                                                     canvas.py(y).tolist()))
+    xy = np.empty(2 * len(x))
+    xy[0::2], xy[1::2] = canvas.px(x), canvas.py(y)
+    canvas.elements.append("\n  ".join([template] * len(x)) % tuple(xy.tolist()))
 
 
 def _histogram_svg(h, response: str) -> str:

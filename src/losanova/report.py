@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -251,14 +252,40 @@ def _frequency_json(cells: CellTable) -> dict:
     }
 
 
-def _series_json(series) -> dict:
-    """A diagnostic series: its ``kind``, then every field, arrays and tuples as lists."""
+def _series_json(series, array) -> dict:
+    """A diagnostic series: its ``kind``, then every field, arrays by ``array``."""
     out = {"kind": series.kind}
     for f in fields(series):
         value = getattr(series, f.name)
-        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else (
+        out[f.name] = array(value) if isinstance(value, np.ndarray) else (
             list(value) if isinstance(value, tuple) else value)
     return out
+
+
+def _json_document(bundle: ReportBundle) -> str:
+    """``json.dumps(bundle_to_dict(bundle), indent=2, sort_keys=True)`` and a line
+    break; each array series is dumped as a placeholder, then replaced by ``repr``
+    of each value as ``indent=2`` lays them out, with json's non-finite names."""
+    arrays = []
+
+    def placeholder(array: np.ndarray) -> str | list:
+        arrays.append(array)
+        return f"\0series {len(arrays) - 1}\0" if array.size else []
+
+    def splice(match: re.Match) -> str:
+        head, indent, array = match[1], f"\n{match[2]}  ", arrays[int(match[3])]
+        # a run of equal bits is formatted once: a fitted series has a run per cell
+        bits = array.view(np.int64)
+        starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+        texts = np.array(list(map(repr, array[starts].tolist())), dtype=object)
+        values = f",{indent}".join(np.repeat(texts, np.diff(starts, append=array.size)).tolist())
+        values = values.replace("nan", "NaN").replace("inf", "Infinity")
+        return f"{head}[{indent}{values}\n{match[2]}]"
+
+    document = json.dumps(bundle_to_dict(bundle, placeholder), indent=2, sort_keys=True)
+    # a placeholder's line: its indent and key, and the index of its array
+    line = r'^(( *)".*": )"\\u0000series (\d+)\\u0000"'
+    return re.sub(line, splice, document, flags=re.M) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +307,12 @@ class ReportBundle:
     transform_rec: TransformRecommendation | None = None
 
 
-def bundle_to_dict(bundle: ReportBundle) -> dict:
+def bundle_to_dict(bundle: ReportBundle, array=np.ndarray.tolist) -> dict:
     out = {
         "parameters": bundle.parameters,
         "scheffe": {},
         "subsets": {},
-        "diagnostics": {name: _series_json(s) for name, s in bundle.diagnostics.items()},
+        "diagnostics": {name: _series_json(s, array) for name, s in bundle.diagnostics.items()},
     }
     for _, path, _, _, json_obj in _bundle_sections(bundle):
         parent = out[path[0]] if len(path) > 1 else out
@@ -317,9 +344,10 @@ def _bundle_sections(bundle: ReportBundle) -> list[tuple]:
 
 
 def render_report(bundle: ReportBundle, format: str = "text") -> bytes:
-    """Render the whole bundle as text, csv, or full-precision json."""
+    """Render the whole bundle as text, csv, or full-precision json; the json is
+    ``json.dumps``' document byte for byte, but writes its array series itself."""
     if format == "json":
-        return (json.dumps(bundle_to_dict(bundle), indent=2, sort_keys=True) + "\n").encode()
+        return _json_document(bundle).encode()
     if format not in ("text", "csv"):
         raise ValidationError(f"unknown report format {format!r} (text/csv/json)")
     parts = []

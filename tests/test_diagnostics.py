@@ -1,5 +1,6 @@
 """Residual diagnostics and variance-stabilizing transform selection."""
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from losanova import (
     residuals,
     sd_mean_regression,
 )
+from losanova.diagnostics import TRANSFORMS
 from losanova.linmod import Term, full_factorial_terms
 from losanova.synth import generate, reference_cohort_spec
 
@@ -125,7 +127,7 @@ def test_funnel_flat_under_homoscedasticity():
     rng = np.random.default_rng(12)
     fitted = rng.uniform(1.0, 10.0, size=2000)
     e = rng.normal(0.0, 1.0, size=2000)
-    spread = residual_vs_fitted(e, fitted)
+    spread = residual_vs_fitted(e, np.arange(2000), fitted)  # a cell per observation
     assert spread.funnel_ratio == pytest.approx(1.0, abs=0.15)
     assert list(spread.fitted) == sorted(spread.fitted)
 
@@ -134,30 +136,80 @@ def test_funnel_detects_sd_proportional_to_mean():
     rng = np.random.default_rng(13)
     fitted = rng.uniform(1.0, 10.0, size=2000)
     e = rng.normal(0.0, 0.2 * fitted)
-    spread = residual_vs_fitted(e, fitted)
+    spread = residual_vs_fitted(e, np.arange(2000), fitted)
     assert spread.funnel_ratio > 1.5
 
 
 def test_funnel_undefined_for_single_fitted_value():
-    spread = residual_vs_fitted(np.array([1.0, -1.0, 0.5]), np.full(3, 2.0))
+    spread = residual_vs_fitted(np.array([1.0, -1.0, 0.5]), np.zeros(3, dtype=int),
+                                np.array([2.0]))
     assert spread.funnel_ratio is None
 
 
 def test_funnel_undefined_when_an_sd_overflows():
     # the top quartile's squared deviations overflow; RuntimeWarnings are errors here
     e = np.array([1.0, -1.0, 0.5, -0.5, 1e200, -1e200])
-    spread = residual_vs_fitted(e, np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))
+    spread = residual_vs_fitted(e, np.array([0, 0, 1, 1, 2, 2]), np.array([1.0, 2.0, 3.0]))
     assert spread.funnel_ratio is None
 
 
 def test_series_are_read_only_float_arrays():
     e = np.array([0.3, -1.0, 0.7])
-    spread = residual_vs_fitted(e, np.array([2.0, 1.0, 3.0]))
+    spread = residual_vs_fitted(e, np.array([1, 0, 2]), np.array([1.0, 2.0, 3.0]))
     pp = pp_plot(e)
     assert np.array_equal(spread.fitted, [1.0, 2.0, 3.0])
     assert np.array_equal(spread.residuals, [-1.0, 0.3, 0.7])
     for series in (spread.fitted, spread.residuals, pp.empirical, pp.theoretical):
         assert series.dtype == np.float64 and not series.flags.writeable
+
+
+def _argsort_spread(e, fitted):
+    """``residual_vs_fitted`` as a stable float argsort of the fitted values
+    gives it: the fitted values, the residuals and the funnel ratio."""
+    order = np.argsort(fitted, kind="stable")
+    funnel = None
+    if np.unique(fitted).size > 1:
+        q1, q3 = np.percentile(fitted, [25.0, 75.0])
+        low, high = e[fitted <= q1], e[fitted >= q3]
+        if low.size >= 2 and high.size >= 2:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sd_low, sd_high = float(low.std(ddof=1)), float(high.std(ddof=1))
+            if sd_low > 0 and math.isfinite(sd_low) and math.isfinite(sd_high):
+                funnel = sd_high / sd_low
+    return fitted[order], e[order], funnel
+
+
+@functools.cache
+def _spread_cases():
+    rng = np.random.default_rng(2310)
+    cases = {
+        # equal means in different cells, and cells no observation is in
+        "tied and empty cells": (rng.normal(size=500), rng.choice([0, 1, 3, 4, 6], 500),
+                                 np.array([2.0, 1.0, 9.0, 2.0, 3.0, 1.0, 2.0, 7.0])),
+        "one occupied cell": (rng.normal(size=50), np.full(50, 2), np.array([0.0, 1.0, 4.0])),
+        "signed zeros": (rng.normal(size=200), rng.integers(0, 3, 200),
+                         np.array([-0.0, 0.0, -1.0])),
+        "overflowing sd": (np.array([1.0, -1.0, 0.5, -0.5, 1e200, -1e200]),
+                           np.array([0, 0, 1, 1, 2, 2]), np.array([1.0, 2.0, 3.0])),
+        "one observation": (np.array([0.25]), np.array([0]), np.array([5.0])),
+        "non-finite means": (rng.normal(size=300), rng.integers(0, 5, 300),
+                             np.array([np.nan, np.inf, 1.0, np.nan, -np.inf])),
+    }
+    cohort = generate(reference_cohort_spec(n=8000, seed=7))
+    for transform in TRANSFORMS:
+        d = apply_transform(cohort, transform)
+        cases[f"cohort, {transform}"] = (residuals(d), d.codes, d.cells.means)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_spread_cases()))
+def test_cell_rank_order_matches_a_float_argsort(name):
+    e, codes, means = _spread_cases()[name]
+    spread = residual_vs_fitted(e, codes, means)
+    fitted, ordered, funnel = _argsort_spread(e, means[codes])
+    assert spread.fitted.tobytes() == fitted.tobytes()
+    assert spread.residuals.tobytes() == ordered.tobytes()
+    assert repr(spread.funnel_ratio) == repr(funnel)
 
 
 # --- P-P plot ----------------------------------------------------------------------
@@ -192,14 +244,14 @@ def test_rounding_noise_has_no_spread(cohort_layout):
     rows = [(cohort_layout.cell_names(cell), i + 1.0)
             for i, cell in enumerate(cohort_layout.cells()) for _ in range(3)]
     logged = apply_transform(build_dataset(cohort_layout, rows), "logarithmic")
-    e, fitted = residuals(logged), logged.cells.means[logged.codes]
+    e, codes, means = residuals(logged), logged.codes, logged.cells.means
     assert np.abs(e).max() == 0
-    assert residual_vs_fitted(e, fitted).funnel_ratio is None
+    assert residual_vs_fitted(e, codes, means).funnel_ratio is None
     with pytest.raises(ValidationError, match="zero variance"):
         pp_plot(e)
     # spread far below the responses' size still counts
     spread = np.tile([-1e-9, 0.0, 1e-9], cohort_layout.n_cells)
-    assert residual_vs_fitted(spread, fitted).funnel_ratio == pytest.approx(1.0)
+    assert residual_vs_fitted(spread, codes, means).funnel_ratio == pytest.approx(1.0)
     assert pp_plot(spread).max_abs_deviation > 0
 
 

@@ -17,6 +17,7 @@ from losanova import (
     ReplicationSearchError,
     ValidationError,
     effect_dfs,
+    f_quantile,
     min_replications,
     oc_table,
     phi_squared,
@@ -180,6 +181,45 @@ def test_oc_table_reference_phis(planning_layout):
     for row, phi in zip(rows, published):
         assert row.phi == pytest.approx(phi, abs=5e-4)
     assert [row.nu2 for row in rows] == [360, 760, 1160, 1560, 1680]
+
+
+def _probed_beta(x, nu1, nu2, lam):
+    """``noncentral_f_cdf`` for a finite x > 0 and 0 < lam <= ``_MAX_LAM`` as
+    the probes alone decide it, without the check of the window's first term."""
+    from scipy import special
+
+    from losanova import distributions as dist
+
+    a, b, half = nu1 / 2.0, nu2 / 2.0, lam / 2.0
+    y = 1.0 / (1.0 + nu2 / nu1 / x)
+    j = dist._window(half)
+    step = math.isqrt(j.size)
+    probes = special.betainc(a + j[::step], b, y)
+    (ones,) = (probes >= dist._ONE).nonzero()
+    (zeros,) = (probes <= dist._ZERO).nonzero()
+    start = int(ones[-1]) * step + 1 if ones.size else 0
+    stop = int(zeros[0]) * step if zeros.size else j.size
+    total = special.pdtr(j[start - 1], half) if start else 0.0
+    if start < stop:
+        live = j[start:stop]
+        total += dist._poisson(live, half) @ special.betainc(a + live, b, y)
+    return min(float(total), 1.0)
+
+
+def test_oc_sweep_betas_equal_the_probed_series(planning_layout):
+    # every effect at both alphas, every fifth n of the OC sweep n = 2, 15, ..., 3999
+    from losanova.power import all_effects
+
+    saturated = 0
+    for alpha in (0.01, 0.05):
+        for effect in all_effects(planning_layout):
+            for row in oc_table(planning_layout, effect, 1.0, 9.41, alpha,
+                                range(2, 4001, 65)):
+                crit = f_quantile(1.0 - alpha, row.nu1, row.nu2)
+                probed = _probed_beta(crit, row.nu1, row.nu2, row.lam)
+                assert repr(row.beta) == repr(probed), (alpha, effect, row.n)
+                saturated += probed == 0.0
+    assert 0 < saturated < 2 * 7 * 62  # both ways out of the series are taken
 
 
 def test_power_monotonicity_properties():

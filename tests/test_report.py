@@ -17,7 +17,9 @@ from losanova.ingest import ingest_csv
 from losanova.plots import render_plot
 from losanova.posthoc import HomogeneousSubsets, Subset
 from losanova.power import PowerResult
-from losanova.report import fmt3, fmt4, fmtn, frequency_rows, power_rows, _table_csv, _table_text
+from losanova.report import (
+    bundle_to_dict, fmt3, fmt4, fmtn, frequency_rows, power_rows, _table_csv, _table_text,
+)
 from losanova.synth import reference_cohort_spec
 
 from conftest import count_table
@@ -122,6 +124,20 @@ def test_json_diagnostics_hold_kind_and_every_field(bundle):
                 continue
             got, want = np.asarray(got), np.asarray(want)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_json_report_is_the_dumped_document(bundle):
+    # the spliced series text against json's own encoder, with a hand-built
+    # series of non-finite values, runs of equal values, signed zeros next to
+    # each other and an empty array
+    odd = ResidualSpread(fitted=[np.nan, np.nan, np.inf, -np.inf, -np.inf, -0.0, 0.0, 0.0,
+                                 -0.0, 5e-324, 1e300, 1e300, 0.1],
+                         residuals=[], funnel_ratio=None)
+    pp = PPPlotData(empirical=[0.5], theoretical=[np.nan], max_abs_deviation=np.inf)
+    for b in (bundle, dataclasses.replace(
+            bundle, diagnostics={**bundle.diagnostics, "odd": odd, "pp_one": pp})):
+        want = json.dumps(bundle_to_dict(b), indent=2, sort_keys=True) + "\n"
+        assert render_report(b, "json") == want.encode()
 
 
 def test_report_outputs_list_the_same_tables(bundle, tmp_path):
@@ -337,3 +353,31 @@ def test_point_clouds_match_the_per_point_formula(n, tmp_path):
     render_plot(pp, tmp_path / "p.svg")
     assert _svg_circles(tmp_path / "p.svg") == _per_point_circles(
         _Canvas((0.0, 1.0), (0.0, 1.0), "", ""), empirical, theoretical)
+
+
+def _per_point_add_points(canvas, x, y, template):
+    """The points as the renderer once added them: one element per point, of
+    ``_per_point_circles``' coordinates."""
+    canvas.elements.extend(template.replace("%.2f", "%s") % p
+                           for p in _per_point_circles(canvas, x, y))
+
+
+@pytest.mark.parametrize("n", [1, 4999, 5000, 5001])
+def test_point_cloud_svgs_equal_per_point_elements(n, tmp_path, monkeypatch):
+    from losanova import plots
+
+    rng = np.random.default_rng(n)
+    series = [
+        ResidualSpread(fitted=np.sort(rng.uniform(0.5, 2.5, n)), residuals=rng.normal(size=n),
+                       funnel_ratio=None),
+        PPPlotData(empirical=(np.arange(n) + 0.5) / n, theoretical=rng.uniform(size=n),
+                   max_abs_deviation=0.0),
+    ]
+    for i, s in enumerate(series):
+        render_plot(s, tmp_path / f"{i}.svg")
+    monkeypatch.setattr(plots, "_add_points", _per_point_add_points)
+    for i, s in enumerate(series):
+        render_plot(s, tmp_path / f"{i}_per_point.svg")
+        got = (tmp_path / f"{i}.svg").read_bytes()
+        assert got == (tmp_path / f"{i}_per_point.svg").read_bytes()
+        assert got.count(b'class="pt"') == min(n, 5000)
