@@ -192,7 +192,7 @@ def _funnel_text(spread) -> str:
 
 
 def _cmd_diagnose(args) -> int:
-    from .diagnostics import pp_plot, residual_diagnostics
+    from .diagnostics import pp_plot, residual_diagnostics, residuals
     from .report import _table_text, transform_rows
 
     raw, analysis, rec, chosen = _load_analysis(args)
@@ -208,7 +208,8 @@ def _cmd_diagnose(args) -> int:
     if chosen != "none":  # the P-P plot is printed only for a transformed model
         spread = series["residual_vs_fitted"]
         try:
-            pp = f"{pp_plot(spread.residuals).max_abs_deviation:.4f}"
+            # in observation order, as the report computes it
+            pp = f"{pp_plot(residuals(analysis)).max_abs_deviation:.4f}"
         except ValidationError:  # no residual spread, as in the funnel ratio
             pp = "undefined"
         print(f"\ntransformed model ({analysis.response_name}): funnel ratio "

@@ -191,9 +191,9 @@ def _poisson(j, half: float):
     return np.exp(special.xlogy(j, half) - half - special.gammaln(j + 1.0))
 
 
-def _window(half: float) -> np.ndarray:
-    """The j = lo..hi that leave out at most ``_TAIL_BOUND`` of the
-    Poisson(half) mass on each side.
+def _window(half: float) -> tuple[int, int]:
+    """The ends lo, hi of the j = lo..hi that leave out at most
+    ``_TAIL_BOUND`` of the Poisson(half) mass on each side.
 
     lo and hi come from the Chernoff bounds P(X <= h - t) <= exp(-t^2/2h)
     and P(X >= h + t) <= exp(-t^2 / (2(h + t/3))), solved for t in closed
@@ -205,7 +205,7 @@ def _window(half: float) -> np.ndarray:
     lo = max(0, math.floor(half - math.sqrt(2.0 * half * log_bound)))
     third = log_bound / 3.0
     hi = math.ceil(half + third + math.sqrt(third * third + 2.0 * half * log_bound))
-    return np.arange(lo, hi + 1, dtype=float)
+    return lo, hi
 
 
 def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
@@ -228,7 +228,8 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
     above or below the mean it takes about 3 ms with nu2 = 4e6. Over
     ``_MAX_LAM`` no window is built: the CDF is 0.0 when the window's first
     term is at 0, as every term after it is then (and always at lam = inf),
-    and raises ``NumericalError`` otherwise.
+    and raises ``NumericalError`` otherwise. Below it, the same exit is taken
+    from the window's lower end before the window's j are built.
     """
     if not (0 < nu1 < math.inf and 0 < nu2 < math.inf):
         raise ValidationError("noncentral_f_cdf requires finite nu1 > 0 and nu2 > 0")
@@ -254,10 +255,11 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
         raise NumericalError(f"noncentral F series cannot resolve its weights at lam = {lam}")
 
     half = lam / 2.0
-    j = _window(half)
-    first = a + float(j[0])  # all terms are at 0 if it is, which needs y < its beta mean
+    lo, hi = _window(half)
+    first = a + lo  # all terms are at 0 if it is, which needs y < its beta mean
     if y * (first + b) < first and special.betainc(first, b, y) <= _ZERO:
         return 0.0
+    j = np.arange(lo, hi + 1, dtype=float)
     # I_y(a + j, b) falls as j grows: probe every step-th term, count the
     # terms up to the last probe at 1 as 1 and those from the first probe at
     # 0 on as 0, and sum weights times betainc only over the terms between.

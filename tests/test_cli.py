@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from losanova.cli import cli_main
@@ -178,6 +179,34 @@ def test_diagnose_command(cohort_csv, capsys):
     assert code == 0
     assert "transform" in out
     assert "P-P max deviation" in out
+
+
+@pytest.mark.parametrize("seed, transform", [(0, "auto"), (5, "log10")])
+def test_diagnose_prints_the_report_statistics(tmp_path, capsys, monkeypatch, seed, transform):
+    # diagnose prints the report's two funnel ratios and P-P max deviation,
+    # formatted, and draws the P-P plot from the residuals in observation
+    # order, as the report does: in fitted-value order, 132 of the 8,000
+    # theoretical values of seed 5 under log10 differ in their last bits
+    from losanova import diagnostics
+
+    path = tmp_path / "cohort.csv"
+    assert cli_main(["synth", "--n", "8000", "--seed", str(seed), "--out", str(path)]) == 0
+    plots = []
+    pp_plot = diagnostics.pp_plot
+    monkeypatch.setattr(diagnostics, "pp_plot", lambda e: plots.append(pp_plot(e)) or plots[-1])
+    argv = ["--input", str(path), "--transform", transform]
+    capsys.readouterr()
+    assert cli_main(["report", "--format", "json", *argv]) == 0
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert cli_main(["diagnose", *argv]) == 0
+    out = capsys.readouterr().out.splitlines()
+    raw = diag["raw_residual_vs_fitted"]["funnel_ratio"]
+    spread = diag["residual_vs_fitted"]["funnel_ratio"]
+    pp = diag["pp_plot"]["max_abs_deviation"]
+    assert out[0] == f"raw-scale model: funnel ratio {raw:.3f}"
+    assert out[-1].endswith(f"funnel ratio {spread:.3f}, P-P max deviation {pp:.4f}")
+    report_pp, diagnose_pp = plots
+    assert np.array_equal(report_pp.theoretical, diagnose_pp.theoretical)
 
 
 def test_diagnose_rejects_alpha(cohort_csv, capsys):

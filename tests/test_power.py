@@ -24,7 +24,7 @@ from losanova import (
     plan_all_effects,
     power_of_test,
 )
-from losanova.linmod import Term
+from losanova.linmod import Term, full_factorial_terms
 from losanova.power import effect_label, parse_effect
 
 
@@ -124,6 +124,85 @@ def test_min_replications_unreachable(planning_layout):
     assert best.n == 100_000 and best.power < 0.95
 
 
+def test_min_replications_unreachable_at_zero_difference(planning_layout):
+    # no noncentrality per replication: the chi^2 start is infinite, so the
+    # search starts at n = 2 and steps up to _N_MAX
+    effect = parse_effect(planning_layout, "season")
+    with pytest.raises(ReplicationSearchError) as exc_info:
+        min_replications(planning_layout, effect, 0.0, 9.41, 0.01, 0.95)
+    best = exc_info.value.best
+    assert best.n == 100_000 and best.power == pytest.approx(0.01, abs=1e-9)
+
+
+def _scanned(layout, effect, min_diff, sigma2, alpha, target):
+    """The smallest n with power >= target, scanned from n = 2."""
+    for n in range(2, 5_000):
+        res = power_of_test(PowerSpec(layout, effect, min_diff, sigma2, alpha, n))
+        if res.power >= target:
+            return res
+    raise AssertionError("no n up to 5,000 reaches the target")
+
+
+def test_min_replications_equals_a_linear_scan():
+    # 40 seeded searches over a 2-level, a 4-factor and two other layouts;
+    # lam per replication is drawn log-uniform, so the answers run from
+    # n = 2 to about 1,000
+    layouts = [FactorLayout([(f"f{i}", tuple(f"l{j}" for j in range(k)))
+                             for i, k in enumerate(shape)])
+               for shape in ((2,), (2, 2, 2, 2), (4, 2, 5), (3, 5))]
+    rng = np.random.default_rng(20261020)
+    answers = []
+    for _ in range(40):
+        layout = layouts[rng.integers(len(layouts))]
+        effects = full_factorial_terms(layout)
+        effect = effects[rng.integers(len(effects))]
+        m = layout.n_cells // math.prod(layout.shape[i] for i in effect.factor_indices)
+        sigma2 = float(rng.uniform(0.5, 10.0))
+        lam1 = math.exp(rng.uniform(math.log(0.01), math.log(20.0)))
+        min_diff = math.sqrt(2.0 * sigma2 * lam1 / m)
+        alpha = float(rng.choice([0.001, 0.01, 0.05, 0.1]))
+        target = float(rng.uniform(0.5, 0.999))
+        args = (layout, effect, min_diff, sigma2, alpha, target)
+        found = min_replications(*args)
+        assert found == _scanned(*args), args
+        answers.append(found.n)
+    assert min(answers) == 2 and max(answers) >= 800
+
+
+def test_min_replications_from_any_start(planning_layout, monkeypatch):
+    # the stepping and the bisection bracket the crossing from any start,
+    # below it, at it or above it, up to _N_MAX
+    from losanova import power
+
+    cases = [(effect, alpha, target) for effect in full_factorial_terms(planning_layout)[::3]
+             for alpha, target in ((0.01, 0.95), (0.05, 0.5))]
+    expected = [min_replications(planning_layout, e, 1.0, 9.41, a, t) for e, a, t in cases]
+    for (effect, alpha, target), want in zip(cases, expected):
+        for start in (2, 3, want.n - 1, want.n, want.n + 1, want.n + 37, 5_000, 100_000):
+            monkeypatch.setattr(power, "_chi2_start", lambda spec, target, s=max(start, 2): s)
+            got = min_replications(planning_layout, effect, 1.0, 9.41, alpha, target)
+            assert got == want, (effect, alpha, target, start)
+    monkeypatch.setattr(power, "_chi2_start", lambda spec, target: 50_000)
+    with pytest.raises(ReplicationSearchError) as exc_info:
+        min_replications(planning_layout, cases[0][0], 0.001, 9.41, 0.01, 0.95)
+    assert exc_info.value.best.n == 100_000
+
+
+def test_planning_grid_evaluates_power_at_most_120_times(planning_layout, monkeypatch):
+    # the benchmark's planning grid: doubling from n = 2 evaluated power 704
+    # times; the search reaches power_of_test through the module's name, the
+    # one the benchmark counts
+    from losanova import power
+
+    calls = []
+    evaluate = power.power_of_test
+    monkeypatch.setattr(power, "power_of_test", lambda spec: calls.append(spec.n) or evaluate(spec))
+    for (alpha, target), expected in PLANNING_GRID.items():
+        plan = plan_all_effects(planning_layout, 1.0, 9.41, alpha, target)
+        assert tuple(p.result.n for p in plan.effects) == expected
+    assert 0 < len(calls) <= 120
+
+
 def test_plan_all_effects_structure(planning_layout):
     plan = plan_all_effects(planning_layout, 1.0, 9.41, 0.01, 0.95)
     assert len(plan.effects) == 7  # 3 mains + 3 two-way + 1 three-way
@@ -192,7 +271,8 @@ def _probed_beta(x, nu1, nu2, lam):
 
     a, b, half = nu1 / 2.0, nu2 / 2.0, lam / 2.0
     y = 1.0 / (1.0 + nu2 / nu1 / x)
-    j = dist._window(half)
+    lo, hi = dist._window(half)
+    j = np.arange(lo, hi + 1, dtype=float)
     step = math.isqrt(j.size)
     probes = special.betainc(a + j[::step], b, y)
     (ones,) = (probes >= dist._ONE).nonzero()
@@ -259,3 +339,10 @@ def test_spec_validation(planning_layout):
         PowerSpec(planning_layout, effect, 1.0, 9.41, 1.5, 10)
     with pytest.raises(ValidationError):
         PowerSpec(planning_layout, effect, 1.0, 9.41, 0.01, 1)
+    for n in (2.5, 10.0, "10", None):
+        with pytest.raises(ValidationError):
+            PowerSpec(planning_layout, effect, 1.0, 9.41, 0.01, n)
+    with pytest.raises(ValidationError):
+        oc_table(planning_layout, effect, 1.0, 9.41, 0.01, [10.0])
+    numpy_n = PowerSpec(planning_layout, effect, 1.0, 9.41, 0.01, np.int64(10))
+    assert repr(power_of_test(numpy_n)) == repr(power_of_test(season_spec(planning_layout, 10)))
