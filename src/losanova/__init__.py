@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "anova": ("AnovaTable", "df_check", "significance_summary", "type3_anova"),
     "diagnostics": (
-        "apply_transform", "pp_plot", "report_diagnostics",
-        "residual_diagnostics", "residual_histogram", "residual_vs_fitted", "residuals",
-        "sd_mean_regression",
+        "apply_transform", "pp_plot", "residual_diagnostics", "residual_histogram",
+        "residual_vs_fitted", "residuals", "sd_mean_regression",
     ),
     "distributions": (
         "f_cdf", "f_quantile", "f_sf", "noncentral_f_cdf", "normal_cdf",

@@ -65,11 +65,6 @@ class AnovaTable:
         raise ValidationError(f"no ANOVA row named {source!r}")
 
     @property
-    def effect_rows(self) -> tuple[AnovaRow, ...]:
-        skip = {"Corrected Model", "Intercept", "Error", "Total", "Corrected Total"}
-        return tuple(r for r in self.rows if r.source not in skip)
-
-    @property
     def ms_error(self) -> float:
         err = self.row("Error")
         return err.ss / err.df

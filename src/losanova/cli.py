@@ -192,13 +192,15 @@ def _funnel_text(spread) -> str:
 
 
 def _cmd_diagnose(args) -> int:
-    from .diagnostics import pp_plot, residual_diagnostics, residuals
+    from .diagnostics import residual_diagnostics
     from .report import _table_text, transform_rows
 
     raw, analysis, rec, chosen = _load_analysis(args)
     series = residual_diagnostics(raw, analysis)
-    hist_raw = series["raw_residual_histogram"]
-    print(f"raw-scale model: funnel ratio {_funnel_text(series['raw_residual_vs_fitted'])}")
+    # without a transform the raw scale is the analysis scale
+    hist_raw = series.get("raw_residual_histogram", series["residual_histogram"])
+    spread_raw = series.get("raw_residual_vs_fitted", series["residual_vs_fitted"])
+    print(f"raw-scale model: funnel ratio {_funnel_text(spread_raw)}")
     print(f"raw residual histogram: {len(hist_raw.counts)} bins, N={hist_raw.n}")
     rec, reason = _recommendation(raw, rec)
     if rec is None:
@@ -206,21 +208,17 @@ def _cmd_diagnose(args) -> int:
     else:
         print(_table_text(*transform_rows(rec)), end="")
     if chosen != "none":  # the P-P plot is printed only for a transformed model
-        spread = series["residual_vs_fitted"]
-        try:
-            # in observation order, as the report computes it
-            pp = f"{pp_plot(residuals(analysis)).max_abs_deviation:.4f}"
-        except ValidationError:  # no residual spread, as in the funnel ratio
-            pp = "undefined"
+        pp = series["pp_plot"]
+        pp = "undefined" if pp is None else f"{pp.max_abs_deviation:.4f}"
         print(f"\ntransformed model ({analysis.response_name}): funnel ratio "
-              f"{_funnel_text(spread)}, P-P max deviation {pp}")
+              f"{_funnel_text(series['residual_vs_fitted'])}, P-P max deviation {pp}")
     return 0
 
 
 def _build_bundle(args):
     """The ``report.ReportBundle`` of the full pipeline on ``--input``."""
     from .anova import type3_anova
-    from .diagnostics import report_diagnostics
+    from .diagnostics import residual_diagnostics
     from .linmod import coefficient_table, significant_model
     from .posthoc import homogeneous_subsets, marginal_means, scheffe_pairwise
     from .report import ReportBundle
@@ -229,7 +227,9 @@ def _build_bundle(args):
     rec, _ = _recommendation(raw, rec)
     table = type3_anova(analysis)
     coefficients = coefficient_table(table.fit, args.alpha)
-    diagnostics = report_diagnostics(raw, analysis)
+    diagnostics = residual_diagnostics(raw, analysis)
+    if diagnostics["pp_plot"] is None:
+        raise ValidationError("residuals have zero variance; P-P plot undefined")
 
     scheffe = {}
     subsets = {}

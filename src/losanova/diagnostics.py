@@ -7,6 +7,10 @@ classical variance-stabilizing transform (none, square root, log, reciprocal
 square root, reciprocal). The fit includes an intercept -- the
 proportionality constant c -- but the through-origin slope is also reported
 for comparison with conventions that omit it.
+
+``residual_diagnostics`` computes every residual series that the report
+draws and ``diagnose`` prints; ``residual_histogram``, ``residual_vs_fitted``
+and ``pp_plot`` each build one of them.
 """
 
 from __future__ import annotations
@@ -117,34 +121,23 @@ def residuals(d: Dataset) -> np.ndarray:
 
 
 def residual_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
-    """The full factorial model's residual series, by name: the raw scale's
-    histogram and spread against the fitted values, then the analysis scale's
-    histogram and spread. Without a transform (``raw is analysis``) each
-    series is computed once."""
-    return _residual_series(raw, analysis)[0]
-
-
-def report_diagnostics(raw: Dataset, analysis: Dataset) -> dict[str, object]:
-    """The report's residual series: ``residual_diagnostics``' four, then the
-    analysis scale's normal P-P plot, which raises ``ValidationError`` when
-    the residuals have no spread."""
-    series, e = _residual_series(raw, analysis)
-    return {**series, "pp_plot": pp_plot(e)}
-
-
-def _residual_series(raw: Dataset, analysis: Dataset) -> tuple[dict[str, object], np.ndarray]:
-    """``residual_diagnostics``' series, and the analysis scale's residuals."""
-    e = residuals(analysis)
-    histogram = residual_histogram(e)
-    spread = residual_vs_fitted(e, analysis.codes, analysis.cells.means)
-    if raw is analysis:
-        raw_histogram, raw_spread = histogram, spread
-    else:
-        e_raw = residuals(raw)
-        raw_histogram = residual_histogram(e_raw)
-        raw_spread = residual_vs_fitted(e_raw, raw.codes, raw.cells.means)
-    return {"raw_residual_histogram": raw_histogram, "raw_residual_vs_fitted": raw_spread,
-            "residual_histogram": histogram, "residual_vs_fitted": spread}, e
+    """Every residual series of the full factorial model, by name, in the
+    report's order: the raw scale's histogram and spread against the fitted
+    values, then the analysis scale's histogram, spread and normal P-P plot.
+    Without a transform (``raw is analysis``) there is one scale, and only
+    the last three. The P-P plot, drawn from the residuals in observation
+    order, is None when they have no spread."""
+    scales = [("", analysis)] if raw is analysis else [("raw_", raw), ("", analysis)]
+    series: dict[str, object] = {}
+    for prefix, d in scales:
+        e = residuals(d)
+        series[f"{prefix}residual_histogram"] = residual_histogram(e)
+        series[f"{prefix}residual_vs_fitted"] = residual_vs_fitted(e, d.codes, d.cells.means)
+    try:
+        series["pp_plot"] = pp_plot(e)
+    except ValidationError:  # zero variance: no P-P plot
+        series["pp_plot"] = None
+    return series
 
 
 def residual_histogram(e: np.ndarray) -> HistogramData:

@@ -238,14 +238,6 @@ class Dataset:
     def n(self) -> int:
         return len(self.codes)
 
-    @cached_property
-    def level_matrix(self) -> np.ndarray:
-        """(n, n_factors) level-index matrix in observation order (read-only),
-        derived from ``codes`` on first access."""
-        levels = np.stack(np.unravel_index(self.codes, self.layout.shape), axis=1)
-        levels.setflags(write=False)
-        return levels
-
 
 def build_dataset(
     layout: FactorLayout,

@@ -103,7 +103,9 @@ def _dfs(layout: FactorLayout, effect: Term, n: int) -> tuple[int, int, int]:
 
 def effect_dfs(layout: FactorLayout, effect: Term, n: int) -> tuple[int, int]:
     """(numerator, denominator) df for a balanced design with n per cell, for
-    an effect of ``layout``."""
+    an effect of ``layout``; a factor index outside it raises ``ValidationError``."""
+    for i in effect.factor_indices:
+        layout.factor_index(i)
     return _dfs(layout, effect, n)[:2]
 
 

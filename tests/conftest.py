@@ -79,3 +79,18 @@ def published_margin(factor, counts, means):
 @pytest.fixture
 def two_by_two():
     return FactorLayout([("a", ("a1", "a2")), ("b", ("b1", "b2"))])
+
+
+def level_matrix(d):
+    """(n, n_factors) level-index matrix of dataset ``d`` in observation order,
+    read-only."""
+    levels = np.stack(np.unravel_index(d.codes, d.layout.shape), axis=1)
+    levels.setflags(write=False)
+    return levels
+
+
+def effect_rows(table):
+    """The effect rows of an ANOVA table: every row but the model, intercept,
+    error and total ones."""
+    skip = {"Corrected Model", "Intercept", "Error", "Total", "Corrected Total"}
+    return tuple(r for r in table.rows if r.source not in skip)

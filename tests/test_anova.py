@@ -22,7 +22,13 @@ from losanova.anova import AnovaRow, AnovaTable
 from losanova.linmod import Term, full_factorial_terms
 from losanova.synth import REFERENCE_CELL_COUNTS
 
-from conftest import count_table, published_margin, random_dataset
+from conftest import (
+    count_table,
+    effect_rows,
+    level_matrix,
+    published_margin,
+    random_dataset,
+)
 
 
 # --- independent brute-force oracle (numpy only, own encoder) -----------------
@@ -66,7 +72,7 @@ def brute_force_type3(d, terms=None):
             for order in range(1, len(shape) + 1)
             for combo in itertools.combinations(range(len(shape)), order)
         ]
-    X_full, owners = _oracle_design(d.level_matrix, shape, terms)
+    X_full, owners = _oracle_design(level_matrix(d), shape, terms)
     sse_full = _oracle_sse(X_full, d.responses)
     out = {}
     for term in terms:
@@ -130,7 +136,7 @@ def _assert_matches_oracle(d, max_order):
     terms = [t.factor_indices for t in full_factorial_terms(d.layout, max_order)]
     table = type3_anova(d, max_order)
     oracle, sse = brute_force_type3(d, terms)
-    assert [r.source for r in table.effect_rows] == [_label(d.layout, t) for t in terms]
+    assert [r.source for r in effect_rows(table)] == [_label(d.layout, t) for t in terms]
     for term, ss_ref in oracle.items():
         got = table.row(_label(d.layout, term)).ss
         assert got == pytest.approx(ss_ref, rel=1e-8, abs=1e-9), (max_order, term)
@@ -168,7 +174,7 @@ def test_reduced_models_with_empty_cells_match_oracle():
             terms = [t.factor_indices for t in full_factorial_terms(layout, max_order)]
             if any((d.cells.margin(*t).counts == 0).any() for t in terms):
                 continue
-            X, _ = _oracle_design(d.level_matrix, layout.shape, terms)
+            X, _ = _oracle_design(level_matrix(d), layout.shape, terms)
             if np.linalg.matrix_rank(X) < X.shape[1]:
                 continue
             _assert_matches_oracle(d, max_order)
@@ -249,7 +255,7 @@ def test_ss_additivity_and_totals(cohort_layout):
     grand = float(d.responses.mean())
     assert t.row("Total").ss == pytest.approx(ct.ss + n * grand**2, rel=1e-10)
     assert cm.df + err.df == ct.df
-    assert cm.df == sum(r.df for r in t.effect_rows)
+    assert cm.df == sum(r.df for r in effect_rows(t))
 
 
 def test_effect_ss_additivity_only_when_balanced(two_by_two):
@@ -266,13 +272,13 @@ def test_effect_ss_additivity_only_when_balanced(two_by_two):
 
     bal = type3_anova(build_dataset(two_by_two, balanced_rows))
     gap_balanced = abs(
-        sum(r.ss for r in bal.effect_rows) - bal.row("Corrected Model").ss
+        sum(r.ss for r in effect_rows(bal)) - bal.row("Corrected Model").ss
     )
     assert gap_balanced < 1e-8
 
     unb = type3_anova(build_dataset(two_by_two, unbalanced_rows))
     gap_unbalanced = abs(
-        sum(r.ss for r in unb.effect_rows) - unb.row("Corrected Model").ss
+        sum(r.ss for r in effect_rows(unb)) - unb.row("Corrected Model").ss
     )
     assert gap_unbalanced > 1e-6  # no additivity off balance
 
@@ -281,10 +287,11 @@ def test_permutation_invariance(cohort_layout):
     d = random_dataset(cohort_layout, 200, seed=17, min_per_cell=2)
     rng = np.random.default_rng(0)
     perm = rng.permutation(d.n)
+    levels = level_matrix(d)
     shuffled = build_dataset(
         cohort_layout,
         [
-            (cohort_layout.cell_names(d.level_matrix[i]), d.responses[i])
+            (cohort_layout.cell_names(levels[i]), d.responses[i])
             for i in perm
         ],
     )
@@ -318,7 +325,7 @@ def test_empty_cell_is_named(two_by_two):
         type3_anova(d)
     # without the interaction the margins are all occupied
     table = type3_anova(d, max_order=1)
-    assert {r.source for r in table.effect_rows} == {"a", "b"}
+    assert {r.source for r in effect_rows(table)} == {"a", "b"}
 
 
 def test_overflowing_sums_of_squares_are_named(two_by_two):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
+import dataclasses
 import json
 import os
 import re
@@ -181,12 +182,12 @@ def test_diagnose_command(cohort_csv, capsys):
     assert "P-P max deviation" in out
 
 
-@pytest.mark.parametrize("seed, transform", [(0, "auto"), (5, "log10")])
+@pytest.mark.parametrize("seed, transform", [(0, "auto"), (5, "log10"), (5, "none")])
 def test_diagnose_prints_the_report_statistics(tmp_path, capsys, monkeypatch, seed, transform):
-    # diagnose prints the report's two funnel ratios and P-P max deviation,
-    # formatted, and draws the P-P plot from the residuals in observation
-    # order, as the report does: in fitted-value order, 132 of the 8,000
-    # theoretical values of seed 5 under log10 differ in their last bits
+    # diagnose prints the report's funnel ratios and P-P max deviation,
+    # formatted. Each command draws the P-P plot once, from the residuals in
+    # observation order: in fitted-value order, 132 of the 8,000 theoretical
+    # values of seed 5 under log10 differ in their last bits
     from losanova import diagnostics
 
     path = tmp_path / "cohort.csv"
@@ -198,13 +199,20 @@ def test_diagnose_prints_the_report_statistics(tmp_path, capsys, monkeypatch, se
     capsys.readouterr()
     assert cli_main(["report", "--format", "json", *argv]) == 0
     diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert len(plots) == 1
     assert cli_main(["diagnose", *argv]) == 0
+    assert len(plots) == 2
     out = capsys.readouterr().out.splitlines()
-    raw = diag["raw_residual_vs_fitted"]["funnel_ratio"]
+    # without a transform the raw-scale model is the analysis-scale one
+    raw_key = "residual_vs_fitted" if transform == "none" else "raw_residual_vs_fitted"
+    raw = diag[raw_key]["funnel_ratio"]
     spread = diag["residual_vs_fitted"]["funnel_ratio"]
     pp = diag["pp_plot"]["max_abs_deviation"]
     assert out[0] == f"raw-scale model: funnel ratio {raw:.3f}"
-    assert out[-1].endswith(f"funnel ratio {spread:.3f}, P-P max deviation {pp:.4f}")
+    if transform == "none":
+        assert not [line for line in out if "P-P" in line]
+    else:
+        assert out[-1].endswith(f"funnel ratio {spread:.3f}, P-P max deviation {pp:.4f}")
     report_pp, diagnose_pp = plots
     assert np.array_equal(report_pp.theoretical, diagnose_pp.theoretical)
 
@@ -243,6 +251,34 @@ def test_report_reruns_byte_identical(cohort_csv, tmp_path):
                 "tables/subsets_age_group.json", "plots/residual_histogram.svg",
                 "manifest.json"):
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel
+
+
+def test_report_without_transform_writes_each_series_once(cohort_csv, tmp_path, capsys):
+    # without a transform the raw scale is the analysis scale, so there are
+    # no raw_ copies: neither plots nor JSON series
+    from losanova import ingest_csv, residual_diagnostics
+
+    outdir = tmp_path / "report"
+    argv = ["report", "--input", str(cohort_csv), "--transform", "none"]
+    assert cli_main([*argv, "--out", str(outdir)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["parameters"]["transform_applied"] == "none"
+    plots = sorted(p.name for p in (outdir / "plots").iterdir())
+    assert [name for name in plots if not name.startswith("subset_means_")] == [
+        "pp_plot.svg", "residual_histogram.svg", "residual_vs_fitted.svg"]
+    assert [a for a in manifest["artifacts"] if a.startswith("plots/")] == [
+        f"plots/{name}" for name in plots]
+    capsys.readouterr()
+    assert cli_main([*argv, "--format", "json"]) == 0
+    diag = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert sorted(diag) == ["pp_plot", "residual_histogram", "residual_vs_fitted"]
+    d = ingest_csv(cohort_csv)
+    for name, series in residual_diagnostics(d, d).items():
+        doc = diag[name]
+        assert doc.pop("kind") == series.kind
+        assert list(doc) == sorted(f.name for f in dataclasses.fields(series))
+        for field, value in doc.items():
+            assert np.array_equal(value, getattr(series, field)), (name, field)
 
 
 def test_report_stdout_json(cohort_csv, capsys):

@@ -16,7 +16,6 @@ from losanova import (
     normal_cdf,
     ols_fit,
     pp_plot,
-    report_diagnostics,
     residual_diagnostics,
     residual_histogram,
     residual_vs_fitted,
@@ -27,7 +26,7 @@ from losanova.diagnostics import TRANSFORMS
 from losanova.linmod import Term, full_factorial_terms
 from losanova.synth import generate, reference_cohort_spec
 
-from conftest import random_dataset
+from conftest import level_matrix, random_dataset
 
 
 # --- residuals -----------------------------------------------------------------
@@ -56,27 +55,33 @@ def test_residuals_match_full_factorial_fit(cohort_layout, two_by_two):
         assert np.abs(residuals(d) - _full_factorial_residuals(d)).max() <= 1e-12 * scale
 
 
-def test_residual_diagnostics_series(cohort_layout):
+def test_residual_diagnostics_series(cohort_layout, two_by_two):
     raw = random_dataset(cohort_layout, 300, seed=8, min_per_cell=2)
     logged = apply_transform(raw, "logarithmic")
-    names = ["raw_residual_histogram", "raw_residual_vs_fitted", "residual_histogram",
-             "residual_vs_fitted"]
+    names = ["residual_histogram", "residual_vs_fitted", "pp_plot"]
     series = residual_diagnostics(raw, logged)
-    assert list(series) == names
+    assert list(series) == ["raw_residual_histogram", "raw_residual_vs_fitted", *names]
     assert series["raw_residual_histogram"] == residual_histogram(residuals(raw))
     assert series["residual_histogram"] == residual_histogram(residuals(logged))
     spread = series["residual_vs_fitted"]
     assert np.array_equal(np.sort(spread.fitted), np.sort(logged.cells.means[logged.codes]))
-    # without a transform the raw-scale series are the analysis-scale ones
-    same = residual_diagnostics(raw, raw)
-    assert same["raw_residual_histogram"] is same["residual_histogram"]
-    assert same["raw_residual_vs_fitted"] is same["residual_vs_fitted"]
-    # the report's series add the analysis scale's P-P plot
-    report = report_diagnostics(raw, logged)
-    assert list(report) == names + ["pp_plot"]
-    assert report["residual_histogram"] == series["residual_histogram"]
-    assert report["pp_plot"].max_abs_deviation == pp_plot(
+    assert series["raw_residual_vs_fitted"].funnel_ratio == residual_vs_fitted(
+        residuals(raw), raw.codes, raw.cells.means).funnel_ratio
+    # the P-P plot is the analysis scale's, from the residuals in observation order
+    assert series["pp_plot"].max_abs_deviation == pp_plot(
         residuals(logged)).max_abs_deviation
+    # without a transform there is one scale, and each series comes once
+    same = residual_diagnostics(raw, raw)
+    assert list(same) == names
+    assert same["residual_histogram"] == series["raw_residual_histogram"]
+    assert same["pp_plot"].max_abs_deviation == pp_plot(residuals(raw)).max_abs_deviation
+    # residuals with no spread have no P-P plot, on either scale
+    cells = [("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2")]
+    flat = build_dataset(two_by_two, [(cell, 2.0 + j) for j, cell in enumerate(cells)] * 2)
+    for analysis in (flat, apply_transform(flat, "logarithmic")):
+        undefined = residual_diagnostics(flat, analysis)
+        assert undefined["pp_plot"] is None
+        assert undefined["residual_histogram"].counts == (8,)
 
 
 def test_intercept_only_residuals_center(two_by_two):
@@ -92,7 +97,7 @@ def test_residuals_match_prediction_oracle(two_by_two):
     fit = ols_fit(build_design(d, [Term((0,)), Term((1,))]), d.cells)
     e = d.responses - fit.cell_fitted[d.codes]
     # the additive model fitted observation by observation
-    levels = d.level_matrix
+    levels = level_matrix(d)
     X = np.column_stack([np.ones(d.n), levels[:, 0] == 0, levels[:, 1] == 0]).astype(float)
     beta, *_ = np.linalg.lstsq(X, d.responses, rcond=None)
     np.testing.assert_allclose(e, d.responses - X @ beta, rtol=0, atol=1e-10)

@@ -22,6 +22,8 @@ from losanova import (
 )
 from losanova.synth import default_layout, reference_cohort_spec
 
+from conftest import level_matrix
+
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -53,8 +55,8 @@ def test_ingest_with_age_column(tmp_path):
     )
     d = ingest_csv(path)
     assert d.n == 2
-    assert d.layout.cell_names(d.level_matrix[0]) == ("male", "spring", "1")
-    assert d.layout.cell_names(d.level_matrix[1]) == ("female", "winter", "5")
+    assert d.layout.cell_names(level_matrix(d)[0]) == ("male", "spring", "1")
+    assert d.layout.cell_names(level_matrix(d)[1]) == ("female", "winter", "5")
 
 
 def test_ingest_normalizes_case_and_spaces(tmp_path):
@@ -64,7 +66,7 @@ def test_ingest_normalizes_case_and_spaces(tmp_path):
         "  Male ,  SPRING , 3 , 4.25\n",
     )
     d = ingest_csv(path)
-    assert d.layout.cell_names(d.level_matrix[0]) == ("male", "spring", "3")
+    assert d.layout.cell_names(level_matrix(d)[0]) == ("male", "spring", "3")
     assert d.responses[0] == 4.25
 
 
@@ -188,7 +190,7 @@ def test_ingest_season_from_date_flag(tmp_path):
         "dated.csv",
     )
     d = ingest_csv(path, use_date_season=True)
-    assert d.layout.cell_names(d.level_matrix[0]) == ("male", "summer", "4")
+    assert d.layout.cell_names(level_matrix(d)[0]) == ("male", "summer", "4")
     with pytest.raises(ValidationError, match="date"):
         ingest_csv(path)  # without the flag, a season column is required
 
@@ -273,12 +275,12 @@ def test_ingest_codes_each_column(tmp_path):
         "female,2024-01-20,5,7.5\n",
     )
     d = ingest_csv(path, use_date_season=True)
-    names = [d.layout.cell_names(cell) for cell in d.level_matrix.tolist()]
+    names = [d.layout.cell_names(cell) for cell in level_matrix(d).tolist()]
     assert names == [("female", "winter", "1"), ("male", "summer", "5"),
                      ("female", "winter", "1")]
     assert d.responses.tolist() == [1.25, 3.0, 7.5]
     cells = list(d.layout.cells())
-    assert [cells[c] for c in d.codes.tolist()] == [tuple(r) for r in d.level_matrix.tolist()]
+    assert [cells[c] for c in d.codes.tolist()] == [tuple(r) for r in level_matrix(d).tolist()]
 
 
 def test_ingest_keeps_order_and_first_bad_line(tmp_path):
@@ -286,7 +288,7 @@ def test_ingest_keeps_order_and_first_bad_line(tmp_path):
                     [1.5, 2.0, 3.25, 4.0, 5.0, 6.5, 7.0, 8.0]))
     text = _HEADER + "".join(f"{g},{s},{a},{los}\n" for g, s, a, los in rows)
     d = ingest_csv(_write(tmp_path, text))
-    assert [d.layout.cell_names(cell) for cell in d.level_matrix.tolist()] == [
+    assert [d.layout.cell_names(cell) for cell in level_matrix(d).tolist()] == [
         (g, s, a) for g, s, a, _ in rows]
     assert d.responses.tolist() == [los for *_, los in rows]
     # line 6 is bad; lines 8 and 9 are later in the file
@@ -321,13 +323,13 @@ def test_ingest_padded_values_wider_than_a_key(tmp_path):
             "   female   ,\tWINTER\t\t\t,     61     ,   2.5   \n"
             '"   male   ","  spring  ",     7,1\n')
     d = ingest_csv(_write(tmp_path, text))
-    assert [d.layout.cell_names(c) for c in d.level_matrix.tolist()] == [
+    assert [d.layout.cell_names(c) for c in level_matrix(d).tolist()] == [
         ("female", "winter", "5"), ("male", "spring", "1")]
     assert d.responses.tolist() == [2.5, 1.0]
     dated = ingest_csv(_write(tmp_path, "gender,date,age_group,los\n"
                               "male,     2024-06-05       ,4,2.5\n", "dated.csv"),
                        use_date_season=True)
-    assert dated.layout.cell_names(dated.level_matrix[0]) == ("male", "summer", "4")
+    assert dated.layout.cell_names(level_matrix(dated)[0]) == ("male", "summer", "4")
 
 
 def test_ingest_value_that_fills_or_overflows_a_key(tmp_path):
@@ -380,7 +382,7 @@ def test_ingest_quoted_newlines_escapes_and_commas(tmp_path):
     assert _message(path) == (f"{path}:6: unknown season " + repr('"winter"')
                               + " (spring/summer/autumn/winter)")
     d = ingest_csv(_write(tmp_path, text.replace('"""winter"""', '" winter\n"'), "ok.csv"))
-    assert [d.layout.cell_names(c) for c in d.level_matrix.tolist()] == [
+    assert [d.layout.cell_names(c) for c in level_matrix(d).tolist()] == [
         ("male", "spring", "3"), ("female", "winter", "1")]
     path = _write(tmp_path, _HEADER + '"ma\nle",spring,3,2.0\n', "split.csv")
     assert _message(path) == f"{path}:3: unknown gender 'ma\\nle' (male/female)"
@@ -440,7 +442,7 @@ def test_ingest_many_ages_and_dates(tmp_path):
     d = ingest_csv(_write(tmp_path, text), use_date_season=True)
     groups = [bin_age(age) for age in ages]
     seasons = [season_from_date(day.isoformat()) for day in days]
-    assert [d.layout.cell_names(c) for c in d.level_matrix.tolist()] == [
+    assert [d.layout.cell_names(c) for c in level_matrix(d).tolist()] == [
         ("male" if i % 3 else "female", seasons[i], groups[i]) for i in range(99)]
     assert d.responses.tolist() == [i + 0.5 for i in range(99)]
 

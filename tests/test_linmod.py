@@ -28,7 +28,7 @@ from losanova.linmod import (
 )
 from losanova.synth import cell_mean, reference_cohort_spec
 
-from conftest import random_dataset
+from conftest import level_matrix, random_dataset
 
 
 # --- design construction ----------------------------------------------------
@@ -183,7 +183,7 @@ def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
     d = random_dataset(cohort_layout, 70, seed=100 + order, min_per_cell=1)
     terms = full_factorial_terms(cohort_layout, order)
     fit = ols_fit(build_design(d, terms), d.cells)
-    X = _row_level_design(cohort_layout, d.level_matrix, order)
+    X = _row_level_design(cohort_layout, level_matrix(d), order)
     y = d.responses
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     fitted = X @ beta

@@ -16,7 +16,7 @@ from losanova import (
 )
 from losanova.synth import default_layout
 
-from conftest import count_table, random_dataset
+from conftest import count_table, level_matrix, random_dataset
 
 
 def _sds(table):
@@ -91,8 +91,9 @@ def test_empty_and_bad_responses(two_by_two):
 def test_order_preserved(two_by_two):
     rows = [(("a1", "b2"), 5.0), (("a2", "b1"), 1.0), (("a1", "b1"), 3.0)]
     d = build_dataset(two_by_two, rows)
+    levels = level_matrix(d)
     for i, (names, y) in enumerate(rows):
-        assert d.layout.cell_names(d.level_matrix[i]) == names
+        assert d.layout.cell_names(levels[i]) == names
         assert d.responses[i] == y
 
 
@@ -171,8 +172,9 @@ def test_frequency_random_recount(cohort_layout):
     d = random_dataset(cohort_layout, 100, seed=3)
     counts = d.cells.counts.reshape(cohort_layout.shape)
     # brute-force recount straight off the observations
+    observed = level_matrix(d).tolist()
     for cell in cohort_layout.cells():
-        expected = sum(1 for levels in d.level_matrix.tolist() if tuple(levels) == cell)
+        expected = sum(1 for levels in observed if tuple(levels) == cell)
         assert counts[cell] == expected
     assert d.cells.n == 100
 
@@ -209,7 +211,7 @@ def test_dataset_arrays_read_only(two_by_two):
     with pytest.raises(ValueError):
         d.responses[0] = 9.0
     with pytest.raises(ValueError):
-        d.level_matrix[0, 0] = 1
+        level_matrix(d)[0, 0] = 1
 
 
 def test_dataset_columns_validated(two_by_two):
@@ -233,11 +235,11 @@ def test_dataset_is_two_read_only_columns(two_by_two):
     responses[0] = 9.0  # the dataset holds its own copies
     assert d.codes.dtype == np.intp and d.codes.tolist() == [3, 0, 2]
     assert d.responses.tolist() == [5.0, -1.0, 2.5]
-    assert d.level_matrix.tolist() == [[1, 1], [0, 0], [1, 0]]
-    assert not d.level_matrix.flags.writeable
+    assert level_matrix(d).tolist() == [[1, 1], [0, 0], [1, 0]]
+    assert not level_matrix(d).flags.writeable
     with pytest.raises(ValueError):
         d.codes[0] = 0
-    assert list(zip(map(tuple, d.level_matrix.tolist()), d.responses.tolist())) == [
+    assert list(zip(map(tuple, level_matrix(d).tolist()), d.responses.tolist())) == [
         ((1, 1), 5.0), ((0, 0), -1.0), ((1, 0), 2.5)
     ]
     assert build_dataset(
@@ -278,7 +280,7 @@ def test_margin_keeps_the_order_the_factors_are_given():
 
 def test_margin_out_of_layout_order_on_cohort(cohort_layout):
     d = random_dataset(cohort_layout, 300, seed=5)
-    levels = d.level_matrix.tolist()
+    levels = level_matrix(d).tolist()
     for keep in [("season", "gender"), ("age_group", "season"),
                  ("age_group", "gender", "season"), ("season", "age_group", "gender")]:
         fi = [cohort_layout.factor_index(f) for f in keep]
@@ -298,7 +300,7 @@ def test_margin_pools_like_from_columns(cohort_layout):
                      ("age_group", "season", "gender")]:
             margin = d.cells.margin(*keep)
             fi = [cohort_layout.factor_index(f) for f in keep]
-            codes = np.ravel_multi_index(d.level_matrix[:, fi].T, margin.layout.shape)
+            codes = np.ravel_multi_index(level_matrix(d)[:, fi].T, margin.layout.shape)
             direct = CellTable.from_columns(margin.layout, codes, d.responses)
             assert margin.counts.tolist() == direct.counts.tolist()
             np.testing.assert_allclose(margin.means, direct.means, rtol=1e-12, atol=0)

@@ -24,7 +24,7 @@ from losanova import (
 from losanova.model import CellTable, FactorLayout
 from losanova.synth import REFERENCE_CELL_COUNTS, default_layout
 
-from conftest import published_margin, random_dataset
+from conftest import level_matrix, published_margin, random_dataset
 
 # published reference analysis: error mean square and df on the log scale
 MSE = 17897.142 / 82678
@@ -207,7 +207,7 @@ def test_shift_invariance(cohort_layout):
         cohort_layout,
         [
             (cohort_layout.cell_names(levels), y + 11.5)
-            for levels, y in zip(d.level_matrix, d.responses)
+            for levels, y in zip(level_matrix(d), d.responses)
         ],
     )
     m1, m2 = marginal_means(d, "season"), marginal_means(shifted, "season")
@@ -287,7 +287,7 @@ def test_marginal_means_random_recount(cohort_layout):
         margin = marginal_means(d, factor)
         for level, n, mean in zip(margin.layout.levels(0), margin.counts, margin.means):
             members = [
-                y for levels, y in zip(d.level_matrix, d.responses)
+                y for levels, y in zip(level_matrix(d), d.responses)
                 if cohort_layout.levels(fi)[levels[fi]] == level
             ]
             assert n == len(members)

@@ -70,6 +70,20 @@ def test_effect_dfs(planning_layout):
     assert effect_dfs(planning_layout, two_way, 5)[0] == 4
 
 
+@pytest.mark.parametrize("index", [7, -1])
+def test_effect_dfs_rejects_a_factor_index_out_of_range(planning_layout, index):
+    # index 7 used to raise IndexError, and -1 to give the last factor's dfs;
+    # every public path that takes an effect raises the same error
+    effect = Term((index,))
+    message = rf"^factor index {index} out of range$"
+    with pytest.raises(ValidationError, match=message):
+        effect_dfs(planning_layout, effect, 10)
+    with pytest.raises(ValidationError, match=message):
+        min_replications(planning_layout, effect, 1.0, 9.41, 0.05, 0.95)
+    with pytest.raises(ValidationError, match=message):
+        PowerSpec(planning_layout, effect, min_diff=1.0, sigma2=9.41, alpha=0.05, n=10)
+
+
 def test_power_against_scipy_oracle(planning_layout):
     for n in (10, 20, 30, 40, 43):
         res = power_of_test(season_spec(planning_layout, n))

@@ -18,6 +18,8 @@ from losanova.synth import (
     reference_cohort_spec,
 )
 
+from conftest import level_matrix
+
 
 def test_reference_spec_probabilities():
     spec = reference_cohort_spec(n=1000, seed=0)
@@ -62,7 +64,7 @@ def test_same_seed_bit_identical():
 def test_zero_error_sd_hits_cell_means_exactly():
     spec = reference_cohort_spec(n=200, seed=5, error_sd=0.0)
     d = generate(spec)
-    for levels, y in zip(d.level_matrix.tolist(), d.responses.tolist()):
+    for levels, y in zip(level_matrix(d).tolist(), d.responses.tolist()):
         eta = cell_mean(spec, tuple(levels))
         assert math.log10(y) == pytest.approx(eta, abs=1e-12)
 
