@@ -14,9 +14,11 @@ of being read off a printed curve.
 
 ``min_replications`` starts where the chi^2 test on nu1 df, the F test's
 limit as nu2 grows, reaches the target power (Patnaik 1949): lam grows
-linearly in n, so that n is the answer or a few below it. Stepping to a
-bracket and bisecting gives the n a scan from n = 2 finds, in 112 evaluations
-of power on the benchmark's planning grid, where doubling from n = 2 took 704.
+linearly in n, so that n is the answer or a few below it. The n below it is
+known short when its lam is under the chi^2 one by a margin (1e-9, relative):
+the F test has less power than the chi^2 test at equal lam (Ghosh 1973).
+Stepping and bisecting give the n a scan from n = 2 finds, in 63 power
+evaluations on the benchmark's planning grid, where doubling took 704.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ all_effects = full_factorial_terms
 
 # the replication search gives up past this many replications per cell
 _N_MAX = 100_000
+_FLOOR_MARGIN = 1e-9  # relative, under lam_chi2; chndtrinc inverts chndtr to ~1e-15
 
 
 def parse_effect(layout: FactorLayout, text: str) -> Term:
@@ -140,15 +143,19 @@ def power_of_test(spec: PowerSpec) -> PowerResult:
     )
 
 
-def _chi2_start(spec: PowerSpec, target_power: float) -> int:
-    """ceil(lam_chi2 / lam1) in [2, ``_N_MAX``], or 2 if it is not finite:
-    lam_chi2 gives the chi^2 test on nu1 df the target power, and lam1 =
-    m D^2 / (2 sigma^2) is the F test's noncentrality per replication."""
+def _chi2_start(spec: PowerSpec, target_power: float) -> tuple[int, int]:
+    """(floor, start): start = ceil(lam_chi2 / lam1) in [2, ``_N_MAX``], or 2
+    if not finite, where lam_chi2 gives the chi^2 test on nu1 df the target
+    power and lam1 = m D^2 / (2 sigma^2) is lam per replication. The floor,
+    start - 1 if (start - 1) lam1 <= lam_chi2 (1 - ``_FLOOR_MARGIN``) and else
+    1, falls short: F has less power than chi^2 at equal lam (Ghosh 1973)."""
     nu1, _, m = _dfs(spec.layout, spec.effect, spec.n)
-    lam_chi2 = float(special.chndtrinc(special.chdtri(nu1, spec.alpha), nu1, 1.0 - target_power))
+    alpha = 1.0 - (1.0 - spec.alpha)  # the level of f_quantile(1 - alpha)
+    lam_chi2 = float(special.chndtrinc(special.chdtri(nu1, alpha), nu1, 1.0 - target_power))
     lam1 = m * (spec.min_diff * spec.min_diff) / (2.0 * spec.sigma2)
     n0 = lam_chi2 / lam1 if lam1 > 0 else math.inf
-    return min(max(math.ceil(n0), 2), _N_MAX) if math.isfinite(n0) else 2
+    start = min(max(math.ceil(n0), 2), _N_MAX) if math.isfinite(n0) else 2
+    return (start - 1 if (start - 1) * lam1 <= lam_chi2 * (1.0 - _FLOOR_MARGIN) else 1), start
 
 
 def min_replications(
@@ -163,8 +170,10 @@ def min_replications(
 
     Power is nondecreasing in n. From ``_chi2_start`` the search steps by 1,
     2, 4, ... down (when the start reaches the target) or up until it brackets
-    the crossing, then bisects. Raises ``ReplicationSearchError`` (carrying
-    the result at ``_N_MAX``) when even ``_N_MAX`` falls short.
+    the crossing, then bisects; the start's floor, whose lam is under the
+    chi^2 test's by the margin 1e-9, falls short unevaluated (Ghosh 1973).
+    Raises ``ReplicationSearchError`` (carrying the result at ``_N_MAX``)
+    when even ``_N_MAX`` falls short.
     """
     if not 0 < target_power < 1:
         raise ValidationError("target_power must be in (0, 1)")
@@ -172,11 +181,11 @@ def min_replications(
     def power_at(n: int) -> PowerResult:
         return power_of_test(PowerSpec(layout, effect, min_diff, sigma2, alpha, n))
 
-    hi_n = _chi2_start(PowerSpec(layout, effect, min_diff, sigma2, alpha, 2), target_power)
+    floor, hi_n = _chi2_start(PowerSpec(layout, effect, min_diff, sigma2, alpha, 2), target_power)
     hi, step = power_at(hi_n), 1
     while hi.power >= target_power:  # step down until an n falls short
-        lo_n = max(hi_n - step, 1)  # n = 1 stands below every answer, unevaluated
-        if lo_n == 1 or (res := power_at(lo_n)).power < target_power:
+        lo_n = max(hi_n - step, floor)  # the floor falls short, unevaluated
+        if lo_n == floor or (res := power_at(lo_n)).power < target_power:
             break
         hi_n, hi, step = lo_n, res, step * 2
     while hi.power < target_power:  # step up until an n reaches the target

@@ -157,15 +157,20 @@ def _scanned(layout, effect, min_diff, sigma2, alpha, target):
     raise AssertionError("no n up to 5,000 reaches the target")
 
 
-def test_min_replications_equals_a_linear_scan():
+def test_min_replications_equals_a_linear_scan(monkeypatch):
     # 40 seeded searches over a 2-level, a 4-factor and two other layouts;
     # lam per replication is drawn log-uniform, so the answers run from
-    # n = 2 to about 1,000
+    # n = 2 to about 1,000. Each runs again with a chi^2 inversion that
+    # overstates lam_chi2 by half the floor's margin, which must not move it.
+    from scipy import special
+
+    from losanova import power
+
     layouts = [FactorLayout([(f"f{i}", tuple(f"l{j}" for j in range(k)))
                              for i, k in enumerate(shape)])
                for shape in ((2,), (2, 2, 2, 2), (4, 2, 5), (3, 5))]
     rng = np.random.default_rng(20261020)
-    answers = []
+    cases = []
     for _ in range(40):
         layout = layouts[rng.integers(len(layouts))]
         effects = full_factorial_terms(layout)
@@ -177,10 +182,14 @@ def test_min_replications_equals_a_linear_scan():
         alpha = float(rng.choice([0.001, 0.01, 0.05, 0.1]))
         target = float(rng.uniform(0.5, 0.999))
         args = (layout, effect, min_diff, sigma2, alpha, target)
-        found = min_replications(*args)
-        assert found == _scanned(*args), args
-        answers.append(found.n)
-    assert min(answers) == 2 and max(answers) >= 800
+        cases.append((args, _scanned(*args)))
+    assert min(r.n for _, r in cases) == 2 and max(r.n for _, r in cases) >= 800
+    chndtrinc = special.chndtrinc
+    for scale in (1.0, 1.0 + power._FLOOR_MARGIN / 2):
+        monkeypatch.setattr(power.special, "chndtrinc",
+                            lambda x, df, p, scale=scale: scale * chndtrinc(x, df, p))
+        for args, scanned in cases:
+            assert min_replications(*args) == scanned, (scale, args)
 
 
 def test_min_replications_from_any_start(planning_layout, monkeypatch):
@@ -193,19 +202,20 @@ def test_min_replications_from_any_start(planning_layout, monkeypatch):
     expected = [min_replications(planning_layout, e, 1.0, 9.41, a, t) for e, a, t in cases]
     for (effect, alpha, target), want in zip(cases, expected):
         for start in (2, 3, want.n - 1, want.n, want.n + 1, want.n + 37, 5_000, 100_000):
-            monkeypatch.setattr(power, "_chi2_start", lambda spec, target, s=max(start, 2): s)
+            monkeypatch.setattr(power, "_chi2_start",
+                                lambda spec, target, s=max(start, 2): (1, s))
             got = min_replications(planning_layout, effect, 1.0, 9.41, alpha, target)
             assert got == want, (effect, alpha, target, start)
-    monkeypatch.setattr(power, "_chi2_start", lambda spec, target: 50_000)
+    monkeypatch.setattr(power, "_chi2_start", lambda spec, target: (1, 50_000))
     with pytest.raises(ReplicationSearchError) as exc_info:
         min_replications(planning_layout, cases[0][0], 0.001, 9.41, 0.01, 0.95)
     assert exc_info.value.best.n == 100_000
 
 
-def test_planning_grid_evaluates_power_at_most_120_times(planning_layout, monkeypatch):
-    # the benchmark's planning grid: doubling from n = 2 evaluated power 704
-    # times; the search reaches power_of_test through the module's name, the
-    # one the benchmark counts
+def test_planning_grid_evaluates_power_63_times(planning_layout, monkeypatch):
+    # the benchmark's planning grid: 49 of the 56 searches evaluate power
+    # once, at the chi^2 start, and 7 twice; the search reaches power_of_test
+    # through the module's name, the one the benchmark counts
     from losanova import power
 
     calls = []
@@ -214,7 +224,36 @@ def test_planning_grid_evaluates_power_at_most_120_times(planning_layout, monkey
     for (alpha, target), expected in PLANNING_GRID.items():
         plan = plan_all_effects(planning_layout, 1.0, 9.41, alpha, target)
         assert tuple(p.result.n for p in plan.effects) == expected
-    assert 0 < len(calls) <= 120
+    assert len(calls) == 63
+
+
+def test_chi2_floor_falls_short():
+    # the F test has less power than the chi^2 test at equal lam (Ghosh 1973),
+    # so _chi2_start's floor, whose lam is below lam_chi2, misses the target;
+    # the grid is seeded and spans alpha down to 1e-12 and answers to _N_MAX
+    from losanova import power
+
+    rng = np.random.default_rng(20261021)
+    floors = []
+    for shape in ((2,), (2, 2), (4, 2, 5), (3, 4), (2, 2, 2, 2)):
+        layout = FactorLayout([(f"f{i}", tuple(f"l{j}" for j in range(k)))
+                               for i, k in enumerate(shape)])
+        for effect in full_factorial_terms(layout):
+            m = layout.n_cells // math.prod(layout.shape[i] for i in effect.factor_indices)
+            for _ in range(12):
+                alpha = math.exp(rng.uniform(math.log(1e-12), math.log(0.2)))
+                target = float(rng.uniform(0.3, 0.9999))
+                lam1 = math.exp(rng.uniform(math.log(1e-4), math.log(30.0)))
+                sigma2 = float(rng.uniform(0.5, 10.0))
+                min_diff = math.sqrt(2.0 * sigma2 * lam1 / m)
+                spec = PowerSpec(layout, effect, min_diff, sigma2, alpha, 2)
+                floor, start = power._chi2_start(spec, target)
+                assert 1 <= floor < start
+                if floor >= 2:
+                    below = power_of_test(PowerSpec(layout, effect, min_diff, sigma2, alpha, floor))
+                    assert below.power < target, (shape, effect, alpha, target, lam1)
+                    floors.append(floor)
+    assert len(floors) >= 200 and max(floors) == power._N_MAX - 1
 
 
 def test_plan_all_effects_structure(planning_layout):
