@@ -38,8 +38,7 @@ _EXPORTS = {
     ),
     "model": ("CellTable", "Dataset", "FactorLayout", "build_dataset"),
     "posthoc": (
-        "HomogeneousSubsets", "ScheffeComparison", "homogeneous_subsets",
-        "marginal_means", "scheffe_pairwise",
+        "HomogeneousSubsets", "ScheffeComparison", "homogeneous_subsets", "scheffe_pairwise",
     ),
     "power": (
         "PowerResult", "PowerSpec", "all_effects", "effect_dfs",

@@ -33,7 +33,7 @@ from .errors import ValidationError
 from .linmod import (
     FitResult, build_design, cell_kron, effect_label, full_factorial_terms, linalg, ols_fit,
 )
-from .model import CellTable, Dataset
+from .model import CellTable
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,19 @@ class AnovaTable:
         return self.row("Error").df
 
 
-def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
+def type3_anova(cells: CellTable, max_order: int | None = None,
+                response_name: str = "response") -> AnovaTable:
     """Between-subjects table with Type III SS for all effects up to
-    ``max_order`` (defaults to the full factorial).
+    ``max_order`` (defaults to the full factorial), labelled ``response_name``.
 
     Every df comes from ``df_check`` on the cell counts, and every sum of
-    squares from one fit to the dataset's cell table, which the table keeps
-    as ``fit``. For the full model ``df_check``'s occupancy test decides
-    estimability. Below it, occupied term margins are necessary but not
-    sufficient: empty cells can still leave the design rank deficient, and
-    then the fit raises ``RankDeficiencyError``.
+    squares from one fit to ``cells``, which the table keeps as ``fit``, so
+    cell summaries need no raw data. For the full model ``df_check``'s
+    occupancy test decides estimability. Below it, occupied term margins
+    are necessary but not sufficient: empty cells can still leave the
+    design rank deficient, and then the fit raises ``RankDeficiencyError``.
     """
-    layout = d.layout
-    cells = d.cells
+    layout = cells.layout
     df = dict(df_check(cells, max_order))
     # every sum of squares below is at most the total SS, so a finite total
     # keeps the fit and the tests finite
@@ -96,11 +96,11 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
         total_ss = within_ss + float((counts * means * means).sum())
     if not math.isfinite(total_ss):
         raise ValidationError(
-            f"sums of squares overflow on the {d.response_name} scale; "
+            f"sums of squares overflow on the {response_name} scale; "
             "rescale or log-transform the response"
         )
     terms = full_factorial_terms(layout, max_order)
-    full = build_design(d, terms)
+    full = build_design(layout, terms)
     fit = ols_fit(full, cells)
     sse_full = fit.sse
     df_error = df["Error"]
@@ -134,7 +134,7 @@ def type3_anova(d: Dataset, max_order: int | None = None) -> AnovaTable:
     rows.append(AnovaRow("Error", sse_full, df_error, mse))
     rows.append(AnovaRow("Total", total_ss, df["Total"]))
     rows.append(AnovaRow("Corrected Total", corrected_total_ss, df["Corrected Total"]))
-    return AnovaTable(tuple(rows), response_name=d.response_name, fit=fit)
+    return AnovaTable(tuple(rows), response_name=response_name, fit=fit)
 
 
 def df_check(cells: CellTable, max_order: int | None = None) -> list[tuple[str, int]]:

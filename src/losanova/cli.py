@@ -149,7 +149,7 @@ def _cmd_anova(args) -> int:
         print(f"transform (auto): {chosen} [sd-mean slope {rec.slope:.3f}]")
     else:
         print(f"transform: {chosen}")
-    table = type3_anova(analysis, max_order=args.max_order)
+    table = type3_anova(analysis.cells, args.max_order, analysis.response_name)
     print(f"response: {analysis.response_name}")
     print(_table_text(*anova_rows(table)), end="")
     significant = [v.source for v in significance_summary(table, args.alpha) if v.significant]
@@ -159,12 +159,12 @@ def _cmd_anova(args) -> int:
 
 def _cmd_posthoc(args) -> int:
     from .anova import type3_anova
-    from .posthoc import homogeneous_subsets, marginal_means, scheffe_pairwise
+    from .posthoc import homogeneous_subsets, scheffe_pairwise
     from .report import _table_text, scheffe_rows, subset_rows
 
     _, analysis, _, chosen = _load_analysis(args)
-    table = type3_anova(analysis)
-    margin = marginal_means(analysis, args.factor)
+    table = type3_anova(analysis.cells, response_name=analysis.response_name)
+    margin = analysis.cells.margin(args.factor)
     comparisons = scheffe_pairwise(margin, table.ms_error, table.df_error, args.alpha)
     print(f"transform: {chosen}; response: {analysis.response_name}")
     print(_table_text(*scheffe_rows(comparisons)), end="")
@@ -220,12 +220,12 @@ def _build_bundle(args):
     from .anova import type3_anova
     from .diagnostics import residual_diagnostics
     from .linmod import coefficient_table, significant_model
-    from .posthoc import homogeneous_subsets, marginal_means, scheffe_pairwise
+    from .posthoc import homogeneous_subsets, scheffe_pairwise
     from .report import ReportBundle
 
     raw, analysis, rec, chosen = _load_analysis(args)
     rec, _ = _recommendation(raw, rec)
-    table = type3_anova(analysis)
+    table = type3_anova(analysis.cells, response_name=analysis.response_name)
     coefficients = coefficient_table(table.fit, args.alpha)
     diagnostics = residual_diagnostics(raw, analysis)
     if diagnostics["pp_plot"] is None:
@@ -236,7 +236,7 @@ def _build_bundle(args):
     for name in analysis.layout.names:
         if analysis.layout.n_levels(name) < 3:
             continue
-        margin = marginal_means(analysis, name)
+        margin = analysis.cells.margin(name)
         comparisons = scheffe_pairwise(margin, table.ms_error, table.df_error, args.alpha)
         scheffe[name] = comparisons
         subsets[name] = homogeneous_subsets(comparisons, margin, args.alpha)

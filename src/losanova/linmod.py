@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from ._lazy import LazyModule
 from .distributions import t_cdf, t_quantile
 from .errors import RankDeficiencyError, ValidationError
-from .model import CellTable, Dataset, FactorLayout
+from .model import CellTable, FactorLayout
 
 linalg = LazyModule("scipy.linalg")
 
@@ -85,17 +85,17 @@ def cell_kron(
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Coded model matrix: one labelled column per coded effect.
+    """Coded model matrix of a layout: one labelled column per coded effect.
 
-    Every column is a function of the cell, so the matrix is stored as one
-    coded row per layout cell (``cell_values``, in layout cell order);
-    ``n_rows`` is the number of observations it stands for.
+    Every column is a function of the cell, so the matrix is one coded row
+    per layout cell (``cell_values``, in layout cell order), whatever the N.
+    Only ``bench/spans.py`` reads ``n_rows``, the row count.
     """
 
     layout: FactorLayout
     labels: tuple[str, ...]
     cell_values: np.ndarray
-    n_rows: int
+    n_rows: int = field(init=False)
 
     def __post_init__(self):
         cell_values = np.asarray(self.cell_values, dtype=float)
@@ -103,6 +103,7 @@ class DesignMatrix:
             raise ValidationError("design values do not match the declared columns")
         cell_values.setflags(write=False)
         object.__setattr__(self, "cell_values", cell_values)
+        object.__setattr__(self, "n_rows", len(cell_values))
 
     @property
     def n_columns(self) -> int:
@@ -118,15 +119,14 @@ def _term_labels(layout: FactorLayout, term: Term) -> list[str]:
     ]
 
 
-def build_design(d: Dataset, terms: Sequence[Term]) -> DesignMatrix:
-    """Design matrix for a dataset: intercept, then one block per term.
+def build_design(layout: FactorLayout, terms: Sequence[Term]) -> DesignMatrix:
+    """Design matrix of a layout: intercept, then one block per term.
 
     Each block is the Kronecker product of ``eye(k)[:, :-1]`` over the term's
     factors and ``ones((k, 1))`` over the others, one row per layout cell.
     Rank deficiency (from empty cells or an over-specified formula) is not
-    detected here; it surfaces at fit time.
+    detected here; it surfaces at fit time, where the cell counts are known.
     """
-    layout = d.layout
     blocks = [
         cell_kron(layout.shape, factors, lambda k: np.eye(k)[:, :-1], lambda k: np.ones((k, 1)))
         for factors in [(), *(term.factor_indices for term in terms)]
@@ -134,9 +134,7 @@ def build_design(d: Dataset, terms: Sequence[Term]) -> DesignMatrix:
     labels = ["Intercept"]
     for term in terms:
         labels.extend(_term_labels(layout, term))
-    return DesignMatrix(
-        layout=layout, labels=tuple(labels), cell_values=np.hstack(blocks), n_rows=d.n,
-    )
+    return DesignMatrix(layout=layout, labels=tuple(labels), cell_values=np.hstack(blocks))
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ class FitResult:
 
 def ols_fit(X: DesignMatrix, cells: CellTable) -> FitResult:
     """Least-squares fit of the responses summarised by ``cells`` on the
-    design, solved by pivoted QR.
+    design of the same layout, solved by pivoted QR.
 
     The estimates depend on the responses only through the per-cell counts
     and means, so the QR runs on the occupied cell rows scaled by the square
@@ -201,11 +199,11 @@ def ols_fit(X: DesignMatrix, cells: CellTable) -> FitResult:
     Raises ``RankDeficiencyError`` naming the dependent columns when the
     design is not full rank. ``coefficient_table`` gives the inference.
     """
-    n, p = cells.n, X.n_columns
-    if cells.layout != X.layout or n != X.n_rows:
+    if cells.layout != X.layout:
         raise ValidationError(
-            f"cell table holds {n} observations, design has {X.n_rows} rows"
+            f"cell table is on layout {cells.layout.factors}, design on {X.layout.factors}"
         )
+    n, p = cells.n, X.n_columns
     occupied = cells.counts > 0
     counts = cells.counts[occupied]
     means = cells.means[occupied]

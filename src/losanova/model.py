@@ -194,7 +194,7 @@ def _cell_means(codes, values, counts, weights=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable cohort; the unit every analysis consumes.
+    """Immutable cohort: analyses read its ``cells``, diagnostics its columns.
 
     A dataset is two read-only columns in observation order: ``codes``, the
     flat cell index of each observation (layout cell order), and

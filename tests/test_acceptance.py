@@ -185,7 +185,7 @@ def test_criterion_04_internal_consistency():
 
     # the same additivity identity must hold for the engine on real data
     d = generate(reference_cohort_spec(n=4000, seed=3))
-    table = type3_anova(apply_transform(d, "logarithmic"))
+    table = type3_anova(apply_transform(d, "logarithmic").cells)
     cm = table.row("Corrected Model").ss
     err = table.row("Error").ss
     ct = table.row("Corrected Total").ss
@@ -249,7 +249,7 @@ def test_criterion_08_type3_oracle():
         layout = layouts[trial % 2]
         n = int(rng.integers(layout.n_cells + 8, 61))
         d = random_dataset(layout, n, seed=3000 + trial, min_per_cell=1)
-        table = type3_anova(d)
+        table = type3_anova(d.cells)
         oracle, sse_full = brute_force_type3(d)
         for term, ss_ref in oracle.items():
             got = table.row(_label(layout, term)).ss
@@ -269,7 +269,7 @@ def test_criterion_08_type3_oracle():
             for _ in range(3):
                 rows.append((layout.cell_names(cell), float(rng_b.normal(5.0, 1.0))))
         d = build_dataset(layout, rows)
-        table = type3_anova(d)
+        table = type3_anova(d.cells)
         for term, ss_seq in _sequential_ss(d, full_factorial_terms(layout)).items():
             got = table.row(_label(layout, term)).ss
             assert got == pytest.approx(ss_seq, rel=1e-10, abs=1e-10)
@@ -346,7 +346,7 @@ def test_criterion_10_significance_rates():
     runs = 20
     for seed in range(runs):
         d = generate(reference_cohort_spec(n=REFERENCE_TOTAL, seed=seed))
-        table = type3_anova(apply_transform(d, "logarithmic"))
+        table = type3_anova(apply_transform(d, "logarithmic").cells)
         for effect in effects:
             if table.row(effect).p < 0.01:
                 hits[effect] += 1

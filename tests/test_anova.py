@@ -7,14 +7,19 @@ import math
 import numpy as np
 import pytest
 
+from losanova import anova, linmod, posthoc
 from losanova import (
+    CellTable,
+    Dataset,
     FactorLayout,
     ValidationError,
     apply_transform,
     build_dataset,
     build_design,
     df_check,
+    generate,
     ols_fit,
+    reference_cohort_spec,
     significance_summary,
     type3_anova,
 )
@@ -84,11 +89,11 @@ def brute_force_type3(d, terms=None):
 def _sequential_ss(d, terms):
     """Type I SS via incremental fits (balanced-case oracle)."""
     included = []
-    sse_prev = ols_fit(build_design(d, []), d.cells).sse
+    sse_prev = ols_fit(build_design(d.layout, []), d.cells).sse
     out = {}
     for term in terms:
         included.append(term)
-        sse = ols_fit(build_design(d, included), d.cells).sse
+        sse = ols_fit(build_design(d.layout, included), d.cells).sse
         out[term] = sse_prev - sse
         sse_prev = sse
     return out
@@ -109,7 +114,7 @@ def test_balanced_type3_equals_sequential(two_by_two):
             for _ in range(4):
                 rows.append(((a, b), float(rng.normal(0, 1) + 5)))
     d = build_dataset(two_by_two, rows)
-    table = type3_anova(d)
+    table = type3_anova(d.cells)
     seq = _sequential_ss(d, full_factorial_terms(two_by_two))
     for term, ss_seq in seq.items():
         ss3 = table.row(_label(two_by_two, term)).ss
@@ -124,7 +129,7 @@ def test_unbalanced_2x2_matches_brute_force(two_by_two):
         + [(("a2", "b2"), 8.0), (("a2", "b2"), 6.0)]
     )
     d = build_dataset(two_by_two, rows)
-    table = type3_anova(d)
+    table = type3_anova(d.cells)
     oracle, sse_full = brute_force_type3(d)
     for term, ss_ref in oracle.items():
         got = table.row(_label(two_by_two, term)).ss
@@ -134,7 +139,7 @@ def test_unbalanced_2x2_matches_brute_force(two_by_two):
 
 def _assert_matches_oracle(d, max_order):
     terms = [t.factor_indices for t in full_factorial_terms(d.layout, max_order)]
-    table = type3_anova(d, max_order)
+    table = type3_anova(d.cells, max_order)
     oracle, sse = brute_force_type3(d, terms)
     assert [r.source for r in effect_rows(table)] == [_label(d.layout, t) for t in terms]
     for term, ss_ref in oracle.items():
@@ -211,7 +216,7 @@ def test_paper_cohort_type3_matches_50_digit_model_comparison():
     from losanova.synth import generate, reference_cohort_spec
 
     d = apply_transform(generate(reference_cohort_spec(n=82718, seed=11)), "logarithmic")
-    table = type3_anova(d)
+    table = type3_anova(d.cells)
     shape = d.layout.shape
     terms = [
         combo
@@ -240,15 +245,46 @@ def test_saturated_responses_zero_error(two_by_two):
         + [(("a2", "b2"), 4.0)] * 2
     )
     d = build_dataset(two_by_two, rows)
-    table = type3_anova(d)
+    table = type3_anova(d.cells)
     assert table.row("Error").ss == pytest.approx(0.0, abs=1e-18)
+
+
+# --- a cell table is enough input ------------------------------------------------
+
+def test_cell_table_is_enough_input(cohort_layout):
+    for module in (anova, linmod, posthoc):
+        assert not hasattr(module, "Dataset"), module.__name__
+    cohorts = [generate(reference_cohort_spec(n=8000, seed=7)),
+               random_dataset(cohort_layout, 500, seed=31, min_per_cell=1)]
+    for d in cohorts:
+        # a table built straight from the arrays is the dataset's own table
+        rebuilt = CellTable(d.layout, d.cells.counts.tolist(), d.cells.means.tolist(),
+                            d.cells.m2.tolist())
+        assert type3_anova(rebuilt).rows == type3_anova(d.cells).rows
+
+        # the two-factor margin against the observations recoded onto its layout
+        margin = d.cells.margin("season", "age_group")
+        levels = level_matrix(d)
+        recoded = Dataset(margin.layout,
+                          np.ravel_multi_index((levels[:, 1], levels[:, 2]),
+                                               margin.layout.shape),
+                          d.responses, response_name=d.response_name)
+        got = type3_anova(margin, response_name=d.response_name)
+        want = type3_anova(recoded.cells, response_name=recoded.response_name)
+        assert got.response_name == want.response_name == d.response_name
+        assert [r.source for r in got.rows] == [r.source for r in want.rows]
+        for g, w in zip(got.rows, want.rows):
+            assert g.df == w.df, g.source
+            assert g.ss == pytest.approx(w.ss, rel=1e-12, abs=0), g.source
+            if w.f is not None:
+                assert g.f == pytest.approx(w.f, rel=1e-12, abs=0), g.source
 
 
 # --- table identities ------------------------------------------------------------
 
 def test_ss_additivity_and_totals(cohort_layout):
     d = random_dataset(cohort_layout, 400, seed=13, min_per_cell=2)
-    t = type3_anova(d)
+    t = type3_anova(d.cells)
     cm, err, ct = t.row("Corrected Model"), t.row("Error"), t.row("Corrected Total")
     assert cm.ss + err.ss == pytest.approx(ct.ss, rel=1e-8)
     n = d.n
@@ -270,13 +306,13 @@ def test_effect_ss_additivity_only_when_balanced(two_by_two):
         for _ in range(c):
             unbalanced_rows.append(((a, b), float(rng.normal(5, 1) + (a == "a2") * 2)))
 
-    bal = type3_anova(build_dataset(two_by_two, balanced_rows))
+    bal = type3_anova(build_dataset(two_by_two, balanced_rows).cells)
     gap_balanced = abs(
         sum(r.ss for r in effect_rows(bal)) - bal.row("Corrected Model").ss
     )
     assert gap_balanced < 1e-8
 
-    unb = type3_anova(build_dataset(two_by_two, unbalanced_rows))
+    unb = type3_anova(build_dataset(two_by_two, unbalanced_rows).cells)
     gap_unbalanced = abs(
         sum(r.ss for r in effect_rows(unb)) - unb.row("Corrected Model").ss
     )
@@ -295,7 +331,7 @@ def test_permutation_invariance(cohort_layout):
             for i in perm
         ],
     )
-    t1, t2 = type3_anova(d), type3_anova(shuffled)
+    t1, t2 = type3_anova(d.cells), type3_anova(shuffled.cells)
     for r1, r2 in zip(t1.rows, t2.rows):
         assert r1.source == r2.source
         assert r1.ss == pytest.approx(r2.ss, rel=1e-10, abs=1e-10)
@@ -303,7 +339,7 @@ def test_permutation_invariance(cohort_layout):
 
 def test_f_and_p_columns(cohort_layout):
     d = random_dataset(cohort_layout, 300, seed=23, min_per_cell=2)
-    t = type3_anova(d)
+    t = type3_anova(d.cells)
     mse = t.ms_error
     for r in t.rows:
         if r.f is not None:
@@ -322,9 +358,9 @@ def test_empty_cell_is_named(two_by_two):
     ]
     d = build_dataset(two_by_two, rows)
     with pytest.raises(ValidationError, match="a=a2, b=b2"):
-        type3_anova(d)
+        type3_anova(d.cells)
     # without the interaction the margins are all occupied
-    table = type3_anova(d, max_order=1)
+    table = type3_anova(d.cells, max_order=1)
     assert {r.source for r in effect_rows(table)} == {"a", "b"}
 
 
@@ -336,16 +372,16 @@ def test_overflowing_sums_of_squares_are_named(two_by_two):
         d = build_dataset(two_by_two, small + [(("a1", "b1"), v) for v in huge],
                           response_name="los")
         with pytest.raises(ValidationError, match="overflow on the los scale"):
-            type3_anova(d)
+            type3_anova(d.cells, response_name="los")
         logged = apply_transform(d, "logarithmic")
-        assert math.isfinite(type3_anova(logged).row("Error").ss)
+        assert math.isfinite(type3_anova(logged.cells).row("Error").ss)
 
 
 def test_zero_error_df_refused(two_by_two):
     rows = [(("a1", "b1"), 1.0), (("a1", "b2"), 2.0), (("a2", "b1"), 3.0),
             (("a2", "b2"), 4.0)]
     with pytest.raises(ValidationError, match="error df"):
-        type3_anova(build_dataset(two_by_two, rows))
+        type3_anova(build_dataset(two_by_two, rows).cells)
 
 
 # --- df column from counts alone ---------------------------------------------------

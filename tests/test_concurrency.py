@@ -33,7 +33,7 @@ def test_concurrent_power_evaluations_agree():
 def test_concurrent_anova_on_shared_dataset(cohort_layout):
     d = random_dataset(cohort_layout, 300, seed=77, min_per_cell=2)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        tables = list(pool.map(type3_anova, [d] * 4))
+        tables = list(pool.map(type3_anova, [d.cells] * 4))
     reference = tables[0]
     for table in tables[1:]:
         for r1, r2 in zip(reference.rows, table.rows):

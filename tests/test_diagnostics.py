@@ -40,7 +40,7 @@ def test_saturated_model_zero_residuals(two_by_two):
 
 def _full_factorial_residuals(d):
     """The residuals of a reference-coded full factorial least-squares fit."""
-    X = build_design(d, full_factorial_terms(d.layout))
+    X = build_design(d.layout, full_factorial_terms(d.layout))
     return d.responses - ols_fit(X, d.cells).cell_fitted[d.codes]
 
 
@@ -86,7 +86,7 @@ def test_residual_diagnostics_series(cohort_layout, two_by_two):
 
 def test_intercept_only_residuals_center(two_by_two):
     d = random_dataset(two_by_two, 25, seed=4)
-    fit = ols_fit(build_design(d, []), d.cells)
+    fit = ols_fit(build_design(d.layout, []), d.cells)
     e = d.responses - fit.cell_fitted[d.codes]
     assert float(e.sum()) == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(e, d.responses - d.responses.mean())
@@ -94,7 +94,7 @@ def test_intercept_only_residuals_center(two_by_two):
 
 def test_residuals_match_prediction_oracle(two_by_two):
     d = random_dataset(two_by_two, 30, seed=6)
-    fit = ols_fit(build_design(d, [Term((0,)), Term((1,))]), d.cells)
+    fit = ols_fit(build_design(d.layout, [Term((0,)), Term((1,))]), d.cells)
     e = d.responses - fit.cell_fitted[d.codes]
     # the additive model fitted observation by observation
     levels = level_matrix(d)

@@ -41,7 +41,7 @@ def _cell_row(X, level_names):
 
 def test_reference_coding_rows(cohort_layout):
     d = random_dataset(cohort_layout, 60, seed=0)
-    X = build_design(d, [Term((1,))])
+    X = build_design(d.layout, [Term((1,))])
     spring = _cell_row(X, ("male", "spring", "1"))
     assert spring.tolist() == [1.0, 1.0, 0.0, 0.0]  # intercept + season(1..3)
     winter = _cell_row(X, ("male", "winter", "1"))
@@ -50,7 +50,7 @@ def test_reference_coding_rows(cohort_layout):
 
 def test_full_model_has_40_columns(cohort_layout):
     d = random_dataset(cohort_layout, 60, seed=0)
-    X = build_design(d, full_factorial_terms(cohort_layout))
+    X = build_design(d.layout, full_factorial_terms(cohort_layout))
     # 1 + (1+3+4) + (3+4+12) + 12
     assert X.n_columns == 40
     labels = list(X.labels)
@@ -61,7 +61,7 @@ def test_full_model_has_40_columns(cohort_layout):
 def test_column_count_is_levels_minus_one():
     layout = FactorLayout([("f", ("a", "b", "c", "d", "e"))])
     d = build_dataset(layout, [(("a",), 1.0), (("e",), 2.0)])
-    X = build_design(d, [Term((0,))])
+    X = build_design(d.layout, [Term((0,))])
     assert X.n_columns == 5  # intercept + 4
 
 
@@ -70,7 +70,7 @@ def test_column_count_is_levels_minus_one():
 def test_perfect_fit_zero_residuals():
     layout = FactorLayout([("f", ("a", "b"))])
     d = build_dataset(layout, [(("a",), 3.0), (("a",), 3.0), (("b",), 7.0), (("b",), 7.0)])
-    fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
+    fit = ols_fit(build_design(d.layout, [Term((0,))]), d.cells)
     assert np.allclose(d.responses - fit.cell_fitted[d.codes], 0.0, atol=1e-12)
     assert fit.df_error == 2
     assert fit.sse == pytest.approx(0.0, abs=1e-20)
@@ -80,7 +80,7 @@ def test_two_group_closed_form():
     layout = FactorLayout([("g", ("g1", "g2"))])
     rows = [(("g1",), 1.0), (("g1",), 2.0), (("g1",), 3.0), (("g2",), 4.0), (("g2",), 6.0)]
     d = build_dataset(layout, rows)
-    fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
+    fit = ols_fit(build_design(d.layout, [Term((0,))]), d.cells)
     table = coefficient_table(fit)
     intercept = table.row("Intercept")
     slope = table.row("g(1)")
@@ -97,7 +97,7 @@ def test_two_group_closed_form():
 
 def test_intercept_only_model(cohort_layout):
     d = random_dataset(cohort_layout, 40, seed=5)
-    fit = ols_fit(build_design(d, []), d.cells)
+    fit = ols_fit(build_design(d.layout, []), d.cells)
     y = d.responses
     assert coefficient_table(fit).row("Intercept").estimate == pytest.approx(float(y.mean()))
     assert fit.sse == pytest.approx(float(((y - y.mean()) ** 2).sum()))
@@ -105,7 +105,7 @@ def test_intercept_only_model(cohort_layout):
 
 def test_residual_orthogonality(cohort_layout):
     d = random_dataset(cohort_layout, 300, seed=9)
-    X = build_design(d, full_factorial_terms(cohort_layout, 2))
+    X = build_design(d.layout, full_factorial_terms(cohort_layout, 2))
     fit = ols_fit(X, d.cells)
     e = d.responses - fit.cell_fitted[d.codes]
     norm_e = np.linalg.norm(e)
@@ -120,7 +120,7 @@ def test_nesting_never_increases_sse(cohort_layout):
         d = random_dataset(cohort_layout, 150, seed=seed, min_per_cell=2)
         sse_prev = math.inf
         for order in (1, 2, 3):
-            X = build_design(d, full_factorial_terms(cohort_layout, order))
+            X = build_design(d.layout, full_factorial_terms(cohort_layout, order))
             fit = ols_fit(X, d.cells)
             assert fit.sse <= sse_prev + 1e-9
             sse_prev = fit.sse
@@ -130,7 +130,7 @@ def test_one_factor_fit_recovers_cell_means():
     layout = FactorLayout([("f", ("a", "b", "c"))])
     rows = [(("a",), 1.0), (("a",), 3.0), (("b",), 10.0), (("b",), 14.0), (("c",), 7.0)]
     d = build_dataset(layout, rows)
-    fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
+    fit = ols_fit(build_design(d.layout, [Term((0,))]), d.cells)
     np.testing.assert_allclose(fit.cell_fitted, [2.0, 12.0, 7.0])
 
 
@@ -146,18 +146,22 @@ def test_rank_deficiency_names_columns():
     too_few = [(("a1", "b1"), 1.0), (("a2", "b2"), 2.0)]
     for data in (rows, too_few):
         d = build_dataset(layout, data)
-        X = build_design(d, full_factorial_terms(layout))
+        X = build_design(d.layout, full_factorial_terms(layout))
         with pytest.raises(RankDeficiencyError) as exc_info:
             ols_fit(X, d.cells)
         assert len(exc_info.value.dependent_columns) >= 1
 
 
-def test_fit_rejects_another_datasets_cells(cohort_layout):
+def test_fit_rejects_a_cell_table_on_another_layout(cohort_layout):
     d = random_dataset(cohort_layout, 60, seed=1)
+    X = build_design(d.layout, [Term((0,))])
+    margin = d.cells.margin("season", "age_group")
+    with pytest.raises(ValidationError, match=r"layout \(\('season'.*design on \(\('gender'"):
+        ols_fit(X, margin)
+    # the design is the layout's, whatever the sample size
+    assert X.n_rows == cohort_layout.n_cells
     other = random_dataset(cohort_layout, 61, seed=2)
-    X = build_design(d, [Term((0,))])
-    with pytest.raises(ValidationError, match="61 observations"):
-        ols_fit(X, other.cells)
+    assert ols_fit(X, other.cells).df_error == 61 - X.n_columns
 
 
 def _row_level_design(layout, levels, order):
@@ -182,7 +186,7 @@ def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
     # unbalanced, with many singleton cells (70 observations over 40 cells)
     d = random_dataset(cohort_layout, 70, seed=100 + order, min_per_cell=1)
     terms = full_factorial_terms(cohort_layout, order)
-    fit = ols_fit(build_design(d, terms), d.cells)
+    fit = ols_fit(build_design(d.layout, terms), d.cells)
     X = _row_level_design(cohort_layout, level_matrix(d), order)
     y = d.responses
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
@@ -199,7 +203,7 @@ def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
     # loses the SSE to cancellation, the two-pass cell m2 keeps it
     rng = np.random.default_rng(200 + order)
     shifted = Dataset(cohort_layout, d.codes, 1e6 + rng.normal(size=d.n))
-    fit = ols_fit(build_design(shifted, terms), shifted.cells)
+    fit = ols_fit(build_design(shifted.layout, terms), shifted.cells)
     y = shifted.responses
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     r = y - X @ beta
@@ -209,7 +213,7 @@ def test_cell_fit_matches_row_level_least_squares(cohort_layout, order, coding):
 @pytest.mark.parametrize("coding", ["reference"])
 def test_cov_unscaled_is_read_only_inverse_cross_product(cohort_layout, coding):
     d = random_dataset(cohort_layout, 120, seed=31, min_per_cell=1)
-    X = build_design(d, full_factorial_terms(cohort_layout))
+    X = build_design(d.layout, full_factorial_terms(cohort_layout))
     fit = ols_fit(X, d.cells)
     xtwx = X.cell_values.T @ (X.cell_values * d.cells.counts[:, None])
     np.testing.assert_allclose(fit.cov_unscaled, np.linalg.inv(xtwx), rtol=1e-10)
@@ -221,7 +225,7 @@ def test_ci_matches_t_quantile(cohort_layout):
     from losanova import t_quantile
 
     d = random_dataset(cohort_layout, 200, seed=21)
-    fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1)), d.cells)
+    fit = ols_fit(build_design(d.layout, full_factorial_terms(cohort_layout, 1)), d.cells)
     t_crit = t_quantile(0.975, fit.df_error)
     for row in coefficient_table(fit, 0.05).rows:
         assert row.ci_low == pytest.approx(row.estimate - t_crit * row.se, rel=1e-12)
@@ -240,7 +244,7 @@ def test_large_t_p_value_matches_mpmath():
     noise = [2.0 + math.sin(1.7 * k) / 3.0 for k in range(21)]
     rows = [(("g1",), v) for v in noise] + [(("g2",), 1.0 + v) for v in noise]
     d = build_dataset(layout, rows)
-    fit = ols_fit(build_design(d, [Term((0,))]), d.cells)
+    fit = ols_fit(build_design(d.layout, [Term((0,))]), d.cells)
     row = coefficient_table(fit).row("g(1)")
     with mpmath.workdps(50):
         groups = [[mpmath.mpf(v) for v in noise], [mpmath.mpf(1.0 + v) for v in noise]]
@@ -336,7 +340,7 @@ def test_equation_string_format():
 
 def test_significant_model_on_real_fit(cohort_layout):
     d = random_dataset(cohort_layout, 150, seed=2)
-    fit = ols_fit(build_design(d, full_factorial_terms(cohort_layout, 1)),
+    fit = ols_fit(build_design(d.layout, full_factorial_terms(cohort_layout, 1)),
                   d.cells)
     for alpha in (0.01, 0.05, 0.5):
         table = coefficient_table(fit, alpha)

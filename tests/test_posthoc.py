@@ -15,7 +15,6 @@ from losanova import (
     f_sf,
     generate,
     homogeneous_subsets,
-    marginal_means,
     reference_cohort_spec,
     scheffe_pairwise,
     t_cdf,
@@ -159,9 +158,9 @@ def test_scheffe_pairwise_matches_scalar_formulas():
             raw = generate(reference_cohort_spec(n=n, seed=seed))
             for transform in ("none", "logarithmic"):
                 d = apply_transform(raw, transform)
-                table = type3_anova(d)
+                table = type3_anova(d.cells)
                 for factor in d.layout.names:
-                    margin = marginal_means(d, factor)
+                    margin = d.cells.margin(factor)
                     for alpha in (0.01, 0.05):
                         got = scheffe_pairwise(margin, table.ms_error, table.df_error, alpha)
                         want = _scalar_scheffe(margin, table.ms_error, table.df_error, alpha)
@@ -179,7 +178,7 @@ def test_scheffe_pairwise_matches_scalar_formulas():
 def test_antisymmetry_and_duality(cohort_layout):
     d = random_dataset(cohort_layout, 400, seed=31, min_per_cell=2)
     for alpha in (0.01, 0.05, 0.2):
-        comparisons = scheffe_pairwise(marginal_means(d, "season"), 1.3, 360, alpha=alpha)
+        comparisons = scheffe_pairwise(d.cells.margin("season"), 1.3, 360, alpha=alpha)
         by_pair = {(c.level_i, c.level_j): c for c in comparisons}
         for (i, j), c in by_pair.items():
             r = by_pair[(j, i)]
@@ -194,7 +193,7 @@ def test_antisymmetry_and_duality(cohort_layout):
 def test_scheffe_dominates_plain_t(cohort_layout):
     d = random_dataset(cohort_layout, 300, seed=37, min_per_cell=2)
     mse, dfe = 0.9, 260
-    comparisons = scheffe_pairwise(marginal_means(d, "age_group"), mse, dfe, alpha=0.05)
+    comparisons = scheffe_pairwise(d.cells.margin("age_group"), mse, dfe, alpha=0.05)
     for c in comparisons:
         t = abs(c.diff) / c.se
         p_t = 2.0 * (1.0 - t_cdf(t, dfe))
@@ -210,7 +209,7 @@ def test_shift_invariance(cohort_layout):
             for levels, y in zip(level_matrix(d), d.responses)
         ],
     )
-    m1, m2 = marginal_means(d, "season"), marginal_means(shifted, "season")
+    m1, m2 = d.cells.margin("season"), shifted.cells.margin("season")
     c1 = scheffe_pairwise(m1, 1.1, 200, alpha=0.05)
     c2 = scheffe_pairwise(m2, 1.1, 200, alpha=0.05)
     for a, b in zip(c1, c2):
@@ -247,7 +246,7 @@ def test_subsets_match_brute_force_oracle(cohort_layout):
         factor = ("season", "age_group")[trial % 2]
         alpha = float(rng.choice([0.01, 0.05, 0.3, 0.6]))
         mse = float(rng.uniform(0.4, 2.0))
-        margin = marginal_means(d, factor)
+        margin = d.cells.margin(factor)
         comparisons = scheffe_pairwise(margin, mse, 100, alpha=alpha)
         got = homogeneous_subsets(comparisons, margin, alpha=alpha)
         levels = margin.layout.levels(0)
@@ -274,7 +273,7 @@ def test_marginal_means_single_observation_per_level():
         (("male", "winter", "1"), 9.0),
     ]
     d = build_dataset(layout, rows)
-    margin = marginal_means(d, "season")
+    margin = d.cells.margin("season")
     assert margin.layout.names == ("season",)
     assert _by_level(margin, margin.means) == {
         "spring": 4.0, "summer": 6.5, "autumn": 2.0, "winter": 9.0}
@@ -284,7 +283,7 @@ def test_marginal_means_random_recount(cohort_layout):
     d = random_dataset(cohort_layout, 200, seed=61)
     for factor in cohort_layout.names:
         fi = cohort_layout.factor_index(factor)
-        margin = marginal_means(d, factor)
+        margin = d.cells.margin(factor)
         for level, n, mean in zip(margin.layout.levels(0), margin.counts, margin.means):
             members = [
                 y for levels, y in zip(level_matrix(d), d.responses)
@@ -301,9 +300,9 @@ def test_marginal_counts_reproduce_reference_n_column():
     for (g, s, a), count in REFERENCE_CELL_COUNTS.items():
         rows.extend([((g, s, a), 1.0)] * count)
     d = build_dataset(layout, rows)
-    ages = marginal_means(d, "age_group")
+    ages = d.cells.margin("age_group")
     assert _by_level(ages, ages.counts) == AGE_COUNTS
-    seasons = marginal_means(d, "season")
+    seasons = d.cells.margin("season")
     assert _by_level(seasons, seasons.counts) == SEASON_COUNTS
     # the cohort-sized dataset also reproduces the full frequency marginals
     gender = d.cells.margin("gender")
@@ -319,7 +318,7 @@ def test_zero_count_level_rejected(cohort_layout):
     rows = [(("male", "spring", "1"), 2.0), (("male", "spring", "2"), 3.0)]
     d = build_dataset(cohort_layout, rows)
     with pytest.raises(ValidationError, match="level 'summer' of 'season' has no observations"):
-        scheffe_pairwise(marginal_means(d, "season"), 1.0, 10, 0.05)
+        scheffe_pairwise(d.cells.margin("season"), 1.0, 10, 0.05)
 
 
 def test_scheffe_input_guards():
