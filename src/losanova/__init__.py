@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "anova": ("AnovaTable", "df_check", "significance_summary", "type3_anova"),
+    "anova": ("AnovaTable", "df_check", "significance_summary", "type3_anova", "type3_contrast",
+              "wald"),
     "diagnostics": (
         "apply_transform", "pp_plot", "residual_diagnostics", "residual_histogram",
         "residual_vs_fitted", "residuals", "sd_mean_regression",

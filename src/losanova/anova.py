@@ -8,14 +8,15 @@ V = (X'WX)^-1 of the cell-level design X. For an effect, C is the Kronecker
 product over the factors of [I, -1] for its factors and 1'/k for the others
 (1'/k for all of them gives the intercept), and with L = C X its SS is
 
-    SS = (Lb)' (L V L')^-1 (Lb).
+    SS = (Lb)' (L V L')^-1 (Lb) = wald(type3_contrast(layout, factors) @ X, fit).
 
-This equals the reduced-versus-full comparison SSE(sum-to-zero coded model
-minus the effect's columns) - SSE(model), with every other term present in
-both, but needs no refit and no difference of two large error sums of
-squares. It reproduces the between-subjects tables of the major statistics
-packages on designs with all cells occupied and is directly checkable
-against a brute-force least-squares oracle.
+This Wald statistic of L b = 0, for the Intercept and every effect row,
+equals the reduced-versus-full comparison SSE(sum-to-zero coded model minus
+the effect's columns) - SSE(model), with every other term present in both,
+but needs no refit and no difference of two large error sums of squares. It
+reproduces the between-subjects tables of the major statistics packages on
+designs with all cells occupied and is directly checkable against a
+brute-force least-squares oracle.
 
 On unbalanced data the individual effect SS do not generally add up to the
 corrected-model SS; no such additivity is assumed anywhere.
@@ -33,7 +34,7 @@ from .errors import ValidationError
 from .linmod import (
     FitResult, build_design, cell_kron, effect_label, full_factorial_terms, linalg, ols_fit,
 )
-from .model import CellTable
+from .model import CellTable, FactorLayout
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ def type3_anova(cells: CellTable, max_order: int | None = None,
     occupancy test decides estimability. Below it, occupied term margins
     are necessary but not sufficient: empty cells can still leave the
     design rank deficient, and then the fit raises ``RankDeficiencyError``.
+    An error SS of 0 leaves F undefined and raises ``ValidationError``.
     """
     layout = cells.layout
     df = dict(df_check(cells, max_order))
@@ -105,36 +107,52 @@ def type3_anova(cells: CellTable, max_order: int | None = None,
     sse_full = fit.sse
     df_error = df["Error"]
     mse = sse_full / df_error
+    if not mse > 0:
+        raise ValidationError(
+            f"error sum of squares is 0 on the {response_name} scale, so F is undefined; "
+            "the responses have no within-cell spread or are too small to square"
+        )
 
     grand_mean = float((counts * means).sum()) / cells.n
     corrected_total_ss = within_ss + float((counts * (means - grand_mean) ** 2).sum())
     corrected_model_ss = corrected_total_ss - sse_full
 
-    def contrast_ss(factors) -> float:
-        L = cell_kron(
-            layout.shape, factors,
-            lambda k: np.hstack([np.eye(k - 1), -np.ones((k - 1, 1))]),
-            lambda k: np.ones((1, k)) / k,
-        ) @ full.cell_values
-        lb = L @ fit.estimates
-        return float(lb @ linalg.solve(L @ fit.cov_unscaled @ L.T, lb, assume_a="pos"))
-
-    def row(source: str, ss: float) -> AnovaRow:
+    tested = {"Corrected Model": corrected_model_ss}
+    for source, factors in [("Intercept", ()),
+                            *((effect_label(layout, t), t.factor_indices) for t in terms)]:
+        tested[source], _ = wald(type3_contrast(layout, factors) @ full.cell_values, fit)
+    rows = []
+    for source, ss in tested.items():
         ms = ss / df[source]
         f = ms / mse
-        return AnovaRow(source, ss, df[source], ms, f, f_sf(f, df[source], df_error))
-
-    rows = [
-        row("Corrected Model", corrected_model_ss),
-        row("Intercept", contrast_ss(())),
-    ]
-    rows.extend(row(effect_label(layout, term), contrast_ss(term.factor_indices))
-                for term in terms)
-
+        rows.append(AnovaRow(source, ss, df[source], ms, f, f_sf(f, df[source], df_error)))
     rows.append(AnovaRow("Error", sse_full, df_error, mse))
     rows.append(AnovaRow("Total", total_ss, df["Total"]))
     rows.append(AnovaRow("Corrected Total", corrected_total_ss, df["Corrected Total"]))
     return AnovaTable(tuple(rows), response_name=response_name, fit=fit)
+
+
+def type3_contrast(layout: FactorLayout, factors: tuple[int, ...]) -> np.ndarray:
+    """Type III contrast C of the effect crossing ``factors``, on the cell
+    means: the Kronecker product of [I, -1] over those factors and 1'/k over
+    the others, one row per contrast and one column per layout cell (layout
+    cell order). ``factors == ()`` gives the intercept's row, 1'/n_cells."""
+    return cell_kron(
+        layout.shape, factors,
+        lambda k: np.hstack([np.eye(k - 1), -np.ones((k - 1, 1))]),
+        lambda k: np.ones((1, k)) / k,
+    )
+
+
+def wald(L: np.ndarray, fit: FitResult) -> tuple[float, int]:
+    """Sum of squares (Lb)'(L V L')^-1 (Lb) of the hypothesis L b = 0, and its
+    df, the rows of L: b and V = (X'WX)^-1 are the fit's estimates and
+    unscaled covariance, and L has one column per design column."""
+    if np.ndim(L) != 2 or np.shape(L)[1] != fit.design.n_columns:
+        raise ValidationError(f"L must have {fit.design.n_columns} columns, one per design "
+                              f"column; got shape {np.shape(L)}")
+    lb = L @ fit.estimates
+    return float(lb @ linalg.solve(L @ fit.cov_unscaled @ L.T, lb, assume_a="pos")), len(L)
 
 
 def df_check(cells: CellTable, max_order: int | None = None) -> list[tuple[str, int]]:

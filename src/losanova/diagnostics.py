@@ -229,8 +229,13 @@ def sd_mean_regression(cells: CellTable) -> TransformRecommendation:
     n_usable = int(usable.sum())
     excluded = int((n > 0).sum()) - n_usable
     if n_usable < 3:
+        flat_means = mean[(n >= 2) & (sd == 0)]
+        underflow = flat_means.size and ((flat_means > 0) & (flat_means < 2.0**-511)).all()
         raise ValidationError(
             f"need at least 3 cells with n >= 2, positive mean and sd > 0; got {n_usable}"
+            + ("; every cell with sd = 0 has a mean below 2**-511, where the responses' "
+               "squared deviations underflow: use --transform log10 or rescale the response"
+               if underflow else "")
         )
     x = np.log10(mean[usable])
     y = np.log10(sd[usable])

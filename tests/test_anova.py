@@ -16,12 +16,15 @@ from losanova import (
     apply_transform,
     build_dataset,
     build_design,
+    coefficient_table,
     df_check,
     generate,
     ols_fit,
     reference_cohort_spec,
     significance_summary,
     type3_anova,
+    type3_contrast,
+    wald,
 )
 from losanova.anova import AnovaRow, AnovaTable
 from losanova.linmod import Term, full_factorial_terms
@@ -280,6 +283,65 @@ def test_cell_table_is_enough_input(cohort_layout):
                 assert g.f == pytest.approx(w.f, rel=1e-12, abs=0), g.source
 
 
+# --- every row is one Wald statistic ------------------------------------------------
+
+def _wald_cohorts():
+    """A log10 reference cohort and a small unbalanced one on the 2x3x2 layout."""
+    return [apply_transform(generate(reference_cohort_spec(n=8000, seed=7)), "logarithmic"),
+            random_dataset(_ORACLE_LAYOUTS[1], 60, seed=41, min_per_cell=2)]
+
+
+def test_wald_of_one_coefficient_is_its_t_squared():
+    for d in _wald_cohorts():
+        fit = type3_anova(d.cells).fit
+        p = fit.design.n_columns
+        for i, row in enumerate(coefficient_table(fit).rows):
+            ss, df = wald(np.eye(p)[[i]], fit)
+            assert df == 1
+            assert ss == pytest.approx(row.t ** 2 * fit.mse, rel=1e-12, abs=0), row.label
+
+
+def test_joint_wald_is_the_brute_force_model_comparison():
+    # the first factor's main effect stacked on its interaction with the
+    # third, against dropping both terms' sum-to-zero columns at once
+    for d in _wald_cohorts():
+        layout = d.layout
+        fit = type3_anova(d.cells).fit
+        L = np.vstack([type3_contrast(layout, (0,)), type3_contrast(layout, (0, 2))])
+        ss, df = wald(L @ fit.design.cell_values, fit)
+
+        terms = [t.factor_indices for t in full_factorial_terms(layout)]
+        X, owners = _oracle_design(level_matrix(d), layout.shape, terms)
+        keep = [i for i, owner in enumerate(owners) if owner not in {(0,), (0, 2)}]
+        exact = _oracle_sse(X[:, keep], d.responses) - _oracle_sse(X, d.responses)
+        assert df == len(owners) - len(keep)
+        assert ss == pytest.approx(exact, rel=1e-10, abs=0)
+
+
+def test_wald_df_is_the_df_check_column():
+    for d in _wald_cohorts():
+        layout = d.layout
+        for max_order in (1, 2, None):
+            fit = type3_anova(d.cells, max_order).fit
+            want = dict(df_check(d.cells, max_order))
+            sources = [("Intercept", ())] + [
+                (_label(layout, t), t.factor_indices)
+                for t in full_factorial_terms(layout, max_order)
+            ]
+            for source, factors in sources:
+                _, df = wald(type3_contrast(layout, factors) @ fit.design.cell_values, fit)
+                assert df == want[source], (max_order, source)
+
+
+def test_wald_refuses_a_contrast_of_another_width(two_by_two):
+    d = random_dataset(two_by_two, 20, seed=3, min_per_cell=2)
+    fit = type3_anova(d.cells).fit
+    for L in (np.ones((1, fit.design.n_columns + 1)), np.ones(fit.design.n_columns),
+              type3_contrast(two_by_two, (0,))[:, :-1]):
+        with pytest.raises(ValidationError, match="4 columns, one per design column"):
+            wald(L, fit)
+
+
 # --- table identities ------------------------------------------------------------
 
 def test_ss_additivity_and_totals(cohort_layout):
@@ -375,6 +437,21 @@ def test_overflowing_sums_of_squares_are_named(two_by_two):
             type3_anova(d.cells, response_name="los")
         logged = apply_transform(d, "logarithmic")
         assert math.isfinite(type3_anova(logged.cells).row("Error").ss)
+
+
+def test_zero_error_ss_is_refused(two_by_two):
+    # distinct responses near 1e-300, and subnormal ones near 1e-310: their
+    # squared deviations underflow, so every m2 and the SSE are exactly 0
+    for scale in (1e-300, 1e-310):
+        rows = [((a, b), scale * (1.0 + j / 4)) for a in ("a1", "a2")
+                for b in ("b1", "b2") for j in range(3)]
+        d = build_dataset(two_by_two, rows, response_name="los")
+        assert np.ptp(d.responses) > 0 and (d.cells.m2 == 0).all()
+        with pytest.raises(ValidationError, match="error sum of squares is 0 on the los "
+                           "scale, so F is undefined"):
+            type3_anova(d.cells, response_name="los")
+        logged = apply_transform(d, "logarithmic")
+        assert type3_anova(logged.cells).row("Error").ss > 0
 
 
 def test_zero_error_df_refused(two_by_two):

@@ -445,6 +445,29 @@ def test_diagnose_without_transform_of_residual_free_cells(tmp_path, capsys):
             "error: residuals have zero variance; P-P plot undefined\n")
 
 
+@pytest.mark.parametrize("low", [1e-300, 1e-310])
+def test_responses_too_small_to_square(low, tmp_path, capsys):
+    # 3 distinct responses per cell, uniform in [low, 2 low]: on the raw scale
+    # their squared deviations underflow to 0, so F is undefined
+    rng = np.random.default_rng(23)
+    path = _cohort_file(tmp_path / "tiny.csv",
+                        lambda i: rng.uniform(low, 2 * low, 3).tolist())
+    commands = [["anova"], ["posthoc", "--factor", "age_group"],
+                ["report", "--format", "json"]]
+    for command in commands:
+        argv = [*command, "--input", str(path), "--transform"]
+        assert cli_main([*argv, "none"]) == 1
+        assert capsys.readouterr().err == (
+            "error: error sum of squares is 0 on the los scale, so F is undefined; "
+            "the responses have no within-cell spread or are too small to square\n")
+        assert cli_main([*argv, "auto"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need at least 3 cells") and err.count("\n") == 1
+        assert "squared deviations underflow: use --transform log10" in err
+        assert cli_main([*argv, "log10"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_diagnose_accepts_an_empty_cell(tmp_path, capsys):
     # residuals from cell means need no estimable design; report's Type III
     # table still refuses the empty cell
