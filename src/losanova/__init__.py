@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "distributions": (
         "f_cdf", "f_quantile", "f_sf", "noncentral_f_cdf", "normal_cdf",
-        "normal_quantile", "reg_inc_beta", "t_cdf", "t_quantile",
+        "normal_quantile", "t_cdf", "t_quantile",
     ),
     "errors": (
         "LosanovaError", "NumericalError", "RankDeficiencyError",
@@ -42,8 +42,8 @@ _EXPORTS = {
         "HomogeneousSubsets", "ScheffeComparison", "homogeneous_subsets", "scheffe_pairwise",
     ),
     "power": (
-        "PowerResult", "PowerSpec", "all_effects", "effect_dfs",
-        "min_replications", "oc_table", "phi_squared", "plan_all_effects", "power_of_test",
+        "PowerResult", "PowerSpec", "all_effects", "min_replications", "oc_table",
+        "plan_all_effects", "power_of_test",
     ),
     "report": ("ReportBundle", "render_report", "write_report_dir"),
     "synth": (

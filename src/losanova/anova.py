@@ -32,7 +32,8 @@ import numpy as np
 from .distributions import f_sf
 from .errors import ValidationError
 from .linmod import (
-    FitResult, build_design, cell_kron, effect_label, full_factorial_terms, linalg, ols_fit,
+    FitResult, build_design, cell_kron, effect_df, effect_label, full_factorial_terms, linalg,
+    ols_fit,
 )
 from .model import CellTable, FactorLayout
 
@@ -176,11 +177,7 @@ def df_check(cells: CellTable, max_order: int | None = None) -> list[tuple[str, 
                 f"every cell spanned by a model term must be occupied; empty: {cell}"
             )
     n = cells.n
-    effect_dfs = [
-        (effect_label(layout, term),
-         int(np.prod([layout.n_levels(i) - 1 for i in term.factor_indices])))
-        for term in terms
-    ]
+    effect_dfs = [(effect_label(layout, term), effect_df(layout, term)) for term in terms]
     model_df = sum(df for _, df in effect_dfs)
     error_df = n - model_df - 1
     if error_df < 1:

@@ -105,7 +105,7 @@ def _cmd_power(args) -> int:
         )
         print(_table_text(*power_rows([result])), end="")
         print(
-            f"\nsmallest n with power >= {args.target_power:g} for "
+            f"\nsmallest n with power >= {args.target_power!r} for "
             f"{effect_label(layout, effect)}: {result.n}"
         )
     return 0

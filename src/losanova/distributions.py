@@ -1,18 +1,17 @@
-"""Special functions and distributions underpinning every test in the package:
-regularized incomplete beta, normal, Student t, central F, and noncentral F.
+"""Distributions underpinning every test in the package: normal, Student t,
+central F, and noncentral F.
 
-The central F and t and the incomplete beta are thin wrappers over
-``scipy.special``: domain errors raise ``ValidationError``, and a NaN from
-scipy raises ``NumericalError``. The noncentral F stays in-house, as a
-Poisson mixture of ``betainc`` terms over a window from the Poisson Chernoff
-bounds, evaluating only the terms not saturated at 1 or 0, because
-``scipy.special.ncfdtr`` (scipy 1.17.1) returns NaN at 65 of the
-4,312 points of the planning OC sweep, all at noncentralities over 1,285,
-where the type II error underflows to 0.0. The normal CDF and
-quantile apply ``math`` per element, because ``synth``'s seeded stream runs
-through them. ``scipy.special`` is bound on first use, at the first call that
-needs it, so importing this module does not import scipy. Everything here is
-pure and stateless, safe for concurrent use.
+The central F and t are thin wrappers over ``scipy.special``: domain errors
+raise ``ValidationError``, and a NaN from scipy raises ``NumericalError``.
+The noncentral F stays in-house, as a Poisson mixture of ``betainc`` terms
+over a window from the Poisson Chernoff bounds, evaluating only the terms not
+saturated at 1 or 0, because ``scipy.special.ncfdtr`` (scipy 1.17.1) returns
+NaN at 65 of the 4,312 points of the planning OC sweep, all at
+noncentralities over 1,285, where the type II error underflows to 0.0. The
+normal CDF and quantile apply ``math`` per element, because ``synth``'s seeded
+stream runs through them. ``scipy.special`` is bound on first use, at the
+first call that needs it, so importing this module does not import scipy.
+Everything here is pure and stateless, safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -41,15 +40,6 @@ def _defined(value, name: str, *args) -> float:
     if math.isnan(out := float(value)):
         raise NumericalError(f"{name} is undefined at {', '.join(map(repr, args))}")
     return out
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if not (a > 0 and b > 0):
-        raise ValidationError(f"reg_inc_beta requires a, b > 0, got a={a!r}, b={b!r}")
-    if math.isnan(x) or x < 0.0 or x > 1.0:
-        raise ValidationError(f"reg_inc_beta requires x in [0, 1], got {x!r}")
-    return _defined(special.betainc(a, b, x), "reg_inc_beta", x, a, b)
 
 
 def f_cdf(x: float, nu1: float, nu2: float) -> float:

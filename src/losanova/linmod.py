@@ -51,6 +51,11 @@ def effect_label(layout: FactorLayout, term: Term) -> str:
     return " * ".join(layout.names[i] for i in term.factor_indices)
 
 
+def effect_df(layout: FactorLayout, term: Term) -> int:
+    """The term's numerator df: the product of (k - 1) over its factors."""
+    return math.prod([layout.shape[i] - 1 for i in term.factor_indices])
+
+
 def full_factorial_terms(layout: FactorLayout, max_order: int | None = None) -> list[Term]:
     """All main effects and interactions up to ``max_order``, hierarchical by
     construction."""

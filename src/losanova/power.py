@@ -13,12 +13,11 @@ the classical operating-characteristic charts, computed here exactly instead
 of being read off a printed curve.
 
 ``min_replications`` starts where the chi^2 test on nu1 df, the F test's
-limit as nu2 grows, reaches the target power (Patnaik 1949): lam grows
-linearly in n, so that n is the answer or a few below it. The n below it is
-known short when its lam is under the chi^2 one by a margin (1e-9, relative):
-the F test has less power than the chi^2 test at equal lam (Ghosh 1973).
-Stepping and bisecting give the n a scan from n = 2 finds, in 63 power
-evaluations on the benchmark's planning grid, where doubling took 704.
+limit as nu2 grows, reaches the target power (Patnaik 1949), less a margin
+(1e-9, relative): lam grows linearly in n, and the F test has less power than
+the chi^2 test at equal lam (Ghosh 1973), so every n below the start falls
+short and the search only climbs. Stepping up and bisecting give the n a scan
+from n = 2 finds, in 63 power evaluations on the benchmark's planning grid.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Sequence
 
 from .distributions import f_quantile, noncentral_f_cdf, special
 from .errors import ReplicationSearchError, ValidationError
-from .linmod import Term, effect_label, full_factorial_terms
+from .linmod import Term, effect_df, effect_label, full_factorial_terms
 from .model import FactorLayout
 
 
@@ -92,47 +91,19 @@ class PowerResult:
     power: float
 
 
-def _dfs(layout: FactorLayout, effect: Term, n: int) -> tuple[int, int, int]:
-    """(nu1, nu2, m) for the effect with n per cell: numerator and denominator
-    df, and m, the product of the level counts of the factors it leaves out."""
-    if n < 2:
-        raise ValidationError("n must be >= 2")
-    nu1 = inside = 1
-    for i in effect.factor_indices:
-        nu1 *= layout.shape[i] - 1
-        inside *= layout.shape[i]
-    return nu1, layout.n_cells * (n - 1), layout.n_cells // inside
-
-
-def effect_dfs(layout: FactorLayout, effect: Term, n: int) -> tuple[int, int]:
-    """(numerator, denominator) df for a balanced design with n per cell, for
-    an effect of ``layout``; a factor index outside it raises ``ValidationError``."""
-    for i in effect.factor_indices:
-        layout.factor_index(i)
-    return _dfs(layout, effect, n)[:2]
-
-
-def _sizes(spec: PowerSpec) -> tuple[int, int, float]:
-    """(nu1, nu2, phi^2) of ``spec``."""
-    nu1, nu2, m = _dfs(spec.layout, spec.effect, spec.n)
-    # a product, not **, so a huge min_diff gives inf instead of OverflowError
-    return nu1, nu2, spec.n * m * (spec.min_diff * spec.min_diff) / (2.0 * spec.sigma2 * (nu1 + 1))
-
-
-def phi_squared(spec: PowerSpec) -> float:
-    """Standardized effect size phi^2 for a difference of ``min_diff`` between
-    two level means of the effect."""
-    return _sizes(spec)[2]
-
-
 def power_of_test(spec: PowerSpec) -> PowerResult:
-    """Exact power of the effect's F test via the noncentral F distribution."""
-    nu1, nu2, phi2 = _sizes(spec)
+    """Exact power of the effect's F test via the noncentral F distribution:
+    the one place nu1, nu2, phi^2 and lam are derived from a spec."""
+    layout, effect, n = spec.layout, spec.effect, spec.n
+    nu1, nu2 = effect_df(layout, effect), layout.n_cells * (n - 1)
+    m = layout.n_cells // math.prod([layout.shape[i] for i in effect.factor_indices])
+    # a product, not **, so a huge min_diff gives inf instead of OverflowError
+    phi2 = n * m * (spec.min_diff * spec.min_diff) / (2.0 * spec.sigma2 * (nu1 + 1))
     lam = (nu1 + 1) * phi2
     crit = f_quantile(1.0 - spec.alpha, nu1, nu2)
     beta = noncentral_f_cdf(crit, nu1, nu2, lam)
     return PowerResult(
-        n=spec.n,
+        n=n,
         phi2=phi2,
         phi=math.sqrt(phi2),
         nu1=nu1,
@@ -143,19 +114,20 @@ def power_of_test(spec: PowerSpec) -> PowerResult:
     )
 
 
-def _chi2_start(spec: PowerSpec, target_power: float) -> tuple[int, int]:
-    """(floor, start): start = ceil(lam_chi2 / lam1) in [2, ``_N_MAX``], or 2
-    if not finite, where lam_chi2 gives the chi^2 test on nu1 df the target
-    power and lam1 = m D^2 / (2 sigma^2) is lam per replication. The floor,
-    start - 1 if (start - 1) lam1 <= lam_chi2 (1 - ``_FLOOR_MARGIN``) and else
-    1, falls short: F has less power than chi^2 at equal lam (Ghosh 1973)."""
-    nu1, _, m = _dfs(spec.layout, spec.effect, spec.n)
+def _chi2_start(spec: PowerSpec, target_power: float) -> int:
+    """ceil(n0 (1 - ``_FLOOR_MARGIN``)) in [2, ``_N_MAX``], or 2 if not
+    finite, where n0 = lam_chi2 / lam1: lam_chi2 gives the chi^2 test on nu1
+    df the target power and lam1 = m D^2 / (2 sigma^2) is lam per replication.
+    Every n below the start has lam under lam_chi2 by the margin, so it falls
+    short: F has less power than chi^2 at equal lam (Ghosh 1973)."""
+    layout, effect = spec.layout, spec.effect
+    nu1 = effect_df(layout, effect)
+    m = layout.n_cells // math.prod([layout.shape[i] for i in effect.factor_indices])
     alpha = 1.0 - (1.0 - spec.alpha)  # the level of f_quantile(1 - alpha)
     lam_chi2 = float(special.chndtrinc(special.chdtri(nu1, alpha), nu1, 1.0 - target_power))
     lam1 = m * (spec.min_diff * spec.min_diff) / (2.0 * spec.sigma2)
-    n0 = lam_chi2 / lam1 if lam1 > 0 else math.inf
-    start = min(max(math.ceil(n0), 2), _N_MAX) if math.isfinite(n0) else 2
-    return (start - 1 if (start - 1) * lam1 <= lam_chi2 * (1.0 - _FLOOR_MARGIN) else 1), start
+    n0 = lam_chi2 / lam1 * (1.0 - _FLOOR_MARGIN) if lam1 > 0 else math.inf
+    return min(max(math.ceil(n0), 2), _N_MAX) if math.isfinite(n0) else 2
 
 
 def min_replications(
@@ -168,10 +140,9 @@ def min_replications(
 ) -> PowerResult:
     """Smallest n <= ``_N_MAX`` whose power reaches ``target_power``.
 
-    Power is nondecreasing in n. From ``_chi2_start`` the search steps by 1,
-    2, 4, ... down (when the start reaches the target) or up until it brackets
-    the crossing, then bisects; the start's floor, whose lam is under the
-    chi^2 test's by the margin 1e-9, falls short unevaluated (Ghosh 1973).
+    Power is nondecreasing in n, and every n below ``_chi2_start`` falls
+    short unevaluated (Ghosh 1973), so the search only climbs: from the start
+    it steps up by 1, 2, 4, ... until it brackets the crossing, then bisects.
     Raises ``ReplicationSearchError`` (carrying the result at ``_N_MAX``)
     when even ``_N_MAX`` falls short.
     """
@@ -181,13 +152,8 @@ def min_replications(
     def power_at(n: int) -> PowerResult:
         return power_of_test(PowerSpec(layout, effect, min_diff, sigma2, alpha, n))
 
-    floor, hi_n = _chi2_start(PowerSpec(layout, effect, min_diff, sigma2, alpha, 2), target_power)
-    hi, step = power_at(hi_n), 1
-    while hi.power >= target_power:  # step down until an n falls short
-        lo_n = max(hi_n - step, floor)  # the floor falls short, unevaluated
-        if lo_n == floor or (res := power_at(lo_n)).power < target_power:
-            break
-        hi_n, hi, step = lo_n, res, step * 2
+    hi_n = _chi2_start(PowerSpec(layout, effect, min_diff, sigma2, alpha, 2), target_power)
+    lo_n, hi, step = hi_n - 1, power_at(hi_n), 1  # lo_n falls short, unevaluated
     while hi.power < target_power:  # step up until an n reaches the target
         if hi_n >= _N_MAX:
             raise ReplicationSearchError(target_power, _N_MAX, hi)

@@ -21,6 +21,7 @@ from losanova import (
     generate,
     ols_fit,
     reference_cohort_spec,
+    sd_mean_regression,
     significance_summary,
     type3_anova,
     type3_contrast,
@@ -397,6 +398,42 @@ def test_permutation_invariance(cohort_layout):
     for r1, r2 in zip(t1.rows, t2.rows):
         assert r1.source == r2.source
         assert r1.ss == pytest.approx(r2.ss, rel=1e-10, abs=1e-10)
+
+
+# 30 seeded exponents in [-200, 200], then both ends and +-1
+_SCALE_EXPONENTS = [*np.random.default_rng(20261020).integers(-200, 201, 30).tolist(),
+                    -200, -1, 1, 200]
+
+
+def test_scaling_by_a_power_of_two_changes_no_verdict():
+    # y * 2^k is exact, and every statistic scales by an exact power of two,
+    # so the raw-scale F and p, the subsets and the transform choice are
+    # bit-identical; the subsets' means scale by 2^k
+    d = generate(reference_cohort_spec(n=8000, seed=3))
+
+    def verdicts(cells):
+        table = type3_anova(cells)
+        subsets = []
+        for factor in ("season", "age_group"):
+            margin = cells.margin(factor)
+            pairs = posthoc.scheffe_pairwise(margin, table.ms_error, table.df_error, 0.05)
+            subsets.append(posthoc.homogeneous_subsets(pairs, margin, 0.05))
+        return ([(r.source, r.f, r.p) for r in table.rows], subsets,
+                sd_mean_regression(cells).transform)
+
+    rows, subsets, transform = verdicts(d.cells)
+    assert transform == "reciprocal_square_root" and len(rows) == 12
+    assert [len(s.subsets) for s in subsets] == [1, 2]
+    for k in _SCALE_EXPONENTS:
+        scaled = Dataset(d.layout, d.codes, np.ldexp(d.responses, k), d.response_name)
+        got_rows, got_subsets, got_transform = verdicts(scaled.cells)
+        assert repr(got_rows) == repr(rows), k
+        assert got_transform == transform, k
+        for got, want in zip(got_subsets, subsets):
+            assert [(s.levels, s.significance) for s in got.subsets] \
+                == [(s.levels, s.significance) for s in want.subsets], k
+            assert [math.ldexp(m, -k) for s in got.subsets for m in s.means] \
+                == [m for s in want.subsets for m in s.means], k
 
 
 def test_f_and_p_columns(cohort_layout):

@@ -48,6 +48,21 @@ def test_power_replication_search(capsys):
     assert "smallest n" in out and ": 43" in out
 
 
+@pytest.mark.parametrize("target, shown, n", [
+    ("0.95", "0.95", 33), ("0.123456", "0.123456", 3),
+    ("0.9999999999999999", "0.9999999999999999", 221),
+])
+def test_power_prints_the_target_in_full(target, shown, n, capsys):
+    # ":g" printed 0.9999999999999999 as "1", a target no n can reach
+    code = cli_main([
+        "power", "--levels", "4,2,5", "--min-diff", "1", "--sigma2", "9.41",
+        "--effect", "season", "--target-power", target,
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith(f"\nsmallest n with power >= {shown} for season: {n}\n")
+
+
 def test_power_all_effects(capsys):
     code = cli_main([
         "power", "--levels", "4,2,5", "--min-diff", "1", "--sigma2", "9.41",

@@ -16,11 +16,9 @@ from losanova import (
     PowerSpec,
     ReplicationSearchError,
     ValidationError,
-    effect_dfs,
     f_quantile,
     min_replications,
     oc_table,
-    phi_squared,
     plan_all_effects,
     power_of_test,
 )
@@ -46,38 +44,38 @@ def season_spec(planning_layout, n, alpha=0.01):
 
 def test_phi_squared_reference_rows(planning_layout):
     # phi^2 = n*g*a*D^2 / (2*s*sigma^2) = 0.1328 n for the season main effect
-    spec10 = season_spec(planning_layout, 10)
-    assert phi_squared(spec10) == pytest.approx(1.328, abs=5e-4)
-    assert math.sqrt(phi_squared(spec10)) == pytest.approx(1.1523, abs=5e-4)
-    spec43 = season_spec(planning_layout, 43)
-    assert math.sqrt(phi_squared(spec43)) == pytest.approx(2.3896, abs=5e-4)
-    assert phi_squared(spec10) / 10 == pytest.approx(0.1328, abs=5e-5)
+    phi2_10 = power_of_test(season_spec(planning_layout, 10)).phi2
+    assert phi2_10 == pytest.approx(1.328, abs=5e-4)
+    assert math.sqrt(phi2_10) == pytest.approx(1.1523, abs=5e-4)
+    phi2_43 = power_of_test(season_spec(planning_layout, 43)).phi2
+    assert math.sqrt(phi2_43) == pytest.approx(2.3896, abs=5e-4)
+    assert phi2_10 / 10 == pytest.approx(0.1328, abs=5e-5)
 
 
 def test_phi_squared_zero_difference(planning_layout):
     effect = parse_effect(planning_layout, "season")
     spec = PowerSpec(planning_layout, effect, min_diff=0.0, sigma2=9.41, alpha=0.01, n=10)
-    assert phi_squared(spec) == 0.0
+    assert power_of_test(spec).phi2 == 0.0
 
 
 def test_effect_dfs(planning_layout):
-    season = parse_effect(planning_layout, "season")
-    assert effect_dfs(planning_layout, season, 10) == (3, 360)
-    assert effect_dfs(planning_layout, season, 43) == (3, 1680)
-    three_way = parse_effect(planning_layout, "gender*season*age_group")
-    assert effect_dfs(planning_layout, three_way, 10)[0] == 12
-    two_way = parse_effect(planning_layout, "gender*age_group")
-    assert effect_dfs(planning_layout, two_way, 5)[0] == 4
+    def dfs(effect, n):
+        res = power_of_test(PowerSpec(planning_layout, parse_effect(planning_layout, effect),
+                                      min_diff=1.0, sigma2=9.41, alpha=0.01, n=n))
+        return res.nu1, res.nu2
+
+    assert dfs("season", 10) == (3, 360)
+    assert dfs("season", 43) == (3, 1680)
+    assert dfs("gender*season*age_group", 10)[0] == 12
+    assert dfs("gender*age_group", 5)[0] == 4
 
 
 @pytest.mark.parametrize("index", [7, -1])
-def test_effect_dfs_rejects_a_factor_index_out_of_range(planning_layout, index):
-    # index 7 used to raise IndexError, and -1 to give the last factor's dfs;
-    # every public path that takes an effect raises the same error
+def test_power_spec_rejects_a_factor_index_out_of_range(planning_layout, index):
+    # PowerSpec checks the effect's factor indices, so power_of_test never
+    # reads a level count outside the layout (index -1 would read the last)
     effect = Term((index,))
     message = rf"^factor index {index} out of range$"
-    with pytest.raises(ValidationError, match=message):
-        effect_dfs(planning_layout, effect, 10)
     with pytest.raises(ValidationError, match=message):
         min_replications(planning_layout, effect, 1.0, 9.41, 0.05, 0.95)
     with pytest.raises(ValidationError, match=message):
@@ -193,20 +191,21 @@ def test_min_replications_equals_a_linear_scan(monkeypatch):
 
 
 def test_min_replications_from_any_start(planning_layout, monkeypatch):
-    # the stepping and the bisection bracket the crossing from any start,
-    # below it, at it or above it, up to _N_MAX
+    # the stepping and the bisection bracket the crossing from any start at
+    # or below it, up to _N_MAX; _chi2_start certifies every n below its
+    # start short, so a start above the crossing cannot occur
     from losanova import power
 
     cases = [(effect, alpha, target) for effect in full_factorial_terms(planning_layout)[::3]
              for alpha, target in ((0.01, 0.95), (0.05, 0.5))]
     expected = [min_replications(planning_layout, e, 1.0, 9.41, a, t) for e, a, t in cases]
     for (effect, alpha, target), want in zip(cases, expected):
-        for start in (2, 3, want.n - 1, want.n, want.n + 1, want.n + 37, 5_000, 100_000):
+        for start in (2, 3, want.n - 1, want.n):
             monkeypatch.setattr(power, "_chi2_start",
-                                lambda spec, target, s=max(start, 2): (1, s))
+                                lambda spec, target, s=max(start, 2): s)
             got = min_replications(planning_layout, effect, 1.0, 9.41, alpha, target)
             assert got == want, (effect, alpha, target, start)
-    monkeypatch.setattr(power, "_chi2_start", lambda spec, target: (1, 50_000))
+    monkeypatch.setattr(power, "_chi2_start", lambda spec, target: 50_000)
     with pytest.raises(ReplicationSearchError) as exc_info:
         min_replications(planning_layout, cases[0][0], 0.001, 9.41, 0.01, 0.95)
     assert exc_info.value.best.n == 100_000
@@ -229,8 +228,9 @@ def test_planning_grid_evaluates_power_63_times(planning_layout, monkeypatch):
 
 def test_chi2_floor_falls_short():
     # the F test has less power than the chi^2 test at equal lam (Ghosh 1973),
-    # so _chi2_start's floor, whose lam is below lam_chi2, misses the target;
-    # the grid is seeded and spans alpha down to 1e-12 and answers to _N_MAX
+    # so the n below _chi2_start's start, whose lam is below lam_chi2, misses
+    # the target; the grid is seeded and spans alpha down to 1e-12 and
+    # answers to _N_MAX
     from losanova import power
 
     rng = np.random.default_rng(20261021)
@@ -247,9 +247,9 @@ def test_chi2_floor_falls_short():
                 sigma2 = float(rng.uniform(0.5, 10.0))
                 min_diff = math.sqrt(2.0 * sigma2 * lam1 / m)
                 spec = PowerSpec(layout, effect, min_diff, sigma2, alpha, 2)
-                floor, start = power._chi2_start(spec, target)
-                assert 1 <= floor < start
-                if floor >= 2:
+                start = power._chi2_start(spec, target)
+                assert 2 <= start <= power._N_MAX
+                if (floor := start - 1) >= 2:
                     below = power_of_test(PowerSpec(layout, effect, min_diff, sigma2, alpha, floor))
                     assert below.power < target, (shape, effect, alpha, target, lam1)
                     floors.append(floor)
