@@ -32,8 +32,7 @@ import numpy as np
 from .distributions import f_sf
 from .errors import ValidationError
 from .linmod import (
-    FitResult, build_design, cell_kron, effect_df, effect_label, full_factorial_terms, linalg,
-    ols_fit,
+    FitResult, build_design, cell_kron, effect_df, effect_label, full_factorial_terms, ols_fit,
 )
 from .model import CellTable, FactorLayout
 
@@ -148,12 +147,14 @@ def type3_contrast(layout: FactorLayout, factors: tuple[int, ...]) -> np.ndarray
 def wald(L: np.ndarray, fit: FitResult) -> tuple[float, int]:
     """Sum of squares (Lb)'(L V L')^-1 (Lb) of the hypothesis L b = 0, and its
     df, the rows of L: b and V = (X'WX)^-1 are the fit's estimates and
-    unscaled covariance, and L has one column per design column."""
+    unscaled covariance. L has one column per design column and independent rows."""
     if np.ndim(L) != 2 or np.shape(L)[1] != fit.design.n_columns:
         raise ValidationError(f"L must have {fit.design.n_columns} columns, one per design "
                               f"column; got shape {np.shape(L)}")
+    if (rank := np.linalg.matrix_rank(L)) < len(L):
+        raise ValidationError(f"the {len(L)} rows of L are linearly dependent (rank {rank})")
     lb = L @ fit.estimates
-    return float(lb @ linalg.solve(L @ fit.cov_unscaled @ L.T, lb, assume_a="pos")), len(L)
+    return float(lb @ np.linalg.solve(L @ fit.cov_unscaled @ L.T, lb)), len(L)
 
 
 def df_check(cells: CellTable, max_order: int | None = None) -> list[tuple[str, int]]:

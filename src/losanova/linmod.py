@@ -1,5 +1,5 @@
 """Ordinary least squares on coded factorial designs: design-matrix
-construction, fitting via pivoted QR (never via explicit cross-product
+construction, fitting via Householder QR (never via explicit cross-product
 inversion), and coefficient inference on a fit.
 
 Designs use reference coding: one 0/1 dummy per non-reference level, with
@@ -20,14 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._lazy import LazyModule
 from .distributions import t_cdf, t_quantile
 from .errors import RankDeficiencyError, ValidationError
 from .model import CellTable, FactorLayout
 
-linalg = LazyModule("scipy.linalg")
-
-# relative tolerance on the pivoted-QR diagonal for the rank decision
+# a column is dependent when its distance from the span of the columns before
+# it is at most this times the largest column norm
 _RANK_RTOL = 1e-10
 
 
@@ -192,17 +190,19 @@ class FitResult:
 
 def ols_fit(X: DesignMatrix, cells: CellTable) -> FitResult:
     """Least-squares fit of the responses summarised by ``cells`` on the
-    design of the same layout, solved by pivoted QR.
+    design of the same layout, solved by Householder QR.
 
     The estimates depend on the responses only through the per-cell counts
     and means, so the QR runs on the occupied cell rows scaled by the square
     root of their counts: that matrix has the same cross-product and column
-    norms as the observation-level matrix, hence the same R, pivots, rank
-    decision and estimates. The SSE is the within-cell part plus the
+    norms as the observation-level matrix, hence the same R (up to row
+    signs), rank decision and estimates. The estimates and ``cov_unscaled``
+    both come from R's inverse. The SSE is the within-cell part plus the
     count-weighted gaps: sum(m2) + sum(n_c (mean_c - fitted_c)^2).
 
-    Raises ``RankDeficiencyError`` naming the dependent columns when the
-    design is not full rank. ``coefficient_table`` gives the inference.
+    Raises ``RankDeficiencyError`` naming, in design order, each column
+    within tolerance of the span of the independent columns before it when
+    the design is not full rank. ``coefficient_table`` gives the inference.
     """
     if cells.layout != X.layout:
         raise ValidationError(
@@ -213,31 +213,28 @@ def ols_fit(X: DesignMatrix, cells: CellTable) -> FitResult:
     counts = cells.counts[occupied]
     means = cells.means[occupied]
     root = np.sqrt(counts)
-    q, r, piv = linalg.qr(
-        X.cell_values[occupied] * root[:, None], mode="economic", pivoting=True
-    )
-    diag = np.abs(np.diag(r))
-    rank = int((diag > _RANK_RTOL * diag[0]).sum()) if diag.size else 0
-    if rank < p:
-        dependent = [X.labels[piv[i]] for i in range(rank, p)]
-        raise RankDeficiencyError(dependent)
+    a = X.cell_values[occupied] * root[:, None]
+    q, r = np.linalg.qr(a)
+    # |R_jj| is column j's distance from the span of the columns before it
+    tol = _RANK_RTOL * np.linalg.norm(a, axis=0).max()
+    if len(r) < p or (np.abs(np.diag(r)) <= tol).any():
+        # past a dependent column R's diagonal no longer measures distance,
+        # so name each column within tol of the span of the kept ones
+        kept: list[int] = []
+        for j in range(p):
+            if np.linalg.norm(np.linalg.qr(a[:, kept + [j]], mode="r")[len(kept):, -1]) > tol:
+                kept.append(j)
+        raise RankDeficiencyError([X.labels[j] for j in range(p) if j not in kept])
 
-    qty = q.T @ (means * root)
-    b_piv = linalg.solve_triangular(r, qty)
-    estimates = np.empty(p)
-    estimates[piv] = b_piv
-
+    r_inv = np.linalg.inv(r)
+    estimates = r_inv @ (q.T @ (means * root))
     cell_fitted = X.cell_values @ estimates
     cell_fitted.setflags(write=False)
     gap = means - cell_fitted[occupied]
     sse = float(cells.m2.sum() + (counts * gap * gap).sum())
     df_error = n - p
     mse = sse / df_error if df_error > 0 else float("nan")
-
-    r_inv = linalg.solve_triangular(r, np.eye(p))
-    cov_unscaled_piv = r_inv @ r_inv.T
-    cov_unscaled = np.empty((p, p))
-    cov_unscaled[np.ix_(piv, piv)] = cov_unscaled_piv
+    cov_unscaled = r_inv @ r_inv.T
     cov_unscaled.setflags(write=False)
 
     return FitResult(

@@ -49,9 +49,13 @@ def _dev_main_columns(codes, k):
     ]
 
 
-def _oracle_design(levels, shape, terms):
+def _reference_main_columns(codes, k):
+    return [(codes == j).astype(float) for j in range(k - 1)]
+
+
+def _oracle_design(levels, shape, terms, main_columns=_dev_main_columns):
     n = levels.shape[0]
-    mains = [_dev_main_columns(levels[:, f], k) for f, k in enumerate(shape)]
+    mains = [main_columns(levels[:, f], k) for f, k in enumerate(shape)]
     cols = [np.ones(n)]
     owners = [None]
     for term in terms:
@@ -191,18 +195,25 @@ def test_reduced_models_with_empty_cells_match_oracle():
     assert len({order for _, order in checked}) == 2 and len(checked) >= 40
 
 
-def _mp_gap_sse(X, counts, means):
-    """sum n_c (mean_c - fitted_c)^2 of the count-weighted least-squares fit of
-    the cell means on X, from the normal equations in mpmath (X'NX is an
-    exact integer matrix)."""
+def _mp_normal_equations(X, counts, means):
+    """X'NX (an exact integer matrix) and the count-weighted least-squares
+    coefficients of the cell means on the integer matrix X, solved in mpmath."""
     import mpmath
 
-    X = X.astype(np.int64)
     xtwx = mpmath.matrix(((X.T * counts) @ X).tolist())
     weighted = [int(n) * m for n, m in zip(counts, means)]
     xtwy = mpmath.matrix([mpmath.fsum(int(x) * w for x, w in zip(col, weighted))
                           for col in X.T])
-    beta = mpmath.cholesky_solve(xtwx, xtwy)
+    return xtwx, mpmath.cholesky_solve(xtwx, xtwy)
+
+
+def _mp_gap_sse(X, counts, means):
+    """sum n_c (mean_c - fitted_c)^2 of the count-weighted least-squares fit of
+    the cell means on X, in mpmath."""
+    import mpmath
+
+    X = X.astype(np.int64)
+    _, beta = _mp_normal_equations(X, counts, means)
     total = mpmath.mpf(0)
     for row, n, m in zip(X, counts, means):
         gap = m - mpmath.fsum(int(x) * b for x, b in zip(row, beta))
@@ -238,6 +249,37 @@ def test_paper_cohort_type3_matches_50_digit_model_comparison():
             exact = _mp_gap_sse(X_full[:, keep], counts, means) - sse_full
             source = "Intercept" if term is None else _label(d.layout, term)
             assert table.row(source).ss == pytest.approx(float(exact), rel=2e-13), source
+
+
+@pytest.mark.parametrize("cohort", ["paper log10", "paper none", "oracle layout"])
+def test_fit_matches_50_digit_normal_equations(cohort):
+    """The fit's estimates and (X'NX)^-1 against the normal equations solved
+    at 50 digits on the cell means, with the reference-coded design encoded
+    here: the seed-11 N = 82,718 cohort under log10 and no transform, and an
+    unbalanced 2x3x2 cohort at max order 2. Each is within 1e-11 of the
+    largest |entry|."""
+    import mpmath
+
+    from losanova.diagnostics import apply_transform
+
+    if cohort == "oracle layout":
+        d, max_order = random_dataset(_ORACLE_LAYOUTS[1], 60, seed=43, min_per_cell=1), 2
+    else:
+        d, max_order = generate(reference_cohort_spec(n=82718, seed=11)), None
+        d = apply_transform(d, "logarithmic" if cohort == "paper log10" else "none")
+    layout = d.layout
+    terms = full_factorial_terms(layout, max_order)
+    fit = ols_fit(build_design(layout, terms), d.cells)
+    cell_levels = np.indices(layout.shape).reshape(layout.n_factors, -1).T
+    X, _ = _oracle_design(cell_levels, layout.shape, [t.factor_indices for t in terms],
+                          _reference_main_columns)
+    with mpmath.workdps(50):
+        means = [mpmath.mpf(float(m)) for m in d.cells.means]
+        xtwx, beta = _mp_normal_equations(X.astype(np.int64), d.cells.counts, means)
+        exact_cov = np.array(mpmath.inverse(xtwx).tolist(), dtype=float)
+    exact_estimates = np.array([float(b) for b in beta])
+    for got, exact in ((fit.estimates, exact_estimates), (fit.cov_unscaled, exact_cov)):
+        assert np.abs(got - exact).max() <= 1e-11 * np.abs(exact).max()
 
 
 def test_saturated_responses_zero_error(two_by_two):
@@ -341,6 +383,17 @@ def test_wald_refuses_a_contrast_of_another_width(two_by_two):
               type3_contrast(two_by_two, (0,))[:, :-1]):
         with pytest.raises(ValidationError, match="4 columns, one per design column"):
             wald(L, fit)
+
+
+def test_wald_refuses_linearly_dependent_rows():
+    # season's contrast with the sum of its first two rows appended: solving
+    # its singular L V L' would give an SS on 4 df for a 3-df hypothesis
+    d = generate(reference_cohort_spec(n=8000, seed=7))
+    fit = type3_anova(d.cells).fit
+    L = type3_contrast(d.layout, (d.layout.names.index("season"),)) @ fit.design.cell_values
+    assert wald(L, fit)[1] == 3
+    with pytest.raises(ValidationError, match=r"the 4 rows of L are linearly dependent \(rank 3\)"):
+        wald(np.vstack([L, L[0] + L[1]]), fit)
 
 
 # --- table identities ------------------------------------------------------------

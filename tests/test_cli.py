@@ -759,3 +759,18 @@ def test_fresh_report_loads_scipy_and_writes_the_same_artifacts(cohort_csv, tmp_
     assert files == sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
     for rel in files:
         assert (here / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+
+
+# appended to _FRESH_CLI: whether a scipy.linalg module was imported
+_LINALG = """
+print(any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["anova"], ["posthoc", "--factor", "season"], ["report", "--out", "{tmp}/report"],
+])
+def test_fresh_analysis_leaves_scipy_linalg_unloaded(cohort_csv, tmp_path, argv):
+    # the fit and the Wald test need only numpy.linalg
+    argv = [argv[0], "--input", str(cohort_csv), *(a.format(tmp=tmp_path) for a in argv[1:])]
+    assert _fresh(_FRESH_CLI + _LINALG, *argv).splitlines() == ["0 True", "False"]

@@ -142,14 +142,19 @@ def test_rank_deficiency_names_columns():
         (("a1", "b2"), 3.0), (("a1", "b2"), 2.5),
         (("a2", "b1"), 4.0), (("a2", "b1"), 5.0),
     ]
-    # fewer observations (2) than columns (4)
+    # fewer occupied cells (2) than columns (4): b(1) repeats a(1)
     too_few = [(("a1", "b1"), 1.0), (("a2", "b2"), 2.0)]
-    for data in (rows, too_few):
+    # only a2 observed, main effects: a(1) is zero, and b(1) is not named
+    # although R's diagonal, past a(1), need not show its distance
+    only_a2 = [(("a2", "b1"), 1.0), (("a2", "b1"), 2.0), (("a2", "b2"), 3.0)]
+    for data, max_order, dependent in ((rows, 2, ("a(1) * b(1)",)),
+                                       (too_few, 2, ("b(1)", "a(1) * b(1)")),
+                                       (only_a2, 1, ("a(1)",))):
         d = build_dataset(layout, data)
-        X = build_design(d.layout, full_factorial_terms(layout))
+        X = build_design(d.layout, full_factorial_terms(layout, max_order))
         with pytest.raises(RankDeficiencyError) as exc_info:
             ols_fit(X, d.cells)
-        assert len(exc_info.value.dependent_columns) >= 1
+        assert exc_info.value.dependent_columns == dependent
 
 
 def test_fit_rejects_a_cell_table_on_another_layout(cohort_layout):
