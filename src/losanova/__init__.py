@@ -24,8 +24,8 @@ _EXPORTS = {
         "residual_vs_fitted", "residuals", "sd_mean_regression",
     ),
     "distributions": (
-        "f_cdf", "f_quantile", "f_sf", "noncentral_f_cdf", "normal_cdf",
-        "normal_quantile", "t_cdf", "t_quantile",
+        "f_quantile", "f_sf", "noncentral_f_cdf", "normal_cdf", "normal_quantile",
+        "t_cdf", "t_quantile",
     ),
     "errors": (
         "LosanovaError", "NumericalError", "RankDeficiencyError",

@@ -123,36 +123,42 @@ def _cmd_synth(args) -> int:
 
 
 def _load_analysis(args):
-    """Shared ingest + transform front end for the analysis subcommands."""
+    """Shared ingest + transform front end for the analysis subcommands:
+    (raw, analysis, rec, reason, chosen). ``rec`` is the sd-mean regression's
+    recommendation. ``auto`` needs it, so its failure propagates there; under
+    a forced transform ``rec`` is then None and ``reason`` says why."""
     from .diagnostics import apply_transform, sd_mean_regression
     from .ingest import ingest_csv
 
     raw = ingest_csv(args.input, use_date_season=getattr(args, "season_from_date", False))
-    rec = None
-    if args.transform == "auto":
+    rec = reason = None
+    try:
         rec = sd_mean_regression(raw.cells)
+    except ValidationError as exc:
+        if args.transform == "auto":
+            raise
+        reason = str(exc)
+    if args.transform == "auto":
         chosen = rec.transform
-    elif args.transform == "log10":
-        chosen = "logarithmic"
     else:
-        chosen = "none"
+        chosen = "logarithmic" if args.transform == "log10" else "none"
     analysis = apply_transform(raw, chosen)
-    return raw, analysis, rec, chosen
+    return raw, analysis, rec, reason, chosen
 
 
 def _cmd_anova(args) -> int:
     from .anova import significance_summary, type3_anova
     from .report import _table_text, anova_rows
 
-    _, analysis, rec, chosen = _load_analysis(args)
-    if rec is not None:
+    _, analysis, rec, _, chosen = _load_analysis(args)
+    table = type3_anova(analysis.cells, args.max_order, analysis.response_name)
+    significant = [v.source for v in significance_summary(table, args.alpha) if v.significant]
+    if args.transform == "auto":
         print(f"transform (auto): {chosen} [sd-mean slope {rec.slope:.3f}]")
     else:
         print(f"transform: {chosen}")
-    table = type3_anova(analysis.cells, args.max_order, analysis.response_name)
     print(f"response: {analysis.response_name}")
     print(_table_text(*anova_rows(table)), end="")
-    significant = [v.source for v in significance_summary(table, args.alpha) if v.significant]
     print(f"\nsignificant at alpha={args.alpha:g}: {', '.join(significant) or 'none'}")
     return 0
 
@@ -162,29 +168,16 @@ def _cmd_posthoc(args) -> int:
     from .posthoc import homogeneous_subsets, scheffe_pairwise
     from .report import _table_text, scheffe_rows, subset_rows
 
-    _, analysis, _, chosen = _load_analysis(args)
+    _, analysis, _, _, chosen = _load_analysis(args)
     table = type3_anova(analysis.cells, response_name=analysis.response_name)
     margin = analysis.cells.margin(args.factor)
     comparisons = scheffe_pairwise(margin, table.ms_error, table.df_error, args.alpha)
+    subsets = homogeneous_subsets(comparisons, margin, args.alpha)
     print(f"transform: {chosen}; response: {analysis.response_name}")
     print(_table_text(*scheffe_rows(comparisons)), end="")
-    subsets = homogeneous_subsets(comparisons, margin, args.alpha)
     print()
     print(_table_text(*subset_rows(subsets, margin)), end="")
     return 0
-
-
-def _recommendation(raw, rec):
-    """``auto``'s recommendation ``rec``, or else the sd-mean regression's,
-    which a forced transform does not need: (None, why) if it fails."""
-    from .diagnostics import sd_mean_regression
-
-    if rec is not None:
-        return rec, None
-    try:
-        return sd_mean_regression(raw.cells), None
-    except ValidationError as exc:
-        return None, str(exc)
 
 
 def _funnel_text(spread) -> str:
@@ -195,14 +188,13 @@ def _cmd_diagnose(args) -> int:
     from .diagnostics import residual_diagnostics
     from .report import _table_text, transform_rows
 
-    raw, analysis, rec, chosen = _load_analysis(args)
+    raw, analysis, rec, reason, chosen = _load_analysis(args)
     series = residual_diagnostics(raw, analysis)
     # without a transform the raw scale is the analysis scale
     hist_raw = series.get("raw_residual_histogram", series["residual_histogram"])
     spread_raw = series.get("raw_residual_vs_fitted", series["residual_vs_fitted"])
     print(f"raw-scale model: funnel ratio {_funnel_text(spread_raw)}")
     print(f"raw residual histogram: {len(hist_raw.counts)} bins, N={hist_raw.n}")
-    rec, reason = _recommendation(raw, rec)
     if rec is None:
         print(f"transform recommendation unavailable: {reason}")
     else:
@@ -223,8 +215,7 @@ def _build_bundle(args):
     from .posthoc import homogeneous_subsets, scheffe_pairwise
     from .report import ReportBundle
 
-    raw, analysis, rec, chosen = _load_analysis(args)
-    rec, _ = _recommendation(raw, rec)
+    raw, analysis, rec, _, chosen = _load_analysis(args)
     table = type3_anova(analysis.cells, response_name=analysis.response_name)
     coefficients = coefficient_table(table.fit, args.alpha)
     diagnostics = residual_diagnostics(raw, analysis)

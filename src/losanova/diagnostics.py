@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import normal_cdf
 from .errors import ValidationError
-from .model import CellTable, Dataset
+from .model import CellTable, Dataset, frozen
 
 # map and response-name pattern of each transform
 _MAPS = {
@@ -60,14 +60,6 @@ class HistogramData:
         return int(sum(self.counts))
 
 
-def _freeze_series(obj, *names: str) -> None:
-    """Store the named fields of a frozen series as read-only float64 arrays."""
-    for name in names:
-        array = np.array(getattr(obj, name), dtype=float)
-        array.setflags(write=False)
-        object.__setattr__(obj, name, array)
-
-
 @dataclass(frozen=True, eq=False)
 class PPPlotData:
     """Empirical vs theoretical normal probabilities of sorted residuals, as
@@ -79,7 +71,8 @@ class PPPlotData:
     max_abs_deviation: float
 
     def __post_init__(self):
-        _freeze_series(self, "empirical", "theoretical")
+        object.__setattr__(self, "empirical", frozen(self.empirical))
+        object.__setattr__(self, "theoretical", frozen(self.theoretical))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +91,8 @@ class ResidualSpread:
     funnel_ratio: float | None
 
     def __post_init__(self):
-        _freeze_series(self, "fitted", "residuals")
+        object.__setattr__(self, "fitted", frozen(self.fitted))
+        object.__setattr__(self, "residuals", frozen(self.residuals))
 
 
 @dataclass(frozen=True)

@@ -42,17 +42,6 @@ def _defined(value, name: str, *args) -> float:
     return out
 
 
-def f_cdf(x: float, nu1: float, nu2: float) -> float:
-    """CDF of the central F distribution."""
-    if not (nu1 > 0 and nu2 > 0):
-        raise ValidationError("f_cdf requires nu1 > 0 and nu2 > 0")
-    if math.isnan(x):
-        raise ValidationError("f_cdf: x is NaN")
-    if x <= 0.0:
-        return 0.0
-    return _defined(special.fdtr(nu1, nu2, x), "f_cdf", x, nu1, nu2)
-
-
 def f_sf(x: float, nu1: float, nu2: float) -> float:
     """Survival function 1 - CDF, computed without cancellation in the far tail."""
     if not (nu1 > 0 and nu2 > 0):
@@ -65,7 +54,8 @@ def f_sf(x: float, nu1: float, nu2: float) -> float:
 
 
 def f_quantile(p: float, nu1: float, nu2: float) -> float:
-    """Quantile of the central F distribution, the inverse of ``f_cdf``."""
+    """Quantile of the central F distribution, the inverse of
+    ``noncentral_f_cdf`` at lam = 0."""
     if not (nu1 > 0 and nu2 > 0):
         raise ValidationError("f_quantile requires nu1 > 0 and nu2 > 0")
     if not 0.0 < p < 1.0:
@@ -115,8 +105,8 @@ def normal_cdf(z):
     return out if np.ndim(z) else float(out[0])
 
 
-# Acklam's rational approximation to the standard normal quantile,
-# polished below with one Halley step to full double accuracy.
+# Acklam's rational approximation to the standard normal quantile (relative
+# error about 1.2e-9), polished below with one Halley step.
 _ACKLAM_A = (
     -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
     1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
@@ -144,10 +134,19 @@ def _acklam_tail(q: np.ndarray) -> np.ndarray:
 
 
 def normal_quantile(p):
-    """Standard normal quantile; round-trips with ``normal_cdf`` within 1e-9.
+    """Standard normal quantile: Acklam's approximation plus one Halley step.
 
     ``p`` is a float or a 1-D array; an array gives an array, equal element
-    by element to the scalar results.
+    by element to the scalar results. ``synth``'s seeded stream runs through
+    it, so its numerics are frozen.
+
+    Measured against 60-digit mpmath on 606 seeded points: at most 1e-15
+    absolute error for 0.02425 <= p <= 0.97575, and 2.3e-16 relative below
+    that, down to p = 1e-300. Above 0.97575 the step's residual
+    ``normal_cdf(x) - p`` cancels, so the error grows as p nears 1: at most
+    4.4e-13 absolute while 1 - p >= 1e-5, 4.3e-10 while 1 - p >= 1e-8, and
+    8.4e-9 absolute (1.1e-9 relative) up to 1 - 2**-53. Below p = 1e-300 or
+    so (|x| >= 37) the step is skipped: up to 1.8e-9 relative.
     """
     u = np.atleast_1d(np.asarray(p, dtype=float))
     bad = ~((0.0 < u) & (u < 1.0))
@@ -167,7 +166,7 @@ def normal_quantile(p):
     )
     x[high] = -_acklam_tail(np.sqrt(-2.0 * _each(math.log1p, -u[high])))
     # one Halley refinement step; skipped in the far tails where the density
-    # underflows (the rational approximation alone is accurate there)
+    # underflows, leaving the rational approximation's own error there
     step = np.abs(x) < 37.0
     xs = x[step]
     e = normal_cdf(xs) - u[step]
@@ -206,8 +205,8 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
     isqrt(window)-th j finds the terms at 1 to double precision, whose mass
     comes from one ``pdtr`` call, and those at 0, which are dropped; one
     ``betainc`` call and log-space weights cover the terms between, so
-    extreme noncentralities stay in range. Nonincreasing in lam for fixed x;
-    reduces exactly to ``f_cdf`` at lam = 0.
+    extreme noncentralities stay in range. Nonincreasing in lam for fixed x.
+    At lam = 0 it is the central F CDF, ``special.fdtr``.
 
     Within 2e-12 of a 50-digit evaluation up to lam = 5e3; beyond, rounding of
     the log-space weights grows with lam (up to 1.4e-11 at lam = 2e4). The window
@@ -227,12 +226,12 @@ def noncentral_f_cdf(x: float, nu1: float, nu2: float, lam: float) -> float:
         raise ValidationError(f"noncentral_f_cdf requires lam >= 0, got {lam!r}")
     if math.isnan(x):
         raise ValidationError("noncentral_f_cdf: x is NaN")
-    if lam == 0.0:
-        return f_cdf(x, nu1, nu2)
     if x <= 0.0:
         return 0.0
     if math.isinf(x):
         return 1.0
+    if lam == 0.0:
+        return _defined(special.fdtr(nu1, nu2, x), "noncentral_f_cdf", x, nu1, nu2, lam)
 
     a, b = nu1 / 2.0, nu2 / 2.0
     y = 1.0 / (1.0 + nu2 / nu1 / x)  # nu1 * x / (nu1 * x + nu2), which can overflow

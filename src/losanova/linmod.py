@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import t_cdf, t_quantile
 from .errors import RankDeficiencyError, ValidationError
-from .model import CellTable, FactorLayout
+from .model import CellTable, FactorLayout, frozen
 
 # a column is dependent when its distance from the span of the columns before
 # it is at most this times the largest column norm
@@ -101,10 +101,9 @@ class DesignMatrix:
     n_rows: int = field(init=False)
 
     def __post_init__(self):
-        cell_values = np.asarray(self.cell_values, dtype=float)
+        cell_values = frozen(self.cell_values)
         if cell_values.shape != (self.layout.n_cells, len(self.labels)):
             raise ValidationError("design values do not match the declared columns")
-        cell_values.setflags(write=False)
         object.__setattr__(self, "cell_values", cell_values)
         object.__setattr__(self, "n_rows", len(cell_values))
 
@@ -228,19 +227,16 @@ def ols_fit(X: DesignMatrix, cells: CellTable) -> FitResult:
 
     r_inv = np.linalg.inv(r)
     estimates = r_inv @ (q.T @ (means * root))
-    cell_fitted = X.cell_values @ estimates
-    cell_fitted.setflags(write=False)
+    cell_fitted = frozen(X.cell_values @ estimates)
     gap = means - cell_fitted[occupied]
     sse = float(cells.m2.sum() + (counts * gap * gap).sum())
     df_error = n - p
     mse = sse / df_error if df_error > 0 else float("nan")
-    cov_unscaled = r_inv @ r_inv.T
-    cov_unscaled.setflags(write=False)
 
     return FitResult(
         design=X,
         estimates=estimates,
-        cov_unscaled=cov_unscaled,
+        cov_unscaled=frozen(r_inv @ r_inv.T),
         cell_fitted=cell_fitted,
         sse=sse,
         df_error=df_error,

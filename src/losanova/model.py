@@ -24,6 +24,13 @@ import numpy as np
 from .errors import ValidationError
 
 
+def frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values`` as a ``dtype`` array."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class FactorLayout:
     """Named factors with ordered levels.
@@ -122,28 +129,17 @@ class CellTable:
 
     def __post_init__(self):
         for name, dtype in (("counts", np.int64), ("means", float), ("m2", float)):
-            array = np.array(getattr(self, name), dtype=dtype)
+            array = frozen(getattr(self, name), dtype)
             if array.shape != (self.layout.n_cells,):
                 raise ValidationError(f"cell {name} has shape {array.shape}, not one per cell")
-            array.setflags(write=False)
             object.__setattr__(self, name, array)
 
     @classmethod
     def from_columns(
         cls, layout: FactorLayout, codes: np.ndarray, responses: np.ndarray
     ) -> "CellTable":
-        """Cell moments of coded responses, computed two-pass: the means
-        first, each corrected by the mean of its responses' deviations from
-        it (so a cell of equal responses has exactly their value as its
-        mean), then the squared deviations from the means. Responses too
-        large to square give an infinite or NaN moment, without a warning;
-        the analyses that need the moments check them."""
-        n_cells = layout.n_cells
-        counts = np.bincount(codes, minlength=n_cells)
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = _cell_means(codes, responses, counts)
-            m2 = np.bincount(codes, weights=(responses - means[codes]) ** 2, minlength=n_cells)
-        return cls(layout, counts, means, m2)
+        """Cell moments of coded responses: ``_pool`` of one-observation rows."""
+        return _pool(layout, codes, responses)
 
     @property
     def n(self) -> int:
@@ -151,13 +147,7 @@ class CellTable:
 
     def margin(self, *factors: int | str) -> "CellTable":
         """The table pooled over every factor not listed, on the layout of the
-        listed factors in the order given.
-
-        Each cell counts as a weighted observation of its parent cell: counts
-        and count-weighted means add up, the means get ``from_columns``'
-        correction pass, and m2 pools as sum(m2_c) + sum(n_c * (mean_c -
-        mean)^2) (Chan, Golub & LeVeque, Am. Stat. 37, 1983).
-        """
+        listed factors in the order given: ``_pool`` of its cells."""
         if not factors:
             raise ValidationError("a margin needs at least one factor")
         keep = [self.layout.factor_index(f) for f in factors]
@@ -166,30 +156,42 @@ class CellTable:
         layout = FactorLayout(self.layout.factors[i] for i in keep)
         levels = np.unravel_index(np.arange(self.layout.n_cells), self.layout.shape)
         parent = np.ravel_multi_index([levels[i] for i in keep], layout.shape)
-        n_cells = layout.n_cells
-        counts = np.bincount(parent, weights=self.counts, minlength=n_cells)
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = _cell_means(parent, self.means, counts, self.counts)
-            between = self.counts * (self.means - means[parent]) ** 2
-            m2 = np.bincount(parent, weights=self.m2 + between, minlength=n_cells)
-        return CellTable(layout, counts, means, m2)
+        return _pool(layout, parent, self.means, self.counts, self.m2)
 
 
-def _cell_means(codes, values, counts, weights=None) -> np.ndarray:
-    """Each cell's (``weights``-weighted) mean of ``values``: the sum over the
-    count, plus the mean of the values' deviations from that. Empty cells get
-    0, and a cell whose deviations sum to a non-finite value keeps its sum
-    over its count."""
+def _pool(layout: FactorLayout, groups, means, counts=None, m2=None) -> CellTable:
+    """The cell table of rows pooled into the cells of ``layout``: row i joins
+    cell ``groups[i]`` and holds ``counts[i]`` observations (1 when None) with
+    mean ``means[i]`` and sum of squared deviations ``m2[i]`` (0 when None).
+
+    Counts add. Each cell's mean is the count-weighted mean of its rows, plus
+    the count-weighted mean of their deviations from it, so a cell of equal
+    rows has exactly their value as its mean. Its m2 is sum(m2_i) + sum(n_i *
+    (mean_i - mean)^2) (Chan, Golub & LeVeque, Am. Stat. 37, 1983). Empty
+    cells get mean and m2 0. Rows too large to square give an infinite or NaN
+    moment, without a warning, and a cell whose deviations sum to a non-finite
+    value keeps its first-pass mean; the analyses that need the moments check
+    them.
+    """
+    n_cells = layout.n_cells
+
     def total(v):
-        return np.bincount(codes, weights=v if weights is None else weights * v,
-                           minlength=counts.size)
+        return np.bincount(groups, weights=v if counts is None else counts * v,
+                           minlength=n_cells)
 
-    occupied = counts > 0
-    means = np.divide(total(values), counts, out=np.zeros(counts.size), where=occupied)
-    gaps = total(values - means[codes])
-    np.add(means, gaps / np.where(occupied, counts, 1), out=means,
-           where=occupied & np.isfinite(gaps))
-    return means
+    pooled_counts = np.bincount(groups, weights=counts, minlength=n_cells)
+    occupied = pooled_counts > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled = np.divide(total(means), pooled_counts, out=np.zeros(n_cells), where=occupied)
+        gaps = total(means - pooled[groups])
+        np.add(pooled, gaps / np.where(occupied, pooled_counts, 1), out=pooled,
+               where=occupied & np.isfinite(gaps))
+        between = (means - pooled[groups]) ** 2
+        if counts is not None:
+            between = counts * between
+        pooled_m2 = np.bincount(groups, weights=between if m2 is None else m2 + between,
+                                minlength=n_cells)
+    return CellTable(layout, pooled_counts, pooled, pooled_m2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +211,8 @@ class Dataset:
     cells: CellTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        codes = np.array(self.codes, dtype=np.intp)
-        responses = np.array(self.responses, dtype=float)
+        codes = frozen(self.codes, np.intp)
+        responses = frozen(self.responses)
         if codes.ndim != 1 or codes.shape != responses.shape:
             raise ValidationError(
                 f"codes and responses must be equal-length vectors, "
@@ -228,8 +230,6 @@ class Dataset:
             raise ValidationError(
                 f"observation {int(np.argmax(not_finite))}: response is not finite"
             )
-        for array in (codes, responses):
-            array.setflags(write=False)
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "responses", responses)
         object.__setattr__(self, "cells", CellTable.from_columns(self.layout, codes, responses))

@@ -595,6 +595,16 @@ def test_anova_max_order(cohort_csv, capsys):
     assert "age_group" in out
 
 
+@pytest.mark.parametrize("transform", ["auto", "log10"])
+def test_failed_anova_writes_nothing_to_stdout(cohort_csv, transform, capsys):
+    code = cli_main(["anova", "--input", str(cohort_csv), "--transform", transform,
+                     "--max-order", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: max_order must be in [1, 3]\n"
+
+
 def test_posthoc_two_level_factor(cohort_csv, capsys):
     code = cli_main(["posthoc", "--input", str(cohort_csv), "--factor", "gender"])
     out = capsys.readouterr().out

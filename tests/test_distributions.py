@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
+from scipy.special import betainc, fdtr
 
 from losanova import (
     ValidationError,
-    f_cdf,
     f_quantile,
     f_sf,
     noncentral_f_cdf,
@@ -30,7 +29,7 @@ from losanova import (
 )
 
 # frozen Monte Carlo oracles: (value, standard error, oracle seed)
-MC_F_CDF = (0.9407611, 7.465229582992742e-05, 20260809)      # f_cdf(2.5; 3, 360)
+MC_F_CDF = (0.9407611, 7.465229582992742e-05, 20260809)      # central F CDF(2.5; 3, 360)
 MC_F_QUANTILE = (3.787689741055858, 0.002254970308449501, 4)  # f_quantile(0.99; 3, 1680)
 MC_NCF_CDF = (0.6426421, 0.00015154313950409962, 77)          # ncf_cdf(2.0; 5, 40, 3.7)
 MC_NORMAL_CDF = (0.84132508, 3.653726724359577e-05, 123)      # normal_cdf(1.0)
@@ -67,18 +66,18 @@ def test_beta_symmetry_identity():
 # --- central F ---------------------------------------------------------------
 
 def test_f_cdf_at_zero():
-    assert f_cdf(0.0, 3.0, 10.0) == 0.0
-    assert f_cdf(-1.0, 3.0, 10.0) == 0.0
+    assert noncentral_f_cdf(0.0, 3.0, 10.0, 0.0) == 0.0
+    assert noncentral_f_cdf(-1.0, 3.0, 10.0, 0.0) == 0.0
 
 
 def test_f_equal_df_median():
     for nu in (1.0, 4.0, 17.0, 360.0):
-        assert f_cdf(1.0, nu, nu) == pytest.approx(0.5, abs=1e-12)
+        assert noncentral_f_cdf(1.0, nu, nu, 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_f_cdf_monte_carlo():
     value, se, _ = MC_F_CDF
-    assert abs(f_cdf(2.5, 3.0, 360.0) - value) <= 3 * se
+    assert abs(noncentral_f_cdf(2.5, 3.0, 360.0, 0.0) - value) <= 3 * se
 
 
 def test_f_cdf_sf_complement():
@@ -87,16 +86,17 @@ def test_f_cdf_sf_complement():
         x = float(rng.uniform(0.01, 8.0))
         n1 = float(rng.integers(1, 30))
         n2 = float(rng.integers(1, 2000))
-        assert f_cdf(x, n1, n2) + f_sf(x, n1, n2) == pytest.approx(1.0, abs=1e-12)
+        total = noncentral_f_cdf(x, n1, n2, 0.0) + f_sf(x, n1, n2)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_f_quantile_round_trips():
     for x in (0.5, 1.0, 3.0):
-        p = f_cdf(x, 3.0, 25.0)
+        p = noncentral_f_cdf(x, 3.0, 25.0, 0.0)
         assert f_quantile(p, 3.0, 25.0) == pytest.approx(x, abs=1e-7)
     for p in (0.001, 0.25, 0.5, 0.9, 0.95, 0.99, 0.9999):
         q = f_quantile(p, 4.0, 82678.0)
-        assert f_cdf(q, 4.0, 82678.0) == pytest.approx(p, abs=1e-9)
+        assert noncentral_f_cdf(q, 4.0, 82678.0, 0.0) == pytest.approx(p, abs=1e-9)
 
 
 def test_f_quantile_monte_carlo():
@@ -116,7 +116,7 @@ def test_f_cdf_nondecreasing_property():
         n1 = float(rng.integers(1, 20))
         n2 = float(rng.integers(1, 500))
         xs = np.sort(rng.uniform(0, 10, size=10))
-        vals = [f_cdf(float(x), n1, n2) for x in xs]
+        vals = [noncentral_f_cdf(float(x), n1, n2, 0.0) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -126,7 +126,7 @@ def test_f_cdf_nondecreasing_property():
 def test_ncf_central_reduction():
     for x in (0.3, 1.0, 2.5, 7.0):
         assert abs(
-            noncentral_f_cdf(x, 3.0, 360.0, 0.0) - f_cdf(x, 3.0, 360.0)
+            noncentral_f_cdf(x, 3.0, 360.0, 0.0) - fdtr(3.0, 360.0, x)
         ) <= 1e-12
 
 
@@ -334,7 +334,7 @@ def test_scipy_nan_raises_numerical_error(monkeypatch):
                         SimpleNamespace(**dict.fromkeys(names, undefined)))
     with pytest.raises(NumericalError, match=r"^f_quantile is undefined at 0\.5, 3\.0, 10\.0$"):
         f_quantile(0.5, 3.0, 10.0)
-    for call in (lambda: f_cdf(1.0, 3.0, 10.0), lambda: f_sf(1.0, 3.0, 10.0),
+    for call in (lambda: noncentral_f_cdf(1.0, 3.0, 10.0, 0.0), lambda: f_sf(1.0, 3.0, 10.0),
                  lambda: t_cdf(1.0, 5.0), lambda: t_quantile(0.3, 5.0)):
         with pytest.raises(NumericalError):
             call()
@@ -410,7 +410,7 @@ def test_central_f_matches_mpmath(p, nu1, nu2):
         cdf, sf, pdf = _mp_f(q, nu1, nu2)
         exact_q = q - (cdf - p) / pdf  # one Newton step from q onto the quantile
         assert _near(q, exact_q, 1e-11)
-        assert _near(f_cdf(q, nu1, nu2), cdf, 1e-11)
+        assert _near(noncentral_f_cdf(q, nu1, nu2, 0.0), cdf, 1e-11)
         assert _near(f_sf(q, nu1, nu2), sf, 1e-11)
 
 
@@ -550,6 +550,52 @@ def test_noncentral_f_huge_lambda_in_range():
 def test_noncentral_f_at_the_float_limit():
     # nu1 * x overflows here; y = nu1 x / (nu1 x + nu2) must still come out 1
     for x in (1e308, 1.7e308):
-        assert noncentral_f_cdf(x, 3.0, 10.0, 5.0) == f_cdf(x, 3.0, 10.0) == 1.0
+        assert noncentral_f_cdf(x, 3.0, 10.0, 5.0) == noncentral_f_cdf(x, 3.0, 10.0, 0.0) == 1.0
     # and x * nu1 underflowing to 0 leaves y = 0, not a division by zero
     assert noncentral_f_cdf(5e-324, 0.4, 10.0, 5.0) == 0.0
+
+
+def _mp_normal_quantile(p, start):
+    """The standard normal quantile of p at 60 digits: erfinv from p = 0.5 up,
+    and Newton steps on erfc from ``start`` below, where 2p - 1 cancels."""
+    with mpmath.workdps(60):
+        p = mpmath.mpf(p)
+        if p >= 0.5:
+            return mpmath.sqrt(2) * mpmath.erfinv(2 * p - 1)
+        x = mpmath.mpf(start)
+        for _ in range(50):
+            step = (mpmath.erfc(-x / mpmath.sqrt(2)) / 2 - p) / mpmath.npdf(x)
+            x -= step
+            if abs(step) <= mpmath.mpf(10) ** -55 * (1 + abs(x)):
+                return x
+        raise AssertionError(f"Newton did not converge at p = {p}")
+
+
+def test_normal_quantile_accuracy_matches_its_docstring():
+    # 606 points fixed before the first run: uniform, both tails log-uniform
+    # out to the float limits, and the edges. The bounds are twice the largest
+    # error measured on them (errors in the docstring), in five regions.
+    from losanova import distributions
+
+    rng = np.random.default_rng(20261021)
+    p_low = distributions._ACKLAM_P_LOW
+    p = np.concatenate([
+        rng.uniform(size=300),
+        10.0 ** rng.uniform(-300, math.log10(p_low), 150),
+        1.0 - 10.0 ** rng.uniform(math.log10(2.0**-53), math.log10(p_low), 150),
+        [5e-324, 2.0**-1022, 1.0 - 2.0**-53, 1.0 - 2.9e-14, 1.0 - 1e-8, 0.99999],
+    ])
+    x = normal_quantile(p)
+    exact = [_mp_normal_quantile(u, v) for u, v in zip(p.tolist(), x.tolist())]
+    error = np.array([float(abs(v - e)) for v, e in zip(x.tolist(), exact)])
+    relative = error / np.abs(np.array([float(e) for e in exact]))
+    far = np.abs(x) >= 37.0  # no Halley step
+    tail = 1.0 - p
+    assert far.sum() == 2
+    assert relative[far].max() <= 4e-9
+    assert relative[(p < p_low) & ~far].max() <= 5e-16
+    assert error[(p >= p_low) & (tail >= p_low)].max() <= 2e-15
+    upper = tail < p_low
+    assert error[upper & (tail >= 1e-5)].max() <= 1e-12
+    assert error[upper & (tail >= 1e-8)].max() <= 1e-9
+    assert error[upper].max() <= 2e-8 and relative[upper].max() <= 2.5e-9

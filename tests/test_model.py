@@ -307,8 +307,52 @@ def test_margin_pools_like_from_columns(cohort_layout):
             np.testing.assert_allclose(margin.m2, direct.m2, rtol=1e-12, atol=0)
     full = d.cells.margin(*cohort_layout.names)
     assert full.layout == cohort_layout
-    assert np.array_equal(full.counts, d.cells.counts)
-    assert np.array_equal(full.means, d.cells.means)
+    # crossed with a factor that gives each observation its own cell, every
+    # cell holds at most one observation; pooled back over that factor, the
+    # table is the cohort's own, bit for bit, as one rule builds both
+    small = random_dataset(cohort_layout, 60, seed=17, positive_shift=1e3)
+    crossed = FactorLayout([*cohort_layout.factors, ("obs", [str(i) for i in range(60)])])
+    singles = Dataset(crossed, small.codes * 60 + np.arange(60), small.responses).cells
+    assert set(singles.counts.tolist()) == {0, 1}
+    pooled = singles.margin(*cohort_layout.names)
+    for table, cells in ((full, d.cells), (pooled, small.cells)):
+        for name in ("counts", "means", "m2"):
+            assert getattr(table, name).tobytes() == getattr(cells, name).tobytes(), name
+
+
+def test_stored_arrays_are_read_only_copies(cohort_layout):
+    from losanova.diagnostics import PPPlotData, ResidualSpread
+    from losanova.linmod import DesignMatrix
+
+    def fresh(shape):
+        return np.arange(math.prod(shape), dtype=float).reshape(shape) + 1.0
+
+    n_cells = cohort_layout.n_cells
+    built = {
+        "cells": (CellTable, dict(layout=cohort_layout, counts=fresh((n_cells,)),
+                                  means=fresh((n_cells,)), m2=fresh((n_cells,)))),
+        "dataset": (Dataset, dict(layout=cohort_layout, codes=np.arange(n_cells, dtype=float),
+                                  responses=fresh((n_cells,)))),
+        "design": (DesignMatrix, dict(layout=cohort_layout, labels=("a", "b"),
+                                      cell_values=fresh((n_cells, 2)))),
+        "pp": (PPPlotData, dict(empirical=fresh((5,)), theoretical=fresh((5,)),
+                                max_abs_deviation=0.0)),
+        "spread": (ResidualSpread, dict(fitted=fresh((5,)), residuals=fresh((5,)),
+                                        funnel_ratio=None)),
+    }
+    for name, (cls, kwargs) in built.items():
+        obj = cls(**kwargs)
+        for field, value in kwargs.items():
+            if not isinstance(value, np.ndarray):
+                continue
+            before = value.copy()
+            assert value.flags.writeable, (name, field)
+            value += 1.0  # the caller's array stays theirs to change
+            stored = getattr(obj, field)
+            assert not stored.flags.writeable, (name, field)
+            assert np.array_equal(stored, before), (name, field)
+            with pytest.raises(ValueError):
+                stored[0] = 2.0
 
 
 def test_margin_rejects_bad_factor_lists(cohort_layout):
