@@ -264,7 +264,7 @@ def _cmd_report(args) -> int:
         artifacts = write_report_dir(bundle, args.out)
         print(f"wrote {len(artifacts)} artifacts to {args.out}")
     else:
-        sys.stdout.write(render_report(bundle, args.format).decode())
+        sys.stdout.write(render_report(bundle, args.format))
     return 0
 
 

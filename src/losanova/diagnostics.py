@@ -147,7 +147,11 @@ def residual_histogram(e: np.ndarray) -> HistogramData:
         counts = np.array([e.size])
     else:
         bins = math.ceil(1.0 + math.log2(e.size))
-        counts, edges = np.histogram(e, bins=bins, range=(lo, hi))
+        if hi - lo < 2.0**1023:
+            counts, edges = np.histogram(e, bins=bins, range=(lo, hi))
+        else:  # np.histogram's edges would overflow: bin the residuals over 4
+            counts, edges = np.histogram(e / 4, bins=bins, range=(lo / 4, hi / 4))
+            edges = edges * 4
     return HistogramData(tuple(float(b) for b in edges), tuple(int(c) for c in counts))
 
 
@@ -192,14 +196,16 @@ def pp_plot(e: np.ndarray) -> PPPlotData:
     empirical cumulative proportion (i - 0.5)/N is paired with the normal CDF
     at the i-th sorted standardized residual. ``max_abs_deviation`` is the
     largest gap between the two coordinates, a Kolmogorov-style summary.
-    Residuals with no spread raise ``ValidationError``.
+    Residuals with no spread, or one that overflows, raise ``ValidationError``.
     """
     e = np.asarray(e, dtype=float)
     if e.size == 0:
         raise ValidationError("no residuals")
-    sd = float(e.std(ddof=0))
-    if sd == 0:
-        raise ValidationError("residuals have zero variance; P-P plot undefined")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge residuals overflow
+        sd = float(e.std(ddof=0))
+    if sd == 0 or not math.isfinite(sd):
+        spread = "zero" if sd == 0 else "overflowing"
+        raise ValidationError(f"residuals have {spread} variance; P-P plot undefined")
     z = np.sort((e - e.mean()) / sd)
     n = e.size
     empirical = (np.arange(1, n + 1) - 0.5) / n

@@ -168,10 +168,10 @@ def _pool(layout: FactorLayout, groups, means, counts=None, m2=None) -> CellTabl
     the count-weighted mean of their deviations from it, so a cell of equal
     rows has exactly their value as its mean. Its m2 is sum(m2_i) + sum(n_i *
     (mean_i - mean)^2) (Chan, Golub & LeVeque, Am. Stat. 37, 1983). Empty
-    cells get mean and m2 0. Rows too large to square give an infinite or NaN
-    moment, without a warning, and a cell whose deviations sum to a non-finite
-    value keeps its first-pass mean; the analyses that need the moments check
-    them.
+    cells get mean and m2 0. An overflowed sum is pooled again from rows scaled
+    by 2^-k. Rows too large to square give an infinite or NaN m2, without a
+    warning, and a cell whose deviations sum to a non-finite value keeps its
+    first-pass mean; the analyses that need the moments check them.
     """
     n_cells = layout.n_cells
 
@@ -183,6 +183,13 @@ def _pool(layout: FactorLayout, groups, means, counts=None, m2=None) -> CellTabl
     occupied = pooled_counts > 0
     with np.errstate(over="ignore", invalid="ignore"):
         pooled = np.divide(total(means), pooled_counts, out=np.zeros(n_cells), where=occupied)
+        huge = ~np.isfinite(pooled)
+        if huge.any():  # an overflowed sum: pool again rows times 2^-k, 2^k >= 2 max(count)
+            scale = 0.5 ** np.ceil(np.log2(2 * pooled_counts.max()))
+            scaled = total(means * scale)[huge] / pooled_counts[huge]
+            # finite rows have a finite mean, even where their scaled sum rounded up
+            top = np.where(np.isfinite(scaled), np.finfo(float).max, np.inf)
+            pooled[huge] = np.clip(scaled / scale, -top, top)
         gaps = total(means - pooled[groups])
         np.add(pooled, gaps / np.where(occupied, pooled_counts, 1), out=pooled,
                where=occupied & np.isfinite(gaps))

@@ -179,16 +179,12 @@ def _pp_svg(pp, response: str) -> str:
 def _subset_means_svg(h, response: str) -> str:
     if not h.subsets:
         raise ValidationError("empty series: nothing to plot")
-    levels: list[tuple[str, float, int]] = []
-    for si, s in enumerate(h.subsets):
-        for lv, m in zip(s.levels, s.means):
-            if not any(lv == seen for seen, _, _ in levels):
-                levels.append((lv, m, si))
-    means = [m for _, m, _ in levels]
+    means = list(h.level_means.values())
     pad = (max(means) - min(means)) * 0.1 or 0.5
-    canvas = _Canvas((-0.5, len(levels) - 0.5), (min(means) - pad, max(means) + pad),
+    canvas = _Canvas((-0.5, len(means) - 0.5), (min(means) - pad, max(means) + pad),
                      h.factor, f"mean {response}")
-    for i, (lv, m, si) in enumerate(levels):
+    for i, (lv, m) in enumerate(h.level_means.items()):
+        si = next(si for si, s in enumerate(h.subsets) if lv in s.levels)
         color = _SUBSET_COLORS[si % len(_SUBSET_COLORS)]
         canvas.elements.append(
             f'<circle cx="{_num(canvas.px(i))}" cy="{_num(canvas.py(m))}" r="5" '

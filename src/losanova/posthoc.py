@@ -65,6 +65,11 @@ class HomogeneousSubsets:
     subsets: tuple[Subset, ...]
     significance_rule: str = SUBSET_SIGNIFICANCE_RULE
 
+    @property
+    def level_means(self) -> dict[str, float]:
+        """Each level's mean, in mean order: the subsets are runs of that order."""
+        return {lv: m for s in self.subsets for lv, m in zip(s.levels, s.means)}
+
 
 # ``bench/run.py`` traces this name; nothing in the package calls it.
 marginal_means = CellTable.margin

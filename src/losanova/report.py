@@ -12,7 +12,9 @@ deterministic: identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import re
@@ -105,7 +107,7 @@ def coefficient_rows(t: CoefficientTable) -> tuple[list[str], list[list[str]]]:
 
 
 def scheffe_rows(comparisons: Sequence[ScheffeComparison]) -> tuple[list[str], list[list[str]]]:
-    factor = comparisons[0].factor if comparisons else "level"
+    factor = comparisons[0].factor
     headers = [f"(I) {factor}", f"(J) {factor}", "Mean Difference (I-J)",
                "Std. Error", "Sig.", "Lower Bound", "Upper Bound"]
     rows = []
@@ -123,26 +125,10 @@ def scheffe_rows(comparisons: Sequence[ScheffeComparison]) -> tuple[list[str], l
 def subset_rows(h: HomogeneousSubsets, margin: CellTable) -> tuple[list[str], list[list[str]]]:
     """The subsets table; its N column reads the one-factor cell table ``margin``."""
     counts = dict(zip(margin.layout.levels(0), margin.counts.tolist()))
-    k = len(h.subsets)
-    headers = [h.factor, "N", *[str(i + 1) for i in range(k)]]
-    level_order = []
-    for s in h.subsets:
-        for lv in s.levels:
-            if lv not in level_order:
-                level_order.append(lv)
-    rows = []
-    for lv in level_order:
-        cells = [lv, str(counts[lv])]
-        for s in h.subsets:
-            if lv in s.levels:
-                cells.append(fmt3(s.means[s.levels.index(lv)]))
-            else:
-                cells.append("")
-        rows.append(cells)
-    sig = ["sig.", ""]
-    sig.extend(fmt3(s.significance) for s in h.subsets)
-    rows.append(sig)
-    return headers, rows
+    headers = [h.factor, "N", *(str(i + 1) for i in range(len(h.subsets)))]
+    rows = [[lv, str(counts[lv]), *(fmt3(m) if lv in s.levels else "" for s in h.subsets)]
+            for lv, m in h.level_means.items()]
+    return headers, [*rows, ["sig.", "", *(fmt3(s.significance) for s in h.subsets)]]
 
 
 def power_rows(results: Sequence[PowerResult]) -> tuple[list[str], list[list[str]]]:
@@ -157,34 +143,24 @@ def power_rows(results: Sequence[PowerResult]) -> tuple[list[str], list[list[str
 
 
 def frequency_rows(cells: CellTable) -> tuple[list[str], list[list[str]]]:
-    """Nested two-way rows against the last factor's levels, with totals."""
+    """Counts against the last factor's levels, with a total column: one row per
+    level or "total" of each other factor, in layout order with "total" last."""
     layout = cells.layout
-    if layout.n_factors != 3:
-        headers = [*layout.names, "count"]
-        rows = [
-            [*layout.cell_names(cell), str(n)]
-            for cell, n in zip(layout.cells(), cells.counts.tolist())
-        ]
-        rows.append(["total", *[""] * (layout.n_factors - 1), str(cells.n)])
-        return headers, rows
+    *outer, last = range(layout.n_factors)
 
-    def counts(*factors: int) -> list:
-        margin = cells.margin(*factors)
-        return margin.counts.reshape(margin.layout.shape).astype(str).tolist()
+    @functools.cache
+    def counts(kept: tuple[int, ...]) -> np.ndarray:
+        margin = cells.margin(*kept, last)
+        return margin.counts.reshape(margin.layout.shape)
 
-    f0, f1, f2 = layout.names
-    lv0, lv1, lv2 = (layout.levels(i) for i in range(3))
-    headers = [f0, f1, *[f"{f2}={lv}" for lv in lv2], "total"]
-    n_012, n_01, n_02, n_12 = counts(0, 1, 2), counts(0, 1), counts(0, 2), counts(1, 2)
-    n_0, n_1, n_2 = counts(0), counts(1), counts(2)
+    headers = [*layout.names[:-1], *(f"{layout.names[-1]}={lv}" for lv in layout.levels(last)),
+               "total"]
     rows = []
-    for a, a_name in enumerate(lv0):
-        for b, b_name in enumerate(lv1):
-            rows.append([a_name, b_name, *n_012[a][b], n_01[a][b]])
-        rows.append([a_name, "total", *n_02[a], n_0[a]])
-    for b, b_name in enumerate(lv1):
-        rows.append(["total", b_name, *n_12[b], n_1[b]])
-    rows.append(["total", "total", *n_2, str(cells.n)])
+    for key in itertools.product(*([*range(layout.n_levels(f)), None] for f in outer)):
+        kept = tuple(f for f, i in zip(outer, key) if i is not None)
+        row = counts(kept)[tuple(i for i in key if i is not None)].tolist()
+        names = ("total" if i is None else layout.levels(f)[i] for f, i in zip(outer, key))
+        rows.append([*names, *map(str, row), str(sum(row))])
     return headers, rows
 
 
@@ -211,9 +187,10 @@ def _anova_json(t: AnovaTable) -> dict:
     return {"response": t.response_name, "rows": [asdict(r) for r in t.rows]}
 
 
-def _coefficients_json(t: CoefficientTable, equation: str | None = None) -> dict:
-    out = {
+def _coefficients_json(t: CoefficientTable, equation: str) -> dict:
+    return {
         "alpha": t.alpha,
+        "equation": equation,
         "rows": [
             {"parameter": r.label, "estimate": r.estimate, "se": _nan_none(r.se),
              "t": _nan_none(r.t), "p": _nan_none(r.p),
@@ -221,9 +198,6 @@ def _coefficients_json(t: CoefficientTable, equation: str | None = None) -> dict
             for r in t.rows
         ],
     }
-    if equation is not None:
-        out["equation"] = equation
-    return out
 
 
 def _nan_none(x: float) -> float | None:
@@ -343,11 +317,11 @@ def _bundle_sections(bundle: ReportBundle) -> list[tuple]:
     return sections
 
 
-def render_report(bundle: ReportBundle, format: str = "text") -> bytes:
+def render_report(bundle: ReportBundle, format: str = "text") -> str:
     """Render the whole bundle as text, csv, or full-precision json; the json is
     ``json.dumps``' document byte for byte, but writes its array series itself."""
     if format == "json":
-        return _json_document(bundle).encode()
+        return _json_document(bundle)
     if format not in ("text", "csv"):
         raise ValidationError(f"unknown report format {format!r} (text/csv/json)")
     parts = []
@@ -358,7 +332,7 @@ def render_report(bundle: ReportBundle, format: str = "text") -> bytes:
             parts.append(f"[{name}]\n{_table_csv(headers, rows)}")
     if format == "text" and bundle.equation:
         parts.append(f"== fitted model ==\n{bundle.equation}\n")
-    return "\n".join(parts).encode()
+    return "\n".join(parts)
 
 
 def write_report_dir(bundle: ReportBundle, outdir: str | Path) -> list[str]:

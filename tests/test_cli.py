@@ -398,6 +398,47 @@ def _huge_csv(tmp_path):
                         ["male,spring,1,1e200", "male,spring,1,2e200"])
 
 
+_MAX = 1.7976931348623157e308
+
+
+def _overflow_csv(tmp_path, kind):
+    """A cohort CSV with cell sums past the largest double. ``synth``: 8,000
+    synthetic rows, plus male,spring,1 rows of 1e308 and 1.5e308 and three
+    largest doubles in female,winter,3. ``cells``: three rows a cell, the first
+    cell holding 1e308 and 1.5e308 and the second three largest doubles, whose
+    sum overflows even when each is first divided by 3."""
+    if kind == "cells":
+        overflowing = [(1e308, 1.5e308, 2.0), (_MAX,) * 3]
+        return _cohort_file(tmp_path / "cells.csv",
+                            lambda i: overflowing[i] if i < 2 else (i, 2 * i, 3 * i))
+    path = tmp_path / "synth.csv"
+    assert cli_main(["synth", "--n", "8000", "--seed", "11", "--out", str(path)]) == 0
+    with path.open("a") as f:
+        f.write("male,spring,1,1e308\nmale,spring,1,1.5e308\n"
+                + f"female,winter,3,{_MAX!r}\n" * 3)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["synth", "cells"])
+@pytest.mark.parametrize("transform", ["auto", "log10", "none"])
+def test_overflowed_cell_sums_give_finite_means(kind, transform, tmp_path, capsys):
+    # each cell mean stays finite, so the residuals can be binned and plotted;
+    # only the raw-scale ANOVA's sums of squares overflow, and say so
+    argv = ["--input", str(_overflow_csv(tmp_path, kind)), "--transform", transform]
+    capsys.readouterr()
+    assert cli_main(["diagnose", *argv]) == 0
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "report"
+    if transform == "none":
+        assert cli_main(["report", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sums of squares overflow on the los scale; "
+            "rescale or log-transform the response\n")
+    else:
+        assert cli_main(["report", *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote 32 artifacts to {out}\n", "")
+
+
 def test_anova_of_huge_finite_responses(tmp_path, capsys):
     argv = ["anova", "--input", str(_huge_csv(tmp_path)), "--transform"]
 

@@ -120,6 +120,9 @@ def test_seasons_pair_winter_with_autumn():
     pair_p = _find(comparisons, "winter", "autumn").p
     assert subsets.subsets[-1].significance == pytest.approx(pair_p)
     assert "pairwise" in subsets.significance_rule
+    # the mean order is a property, not a field: the subsets' JSON is unchanged
+    assert list(subsets.level_means) == ["spring", "summer", "winter", "autumn"]
+    assert "level_means" not in dataclasses.asdict(subsets)
 
 
 def test_identical_means_form_one_subset():
@@ -256,6 +259,8 @@ def test_subsets_match_brute_force_oracle(cohort_layout):
         assert [s.levels for s in got.subsets] == expected
         covered = {lv for s in got.subsets for lv in s.levels}
         assert covered == set(sorted_levels)
+        means = dict(zip(levels, margin.means.tolist()))
+        assert list(got.level_means.items()) == [(lv, means[lv]) for lv in sorted_levels]
 
 
 # --- marginal means ----------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 import argparse
 import dataclasses
+import itertools
 import json
 import re
 
 import numpy as np
 import pytest
 
-from losanova import ValidationError, generate, render_report, write_csv, write_report_dir
+from losanova import (
+    FactorLayout, ValidationError, generate, render_report, write_csv, write_report_dir,
+)
 from losanova.cli import _build_bundle
 from losanova.diagnostics import (
     HistogramData, PPPlotData, ResidualSpread, apply_transform, pp_plot, residuals,
@@ -63,11 +66,27 @@ def test_fmt4_phi_precision():
     assert fmtn(0.007819, 5) == ".00782"
 
 
-def test_frequency_rows_list_cells_of_a_two_factor_layout(two_by_two):
-    headers, rows = frequency_rows(count_table(two_by_two, {("a1", "b2"): 3, ("a2", "b1"): 1}))
-    assert headers == ["a", "b", "count"]
-    assert rows == [["a1", "b1", "0"], ["a1", "b2", "3"], ["a2", "b1", "1"],
-                    ["a2", "b2", "0"], ["total", "", "4"]]
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 2), (2, 2, 3, 2)])
+def test_frequency_rows_recount_the_cells_of_any_layout(shape):
+    # a row per level or "total" of each factor but the last, in layout order,
+    # against the last factor's levels and "total"; some cells are empty
+    layout = FactorLayout([(f"f{i}", tuple(f"f{i}l{j}" for j in range(k)))
+                           for i, k in enumerate(shape)])
+    sizes = np.random.default_rng(len(shape)).integers(0, 4, layout.n_cells)
+    sizes[0] = 0
+    counts = {layout.cell_names(cell): int(n) for cell, n in zip(layout.cells(), sizes)}
+    headers, rows = frequency_rows(count_table(layout, counts))
+
+    *outer, (last, last_levels) = layout.factors
+    assert headers == [*layout.names[:-1], *(f"{last}={lv}" for lv in last_levels), "total"]
+
+    def recount(key):
+        return sum(n for names, n in counts.items()
+                   if all(k in ("total", lv) for k, lv in zip(key, names)))
+
+    keys = itertools.product(*([*levels, "total"] for _, levels in outer))
+    assert rows == [[*key, *(str(recount((*key, lv))) for lv in (*last_levels, "total"))]
+                    for key in keys]
 
 
 def test_power_rows_table_shape():
@@ -87,7 +106,7 @@ def test_table_csv_escaping():
 # --- whole-bundle rendering ---------------------------------------------------------
 
 def test_text_report_sections(bundle):
-    text = render_report(bundle, "text").decode()
+    text = render_report(bundle, "text")
     for section in ("frequency", "anova", "coefficients", "scheffe_season",
                     "subsets_age_group", "transform", "fitted model"):
         assert f"== {section} ==" in text
@@ -96,13 +115,13 @@ def test_text_report_sections(bundle):
 
 
 def test_csv_report_sections(bundle):
-    text = render_report(bundle, "csv").decode()
+    text = render_report(bundle, "csv")
     assert "[anova]" in text and "[frequency]" in text
     assert "Source,Type III Sum of Squares,df,Mean Square,F,Sig." in text
 
 
 def test_json_report_full_precision(bundle):
-    parsed = json.loads(render_report(bundle, "json").decode())
+    parsed = json.loads(render_report(bundle, "json"))
     anova_error = next(r for r in parsed["anova"]["rows"] if r["source"] == "Error")
     assert anova_error["ss"] == bundle.anova.row("Error").ss  # exact float
     assert parsed["parameters"]["transform_applied"] == "logarithmic"
@@ -111,7 +130,7 @@ def test_json_report_full_precision(bundle):
 
 
 def test_json_diagnostics_hold_kind_and_every_field(bundle):
-    parsed = json.loads(render_report(bundle, "json").decode())["diagnostics"]
+    parsed = json.loads(render_report(bundle, "json"))["diagnostics"]
     assert len(parsed) == 5 and parsed.keys() == bundle.diagnostics.keys()
     for name, series in bundle.diagnostics.items():
         names = [f.name for f in dataclasses.fields(series)]
@@ -137,21 +156,21 @@ def test_json_report_is_the_dumped_document(bundle):
     for b in (bundle, dataclasses.replace(
             bundle, diagnostics={**bundle.diagnostics, "odd": odd, "pp_one": pp})):
         want = json.dumps(bundle_to_dict(b), indent=2, sort_keys=True) + "\n"
-        assert render_report(b, "json") == want.encode()
+        assert render_report(b, "json") == want
 
 
 def test_report_outputs_list_the_same_tables(bundle, tmp_path):
     write_report_dir(bundle, tmp_path)
     stems = {path.stem for path in (tmp_path / "tables").iterdir()}
-    document = json.loads(render_report(bundle, "json").decode())
+    document = json.loads(render_report(bundle, "json"))
     keys = set()
     for key, value in document.items():
         if key in ("scheffe", "subsets"):
             keys.update(f"{key}_{factor}" for factor in value)
         elif key not in ("parameters", "diagnostics"):
             keys.add({"transform_recommendation": "transform"}.get(key, key))
-    text = render_report(bundle, "text").decode()
-    csv = render_report(bundle, "csv").decode()
+    text = render_report(bundle, "text")
+    csv = render_report(bundle, "csv")
     assert stems == keys
     assert set(re.findall(r"^== (.+) ==$", text, re.M)) == keys | {"fitted model"}
     assert set(re.findall(r"^\[(.+)\]$", csv, re.M)) == keys
@@ -197,7 +216,7 @@ def test_unknown_format_rejected(bundle):
 
 
 def test_frequency_table_text_totals(bundle):
-    text = render_report(bundle, "text").decode()
+    text = render_report(bundle, "text")
     section = text.split("== frequency ==")[1].split("==")[0]
     assert "total" in section
     # grand total row should carry the dataset size
