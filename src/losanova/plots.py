@@ -6,10 +6,21 @@ The series' ``kind`` picks the picture, which names its own axes on the
 response scale it is given: a histogram (bars), a residual spread (residuals
 against fitted values), P-P data (probability-probability points with the
 identity reference line), or homogeneous subsets (per-level means by subset).
+
+Every coordinate is written as ``%.2f`` writes it. A point cloud's
+coordinates are written all at once by numpy: each pixel times 100 is
+rounded to an integer, whose digits are looked up in small tables. That
+integer is the correctly rounded hundredths whenever the product lies
+strictly between 0 and 99,999.5 and more than 2^-30 from a half-integer,
+since the product itself is off by at most 2^-37 there. A cloud with any
+other coordinate (a tie, a negative or non-finite value) is formatted by
+``%`` point by point instead. A data span past the largest double is
+mapped from halved coordinates, so its coordinates stay finite.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +42,34 @@ _SUBSET_COLORS = ("#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4",
                   "#8c613c", "#dc7ec0", "#797979", "#d5bb67", "#82c6e2")
 
 
+# point clouds join their elements as ``to_svg`` joins elements
+_SEP = "\n  "
+
+# ``%.2f`` of h / 100 for an integer 0 <= h < 100,000, in two lookups: the
+# units h // 100 as three right-aligned digits (NUL for a leading zero) and
+# the point, then the hundredths h % 100 as two digits
+_UNITS = np.frombuffer(
+    b"".join(b"%3d." % u for u in range(1000)).replace(b" ", b"\0"), "<u4")
+_HUNDREDTHS = np.frombuffer(b"".join(b"%02d" % h for h in range(100)), "<u2")
+_TIE_GUARD = 2.0 ** -30
+
+
 def _num(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _unit(value, lo: float, hi: float):
+    """(value - lo) / (hi - lo), from halves where hi - lo overflows."""
+    if math.isinf(hi - lo):
+        return (value / 2 - lo / 2) / (hi / 2 - lo / 2)
+    return (value - lo) / (hi - lo)
+
+
+def _lerp(frac: float, lo: float, hi: float) -> float:
+    """lo + frac (hi - lo), from halves where hi - lo overflows."""
+    if math.isinf(hi - lo):
+        return 2.0 * (lo / 2 + frac * (hi / 2 - lo / 2))
+    return lo + frac * (hi - lo)
 
 
 class _Canvas:
@@ -52,11 +89,11 @@ class _Canvas:
 
     def px(self, x: float) -> float:
         span = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-        return _MARGIN_LEFT + (x - self.x_lo) / (self.x_hi - self.x_lo) * span
+        return _MARGIN_LEFT + _unit(x, self.x_lo, self.x_hi) * span
 
     def py(self, y: float) -> float:
         span = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-        return _HEIGHT - _MARGIN_BOTTOM - (y - self.y_lo) / (self.y_hi - self.y_lo) * span
+        return _HEIGHT - _MARGIN_BOTTOM - _unit(y, self.y_lo, self.y_hi) * span
 
     def _decorate(self, xlabel, ylabel):
         left, right = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
@@ -67,8 +104,8 @@ class _Canvas:
             f'class="frame"/>'
         )
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-            x = self.x_lo + frac * (self.x_hi - self.x_lo)
-            y = self.y_lo + frac * (self.y_hi - self.y_lo)
+            x = _lerp(frac, self.x_lo, self.x_hi)
+            y = _lerp(frac, self.y_lo, self.y_hi)
             xp, yp = self.px(x), self.py(y)
             self.elements.append(
                 f'<line x1="{_num(xp)}" y1="{_num(bottom)}" x2="{_num(xp)}" '
@@ -115,14 +152,51 @@ def _esc(text: str) -> str:
 def _add_points(canvas: _Canvas, x: np.ndarray, y: np.ndarray, template: str) -> None:
     """``template % (px, py)`` per point, thinned to at most ``_MAX_POINTS``, in one
     element joined as ``to_svg`` joins elements. numpy's elementwise arithmetic
-    rounds as per-point Python floats would, and ``%.2f`` formats as ``_num`` does."""
+    rounds as per-point Python floats would. ``_hundredths_text`` writes the
+    coordinates as ``%.2f`` does whenever each one, times 100, is positive, below
+    99,999.5 and more than 2^-30 from a half-integer: its rounding error is at most
+    2^-37, so it rounds to the correctly rounded hundredths. Any other cloud takes
+    the ``%`` line."""
     n = len(x)
     if n > _MAX_POINTS:
         idx = np.rint(np.arange(_MAX_POINTS) * (n - 1) / (_MAX_POINTS - 1)).astype(np.intp)
         x, y = x[idx], y[idx]
     xy = np.empty(2 * len(x))
     xy[0::2], xy[1::2] = canvas.px(x), canvas.py(y)
-    canvas.elements.append("\n  ".join([template] * len(x)) % tuple(xy.tolist()))
+    text = _hundredths_text(template, xy)
+    if text is None:
+        text = _SEP.join([template] * len(x)) % tuple(xy.tolist())
+    canvas.elements.append(text)
+
+
+def _hundredths_text(template: str, values: np.ndarray) -> str | None:
+    """``_SEP.join([template] * rows) % tuple(values)`` for a ``template`` whose
+    only fields are ``%.2f``; None unless every value times 100 is in
+    (0, 99,999.5) and more than ``_TIE_GUARD`` from a half-integer."""
+    t = values * 100.0
+    if not ((t > 0.0) & (t < 99999.5)).all():
+        return None
+    hundredths = np.rint(t)
+    if not (np.abs(t - hundredths) < 0.5 - _TIE_GUARD).all():
+        return None
+    units, cents = np.divmod(hundredths.astype(np.intp), 100)
+    parts = template.encode("ascii").split(b"%.2f")
+    fields = len(parts) - 1
+    # each field takes six bytes, "ddd.dd" with NUL for a leading zero, and
+    # the last row takes no separator
+    row = (b"\0" * 6).join(parts) + _SEP.encode("ascii")
+    data = bytearray(row) * (len(values) // fields)
+    rows = np.frombuffer(data, np.uint8).reshape(-1, len(row))
+    rows[-1, -len(_SEP):] = 0
+    at = 0
+    for j, part in enumerate(parts[:-1]):
+        at += len(part)
+        rows[:, at:at + 4].view("<u4")[:, 0] = _UNITS[units[j::fields]]
+        rows[:, at + 4:at + 6].view("<u2")[:, 0] = _HUNDREDTHS[cents[j::fields]]
+        at += 6
+    del rows  # so that the padded rows are freed once their NUL-free copy exists
+    data = data.replace(b"\0", b"")
+    return data.decode("ascii")
 
 
 def _histogram_svg(h, response: str) -> str:

@@ -439,6 +439,27 @@ def test_overflowed_cell_sums_give_finite_means(kind, transform, tmp_path, capsy
         assert capsys.readouterr() == (f"wrote 32 artifacts to {out}\n", "")
 
 
+@pytest.mark.parametrize("transform", ["auto", "log10", "none"])
+def test_plots_of_residuals_spanning_past_the_largest_double(transform, tmp_path, capsys):
+    # a largest double and 1e-300 in one cell leave residuals whose span
+    # overflows; the plots map them from halves instead of writing nan
+    path = _overflow_csv(tmp_path, "synth")
+    with path.open("a") as f:
+        f.write(f"female,summer,2,{_MAX!r}\nfemale,summer,2,1e-300\n")
+    out = tmp_path / "report"
+    capsys.readouterr()
+    code = cli_main(["report", "--input", str(path), "--transform", transform,
+                     "--out", str(out)])
+    if transform == "none":
+        assert code == 1
+        assert "sums of squares overflow on the los scale" in capsys.readouterr().err
+        return
+    assert code == 0
+    assert capsys.readouterr() == (f"wrote 32 artifacts to {out}\n", "")
+    with_nan = [p.name for p in out.rglob("*") if p.is_file() and "nan" in p.read_text()]
+    assert with_nan == []
+
+
 def test_anova_of_huge_finite_responses(tmp_path, capsys):
     argv = ["anova", "--input", str(_huge_csv(tmp_path)), "--transform"]
 

@@ -70,10 +70,11 @@ def test_effect_dfs(planning_layout):
     assert dfs("gender*age_group", 5)[0] == 4
 
 
-@pytest.mark.parametrize("index", [7, -1])
+@pytest.mark.parametrize("index", [7, 3, -1])
 def test_power_spec_rejects_a_factor_index_out_of_range(planning_layout, index):
     # PowerSpec checks the effect's factor indices, so power_of_test never
-    # reads a level count outside the layout (index -1 would read the last)
+    # reads a level count outside the layout (index -1 would read the last;
+    # 3, the factor count, is the first index past the end)
     effect = Term((index,))
     message = rf"^factor index {index} out of range$"
     with pytest.raises(ValidationError, match=message):

@@ -336,6 +336,88 @@ def test_point_template_formats_as_num(v):
     assert "%.2f" % v == _num(v)
 
 
+def _numpy_text(template, values):
+    """The points' text from the numpy formatter, or None where it declines."""
+    from losanova.plots import _hundredths_text
+
+    return _hundredths_text(template, np.asarray(values, dtype=float))
+
+
+def test_numpy_formatter_matches_percent_format_on_seeded_values():
+    rng = np.random.default_rng(36)
+    values = np.concatenate([
+        rng.uniform(0.0, 1000.0, 20000), rng.uniform(0.0, 1.0, 2000),
+        10.0 ** rng.uniform(-12.0, 3.0, 2000), np.arange(1, 100000) / 100.0,
+        [5e-324, 0.004, 0.0049, 0.0051, 0.006, 40.0, 70.0, 424.99499, 424.99501,
+         425.0, 620.0, 999.99, 999.9949],
+    ])
+    assert _numpy_text("%.2f", values) == "\n  ".join("%.2f" % v for v in values)
+    template = '<circle cx="%.2f" cy="%.2f" class="pt"/>'
+    expected = "\n  ".join([template] * (len(values) // 2)) % tuple(values)
+    assert _numpy_text(template, values) == expected
+
+
+_TIES = [0.125, 2.675, 70.005, 424.995, 999.995]
+
+
+def _few_ulps(v, steps=3):
+    out = []
+    for direction in (-np.inf, np.inf):
+        w = v
+        for _ in range(steps):
+            w = float(np.nextafter(w, direction))
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("v", [
+    *_TIES, *(w for tie in _TIES for w in _few_ulps(tie)), 999.9951, 1000.0, 1e16,
+    0.0, -0.0, -0.004, -1.0, float("nan"), float("inf"), float("-inf"),
+])
+def test_numpy_formatter_declines_ties_and_values_out_of_range(v):
+    # within 2^-30 of a half hundredth, at or past 99,999.5 hundredths, not
+    # positive or not finite: the cloud takes the % line, which is exact
+    assert _numpy_text("%.2f", [v]) is None
+    assert _numpy_text("%.2f", [1.0, v, 2.0]) is None
+
+
+def _spy_on_numpy_formatter(monkeypatch) -> list[bool]:
+    """Record, per point cloud, whether the numpy formatter wrote it."""
+    from losanova import plots
+
+    took, formatter = [], plots._hundredths_text
+
+    def spy(template, values):
+        text = formatter(template, values)
+        took.append(text is not None)
+        return text
+
+    monkeypatch.setattr(plots, "_hundredths_text", spy)
+    return took
+
+
+def test_report_point_clouds_take_the_numpy_formatter(bundle, tmp_path, monkeypatch):
+    # a guard too wide would send every cloud to the % line without a byte changing
+    took = _spy_on_numpy_formatter(monkeypatch)
+    write_report_dir(bundle, tmp_path)
+    assert took == [True, True, True]
+
+
+def test_a_cloud_near_a_tie_takes_the_percent_line(tmp_path, monkeypatch):
+    from losanova.plots import _Canvas
+
+    took = _spy_on_numpy_formatter(monkeypatch)
+    # px(e) = 70 + 550 e lands on 70.125, a tie in the third decimal
+    empirical = np.array([0.0, 0.125 / 550, 0.5, 1.0])
+    theoretical = np.array([0.0, 0.25, 0.5, 1.0])
+    pp = PPPlotData(empirical=empirical, theoretical=theoretical, max_abs_deviation=0.0)
+    render_plot(pp, tmp_path / "p.svg")
+    assert took == [False]
+    circles = _svg_circles(tmp_path / "p.svg")
+    assert circles == _per_point_circles(_Canvas((0.0, 1.0), (0.0, 1.0), "", ""),
+                                         empirical, theoretical)
+
+
 def _near_rounding_points(rng, n, lo, hi, origin, pixels_per_unit, pixels):
     """Data in [lo, hi], lo at pixel ``origin``, whose pixels land a few ulps
     from ``pixels``; the first two points are lo and hi."""
